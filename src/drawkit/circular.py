@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from drawkit.errors import CutBlocked, InvalidDrawing, SubsetTooSmall
 from drawkit.rotation import CrossingSet, _norm_crossing, _sorted_pair
@@ -109,14 +108,14 @@ class CircularWiring:
             raise InvalidDrawing("vertex angles must be distinct")
         if any(not 0 <= a < 1 for a in self.angles):
             raise InvalidDrawing("vertex angles must lie in [0, 1)")
-        _replay(self)
+        # the validating sweep's results, kept outside the fields so that
+        # equality, hashing and serialization see only the events
+        crossings, supports = _replay(self)
+        object.__setattr__(self, "_crossing_set", CrossingSet(self.n, frozenset(crossings)))
+        object.__setattr__(self, "_supports", supports)
 
     def edges(self) -> list:
-        out = []
-        for ev in self.events:
-            if isinstance(ev, VertexEvent):
-                out.extend(ev.starting)
-        return sorted(out)
+        return sorted(self._supports)
 
 
 def _replay(cw: CircularWiring):
@@ -193,17 +192,15 @@ def _replay(cw: CircularWiring):
 
 def crossing_set(cw: CircularWiring) -> CrossingSet:
     """One crossing per swap event."""
-    crossings, _ = _replay(cw)
-    return CrossingSet(cw.n, frozenset(crossings))
+    return cw._crossing_set
 
 
 def wedge(cw: CircularWiring, e: Edge) -> Arc:
     """Angular support of edge e."""
     e = _sorted_pair(*e)
-    _, supports = _replay(cw)
-    if e not in supports:
+    if e not in cw._supports:
         raise InvalidDrawing(f"edge {e} not present")
-    return supports[e]
+    return cw._supports[e]
 
 
 def _require_complete(cw: CircularWiring):
@@ -211,32 +208,21 @@ def _require_complete(cw: CircularWiring):
         raise InvalidDrawing("operation requires a complete-graph wiring")
 
 
-def _no_pair_covers(supports, pairs) -> bool:
-    return not any(arcs_cover_circle((supports[e], supports[f])) for e, f in pairs)
-
-
 def is_strongly_c_monotone(cw: CircularWiring) -> bool:
-    """True iff no vertex star covers the plane.
+    """True iff no vertex star covers the plane, i.e. for every vertex the
+    wedges of its edges leave some ray from the origin free.
 
-    All three equivalent characterizations (no edge pair, no incident pair,
-    no star) are evaluated and cross-checked.
+    For a wiring of the complete graph this is equivalent to the paper's two
+    other characterizations: no pair of edges, and no pair of incident edges,
+    has wedges covering the circle.  Only the star test runs here, in
+    O(n * E); the test suite checks the three against each other.
     """
     _require_complete(cw)
-    _, supports = _replay(cw)
-    edges = list(supports)
-    all_pairs = [(e, f) for e, f in combinations(edges, 2)]
-    incident_pairs = [(e, f) for e, f in all_pairs if set(e) & set(f)]
-    by_pairs = _no_pair_covers(supports, all_pairs)
-    by_incident = _no_pair_covers(supports, incident_pairs)
-    by_stars = True
-    for v in range(1, cw.n + 1):
-        star = [supports[e] for e in edges if v in e]
-        if arcs_cover_circle(star):
-            by_stars = False
-            break
-    if not (by_pairs == by_incident == by_stars):
-        raise InvalidDrawing("star/pair cover characterizations disagree; wiring invalid")
-    return by_stars
+    stars = {v: [] for v in range(1, cw.n + 1)}
+    for (u, v), arc in cw._supports.items():
+        stars[u].append(arc)
+        stars[v].append(arc)
+    return not any(arcs_cover_circle(star) for star in stars.values())
 
 
 def circular_vertex_order(cw: CircularWiring) -> list:
@@ -248,7 +234,7 @@ def gap_edges(cw: CircularWiring) -> list:
     """The n edges between circularly consecutive vertices, each flagged with
     whether its wedge equals its gap."""
     _require_complete(cw)
-    _, supports = _replay(cw)
+    supports = cw._supports
     ring = circular_vertex_order(cw)
     out = []
     for i, v in enumerate(ring):
@@ -268,8 +254,7 @@ def cut_to_linear(cw: CircularWiring, angle) -> LinearWiring:
     angle = frac1(Fraction(angle))
     if angle in cw.angles:
         raise CutBlocked(("vertex", angle))
-    _, supports = _replay(cw)
-    for e, arc in supports.items():
+    for e, arc in cw._supports.items():
         if arc.contains(angle):
             raise CutBlocked(e)
 

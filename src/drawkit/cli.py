@@ -20,7 +20,7 @@ from drawkit import oracle, serial, svg
 from drawkit import wiring as w
 from drawkit.circular import CircularWiring
 from drawkit.cylinder import CylindricalDrawing
-from drawkit.errors import DrawkitError, InvalidDrawing, UnrenderableModel
+from drawkit.errors import DrawkitError, InvalidDrawing
 from drawkit.rotation import (
     CrossingSet,
     RotationSystem,
@@ -209,7 +209,12 @@ def _cmd_render(args) -> int:
     model = serial.read_file(args.infile)
     highlight = ()
     if args.highlight:
-        highlight = tuple(int(t) for t in args.highlight.split(","))
+        try:
+            highlight = tuple(int(t) for t in args.highlight.split(","))
+        except ValueError:
+            raise _UsageError(
+                f"--highlight needs comma-separated vertices, got {args.highlight!r}"
+            ) from None
     spec = svg.RenderSpec(canvas=args.size, highlight=highlight)
     text = svg.render(model, spec)
     if args.out:
@@ -308,10 +313,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
-    except UnrenderableModel as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DrawkitError as exc:
+    except (DrawkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

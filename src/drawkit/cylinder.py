@@ -31,6 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from drawkit import circular as circ
+from drawkit._geom import segments_cross
 from drawkit.circular import (
     Arc,
     CircularWiring,
@@ -104,6 +105,11 @@ class CylindricalDrawing:
         )
         object.__setattr__(self, "lateral", tuple(self.lateral))
         object.__setattr__(self, "circle", tuple(self.circle))
+        # lookup maps, kept outside the fields like any derived view
+        object.__setattr__(self, "_angle", dict(self.outer + self.inner))
+        circle = {v: "outer" for v, _ in self.outer} | {v: "inner" for v, _ in self.inner}
+        object.__setattr__(self, "_circle", circle)
+        object.__setattr__(self, "_circle_edge", {ce.edge: ce for ce in self.circle})
         _validate(self)
 
     # -- lookups ------------------------------------------------------
@@ -118,17 +124,14 @@ class CylindricalDrawing:
         return [v for v, _ in self.inner]
 
     def angle_of(self, v: int) -> Fraction:
-        for u, a in self.outer + self.inner:
-            if u == v:
-                return a
-        raise InvalidDrawing(f"unknown vertex {v}")
+        if v not in self._angle:
+            raise InvalidDrawing(f"unknown vertex {v}")
+        return self._angle[v]
 
     def circle_of(self, v: int) -> str:
-        if v in dict(self.outer):
-            return "outer"
-        if v in dict(self.inner):
-            return "inner"
-        raise InvalidDrawing(f"unknown vertex {v}")
+        if v not in self._circle:
+            raise InvalidDrawing(f"unknown vertex {v}")
+        return self._circle[v]
 
     def ring(self, which: str) -> list:
         """Vertices of one circle in counter-clockwise angular order."""
@@ -137,37 +140,34 @@ class CylindricalDrawing:
 
     def circle_edge(self, e: Edge):
         e = _sorted_pair(*e)
-        for ce in self.circle:
-            if ce.edge == e:
-                return ce
-        raise InvalidDrawing(f"no circle edge {e}")
+        if e not in self._circle_edge:
+            raise InvalidDrawing(f"no circle edge {e}")
+        return self._circle_edge[e]
 
     def edges(self) -> list:
         return sorted([le.edge for le in self.lateral] + [ce.edge for ce in self.circle])
 
 
 def _validate(cd: CylindricalDrawing):
-    out = dict(cd.outer)
-    inn = dict(cd.inner)
-    if len(out) != len(cd.outer) or len(inn) != len(cd.inner) or set(out) & set(inn):
+    angle, circle = cd._angle, cd._circle
+    if len(angle) != cd.n:
         raise InvalidDrawing("vertex labels must be distinct")
-    labels = set(out) | set(inn)
-    if labels != set(range(1, len(labels) + 1)):
+    if set(angle) != set(range(1, cd.n + 1)):
         raise InvalidDrawing("vertex labels must be 1..n")
-    for angles in (list(out.values()), list(inn.values())):
-        if len(set(angles)) != len(angles):
+    for ring in (cd.outer, cd.inner):
+        if len({a for _, a in ring}) != len(ring):
             raise InvalidDrawing("angles on a circle must be distinct")
     seen = set()
     for le in cd.lateral:
-        if le.u not in out or le.w not in inn:
+        if circle.get(le.u) != "outer" or circle.get(le.w) != "inner":
             raise InvalidDrawing(f"lateral edge {le.u}-{le.w} must run outer to inner")
-        if frac1(out[le.u] + le.omega) != inn[le.w]:
+        if frac1(angle[le.u] + le.omega) != angle[le.w]:
             raise InvalidDrawing(f"winding of {le.edge} inconsistent with the angles")
         if le.edge in seen:
             raise InvalidDrawing(f"duplicate edge {le.edge}")
         seen.add(le.edge)
     for ce in cd.circle:
-        same = (ce.u in out and ce.v in out) or (ce.u in inn and ce.v in inn)
+        same = ce.u in circle and circle.get(ce.u) == circle.get(ce.v)
         if not same or ce.u == ce.v:
             raise InvalidDrawing(f"circle edge {ce.edge} must join one circle")
         if ce.edge in seen:
@@ -180,11 +180,11 @@ def _validate(cd: CylindricalDrawing):
             if e.u == f.u and not abs(f.omega - e.omega) < 1:
                 raise InvalidDrawing(f"incident laterals {e.edge}, {f.edge} forced to cross")
             if e.w == f.w:
-                val = frac1(out[f.u] - out[e.u]) + f.omega - e.omega
+                val = frac1(angle[f.u] - angle[e.u]) + f.omega - e.omega
                 if val not in (0, 1):
                     raise InvalidDrawing(f"incident laterals {e.edge}, {f.edge} forced to cross")
             continue
-        val = frac1(out[f.u] - out[e.u]) + f.omega - e.omega
+        val = frac1(angle[f.u] - angle[e.u]) + f.omega - e.omega
         if not -1 <= val <= 2:
             raise InvalidDrawing(
                 f"laterals {e.edge}, {f.edge} would cross twice (window value {val})"
@@ -194,11 +194,9 @@ def _validate(cd: CylindricalDrawing):
     for e, f in combinations(lat_circle, 2):
         if set(e.edge) & set(f.edge):
             continue
-        if cd.circle_of(e.u) != cd.circle_of(f.u):
+        if circle[e.u] != circle[f.u]:
             continue
-        ge = set(guards(cd, e.edge))
-        gf = set(guards(cd, f.edge))
-        if set(f.edge) <= ge and set(e.edge) <= gf:
+        if set(f.edge) <= guards(cd, e.edge) and set(e.edge) <= guards(cd, f.edge):
             raise InvalidDrawing(f"circle edges {e.edge}, {f.edge} mutually guard")
 
 
@@ -206,10 +204,7 @@ def guarded_arc(cd: CylindricalDrawing, e: Edge) -> Arc:
     ce = cd.circle_edge(e)
     if ce.face is not Face.LATERAL:
         raise WrongFace(f"edge {ce.edge} lies in its home face")
-    au, av = cd.angle_of(ce.u), cd.angle_of(ce.v)
-    if ce.arc is ArcDir.CCW:
-        return Arc(au, frac1(av - au))
-    return Arc(av, frac1(au - av))
+    return home_side_arc(cd, e)
 
 
 def guards(cd: CylindricalDrawing, e: Edge) -> set:
@@ -222,6 +217,8 @@ def guards(cd: CylindricalDrawing, e: Edge) -> set:
 
 
 def home_side_arc(cd: CylindricalDrawing, e: Edge) -> Arc:
+    """The arc from u to v in the edge's arc direction: the drawn side of a
+    home edge, the guarded arc of a lateral-face edge."""
     ce = cd.circle_edge(e)
     au, av = cd.angle_of(ce.u), cd.angle_of(ce.v)
     if ce.arc is ArcDir.CCW:
@@ -254,19 +251,20 @@ def _raw_arcs_cover(a1, a2) -> bool:
 
 def crossing_set(cd: CylindricalDrawing) -> CrossingSet:
     """Apply the four crossing rules to every non-incident edge pair."""
-    out = dict(cd.outer)
+    angle = cd._angle
     pairs = set()
     # (iii) lateral vs lateral
     for e, f in combinations(cd.lateral, 2):
         if set(e.edge) & set(f.edge):
             continue
-        val = frac1(out[f.u] - out[e.u]) + f.omega - e.omega
+        val = frac1(angle[f.u] - angle[e.u]) + f.omega - e.omega
         if not 0 <= val <= 1:
             pairs.add(_norm_crossing(e.edge, f.edge))
     # (ii) lateral-face circle edges vs lateral-face edges
     lat_circle = [ce for ce in cd.circle if ce.face is Face.LATERAL]
+    guarded = {ce.edge: guards(cd, ce.edge) for ce in lat_circle}
     for ce in lat_circle:
-        g = guards(cd, ce.edge)
+        g = guarded[ce.edge]
         for le in cd.lateral:
             if set(ce.edge) & set(le.edge):
                 continue
@@ -275,10 +273,10 @@ def crossing_set(cd: CylindricalDrawing) -> CrossingSet:
     for ce, cf in combinations(lat_circle, 2):
         if set(ce.edge) & set(cf.edge):
             continue
-        if cd.circle_of(ce.u) != cd.circle_of(cf.u):
+        if cd._circle[ce.u] != cd._circle[cf.u]:
             continue
-        hit_ef = len(guards(cd, ce.edge) & set(cf.edge)) == 1
-        hit_fe = len(guards(cd, cf.edge) & set(ce.edge)) == 1
+        hit_ef = len(guarded[ce.edge] & set(cf.edge)) == 1
+        hit_fe = len(guarded[cf.edge] & set(ce.edge)) == 1
         if hit_ef != hit_fe:
             raise InvalidDrawing(f"guard rule asymmetric for {ce.edge}, {cf.edge}")
         if hit_ef:
@@ -289,7 +287,7 @@ def crossing_set(cd: CylindricalDrawing) -> CrossingSet:
             continue
         if set(ce.edge) & set(cf.edge):
             continue
-        if cd.circle_of(ce.u) != cd.circle_of(cf.u):
+        if cd._circle[ce.u] != cd._circle[cf.u]:
             continue
         if _linked_on_circle(cd, ce.edge, cf.edge):
             pairs.add(_norm_crossing(ce.edge, cf.edge))
@@ -404,8 +402,6 @@ def _resolve_cw_spiral(cd: CylindricalDrawing, pair) -> CylindricalDrawing:
     e, f = by_edge[pair[0]], by_edge[pair[1]]
     theta_a = cd.angle_of(e.u)
     theta_d = cd.angle_of(f.w)
-    inner = dict(cd.inner)
-    outer = dict(cd.outer)
     # first outer vertex counter-clockwise after v_a
     gaps = sorted(frac1(a - theta_a) for v, a in cd.outer if v != e.u)
     gap_len = gaps[0] if gaps else Fraction(1)
@@ -426,14 +422,14 @@ def _resolve_cw_spiral(cd: CylindricalDrawing, pair) -> CylindricalDrawing:
             d = frac1(a - theta_a)
             if 0 < d < land:
                 land = d
+    target = {}
     delta = {}
     for i, v in enumerate(block):
-        target = frac1(theta_a + land * (i + 1) / (len(block) + 2))
-        delta[v] = frac1(target - inner[v])
-        inner[v] = target
+        target[v] = frac1(theta_a + land * (i + 1) / (len(block) + 2))
+        delta[v] = frac1(target[v] - cd.angle_of(v))
     new = CylindricalDrawing(
         cd.outer,
-        tuple((v, inner[v]) for v, _ in cd.inner),
+        tuple((v, target.get(v, a)) for v, a in cd.inner),
         tuple(
             replace(le, omega=le.omega + delta[le.w]) if le.w in delta else le
             for le in cd.lateral
@@ -485,14 +481,7 @@ R_OUTER = Fraction(2)
 
 def _segments_intersect_fraction(p1, p2, p3, p4):
     """Proper intersection point of two exact segments, or None."""
-
-    def orient(p, q, r):
-        d = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-        return (d > 0) - (d < 0)
-
-    o1, o2 = orient(p1, p2, p3), orient(p1, p2, p4)
-    o3, o4 = orient(p3, p4, p1), orient(p3, p4, p2)
-    if not (o1 * o2 < 0 and o3 * o4 < 0):
+    if not segments_cross(p1, p2, p3, p4):
         return None
     dx1, dy1 = p2[0] - p1[0], p2[1] - p1[1]
     dx2, dy2 = p4[0] - p3[0], p4[1] - p3[1]
@@ -579,7 +568,7 @@ def _min_gap(angles) -> Fraction:
 
 
 def _build_curves(cd: CylindricalDrawing, attempt: int):
-    angles = {v: a for v, a in cd.outer + cd.inner}
+    angles = cd._angle
     gap = _min_gap(angles.values())
     ramp = gap / (8 * (attempt + 1))
     # lateral-face plateaus stay shallower than any lateral edge's slope over
@@ -620,9 +609,7 @@ def _build_curves(cd: CylindricalDrawing, attempt: int):
         ("inner", Face.LATERAL): {},
     }
     for ce in cd.circle:
-        which = cd.circle_of(ce.u)
-        arc = guarded_arc(cd, ce.edge) if ce.face is Face.LATERAL else home_side_arc(cd, ce.edge)
-        groups[(which, ce.face)][ce.edge] = arc
+        groups[(cd._circle[ce.u], ce.face)][ce.edge] = home_side_arc(cd, ce.edge)
 
     # (base radius, bulge sign, maximal bulge distance)
     bands = {
@@ -649,11 +636,11 @@ def _build_curves(cd: CylindricalDrawing, attempt: int):
     return curves
 
 
-def _realize_events(cd: CylindricalDrawing, attempt: int):
-    """Exact sweep of the realized curves; returns (angles, base_order, events)."""
+def _realize(cd: CylindricalDrawing, attempt: int) -> CircularWiring:
+    """Exact sweep of the realized curves, as a circular wiring."""
     curves = _build_curves(cd, attempt)
-    vertex_angle = {v: a for v, a in cd.outer + cd.inner}
-    radius_of = {v: (R_OUTER if v in dict(cd.outer) else R_INNER) for v in vertex_angle}
+    vertex_angle = cd._angle
+    radius_of = {v: (R_OUTER if cd._circle[v] == "outer" else R_INNER) for v in vertex_angle}
 
     crossings = []  # (angle mod 1, pair, exact point)
     items = sorted(curves)
@@ -768,7 +755,12 @@ def _realize_events(cd: CylindricalDrawing, attempt: int):
             order[pos:pos] = starting
 
     shifted_vertex = [frac1(vertex_angle[v] + sigma) for v in sorted(vertex_angle)]
-    return shifted_vertex, tuple(base_order), tuple(out_events)
+    try:
+        return CircularWiring(cd.n, shifted_vertex, tuple(base_order), tuple(out_events))
+    except InvalidDrawing as exc:
+        # an intersection that is not proper, such as two curves meeting at a
+        # shared breakpoint, is not reported as a swap
+        raise _RetryRealization(f"events do not form a wiring: {exc}") from exc
 
 
 class _RetryRealization(Exception):
@@ -799,21 +791,24 @@ def _split_common_rays(cd: CylindricalDrawing) -> CylindricalDrawing:
 
 def to_circular_wiring(cd: CylindricalDrawing) -> CircularWiring:
     """Realize the drawing with exact rational geometry and read off the
-    circular sweep; the rule-based crossing set must be reproduced exactly."""
+    circular sweep; the rule-based crossing set must be reproduced exactly.
+
+    Up to ten attempts bend the curves differently; an attempt fails when its
+    curves are degenerate or their events do not form a valid wiring.
+    """
     if any(abs(le.omega) >= 1 for le in cd.lateral):
         raise InvalidDrawing("normalize windings before realization")
     cd2 = _split_common_rays(cd)
     expected = crossing_set(cd)
-    last = None
+    reasons = []
     for attempt in range(10):
         try:
-            angles, base_order, events = _realize_events(cd2, attempt)
-            cw = CircularWiring(cd2.n, angles, base_order, events)
+            cw = _realize(cd2, attempt)
             break
         except _RetryRealization as exc:
-            last = exc
+            reasons.append(f"attempt {attempt}: {exc}")
     else:
-        raise RealizationMismatch(f"no clean realization found: {last}")
+        raise RealizationMismatch("no clean realization found: " + "; ".join(reasons))
     got = circ.crossing_set(cw)
     if got.pairs != expected.pairs:
         raise RealizationMismatch("realized crossings differ from the rule-based set")
@@ -838,7 +833,7 @@ def to_strongly_c_monotone(cd: CylindricalDrawing) -> CircularWiring:
     lat_wedges = [_lateral_wedge_raw(cd, le) for le in cd.lateral]
 
     # a reference ray inside the first outer gap, clear of all vertices
-    all_angles = sorted(a for _, a in cd.outer + cd.inner)
+    all_angles = sorted(cd._angle.values())
     outer_sorted = sorted(a for _, a in cd.outer)
     g0 = outer_sorted[0]
     g1 = outer_sorted[1] if len(outer_sorted) > 1 else g0 + 1

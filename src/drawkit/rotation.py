@@ -117,10 +117,6 @@ class CrossingSet:
         return _norm_crossing(_sorted_pair(*e), _sorted_pair(*f)) in self.pairs
 
 
-def crossing_set_from_pairs(n: int, pairs) -> CrossingSet:
-    return CrossingSet(n, frozenset(tuple(map(tuple, p)) for p in pairs))
-
-
 def relabel_crossing_set(cs: CrossingSet, perm) -> CrossingSet:
     """Apply a vertex relabeling; `perm` maps old label -> new label (dict or
     sequence indexed by old-1)."""
@@ -183,12 +179,8 @@ def _build_k4_table() -> dict:
     return table
 
 
+# canonical 4-vertex rotation systems -> crossing pair or None
 _K4_TABLE = _build_k4_table()
-
-
-def k4_table() -> dict:
-    """Canonical 4-vertex rotation systems -> crossing pair or None."""
-    return dict(_K4_TABLE)
 
 
 @lru_cache(maxsize=1 << 18)

@@ -110,10 +110,21 @@ def dump_report(report: dict) -> dict:
 
 
 def load(doc: dict):
-    """Envelope dict -> model (paths and reports load as plain payloads)."""
+    """Envelope dict -> model (paths and reports load as plain payloads).
+
+    A payload with missing keys or values of the wrong type raises
+    InvalidDrawing, like any other invalid model.
+    """
     if not isinstance(doc, dict) or "kind" not in doc or "payload" not in doc:
         raise InvalidDrawing("expected a {kind, payload} envelope")
-    kind, p = doc["kind"], doc["payload"]
+    kind = doc["kind"]
+    try:
+        return _load_payload(kind, doc["payload"])
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidDrawing(f"malformed {kind!r} payload: {exc!r}") from exc
+
+
+def _load_payload(kind, p):
     if kind == "rotation_system":
         return RotationSystem(p["n"], tuple(tuple(r) for r in p["rotations"]))
     if kind == "crossing_set":
@@ -188,5 +199,10 @@ def write_file(path, obj_or_doc):
 
 
 def read_file(path):
-    with open(path, encoding="utf-8") as fh:
-        return load(json.load(fh))
+    """Load a model file; unreadable or non-JSON files raise InvalidDrawing."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidDrawing(f"cannot read {path}: {exc}") from exc
+    return load(doc)

@@ -233,8 +233,8 @@ def _render_cylindrical(cd: CylindricalDrawing, spec: RenderSpec) -> str:
     cx = cy = size / 2
     r_in, r_out = size * 0.16, size * 0.32
     band = size * 0.10
-    angles = {v: float(a) for v, a in cd.outer + cd.inner}
-    radius = {v: (r_out if v in dict(cd.outer) else r_in) for v in angles}
+    angles = {v: float(cd.angle_of(v)) for v in range(1, cd.n + 1)}
+    radius = {v: (r_out if cd.circle_of(v) == "outer" else r_in) for v in angles}
 
     def edge_polyline(points):
         return [_polar(cx, cy, r, a) for a, r in points]

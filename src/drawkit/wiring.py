@@ -76,7 +76,11 @@ class LinearWiring:
             raise InvalidDrawing("field lengths do not match n")
         if len(self.left_order) != self.n or len(self.right_order) != self.n:
             raise InvalidDrawing("field lengths do not match n")
-        _replay(self)  # raises on any structural violation
+        # the validating sweep's results, kept outside the fields so that
+        # equality, hashing and serialization see only the wiring itself
+        columns, crossings = _replay(self)
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_crossing_set", CrossingSet(self.n, frozenset(crossings)))
 
     def edges(self) -> list:
         return [e for block in self.right_order for e in block]
@@ -134,18 +138,16 @@ def _replay(lw: LinearWiring):
 
 def crossing_set(lw: LinearWiring) -> CrossingSet:
     """One crossing per swap."""
-    _, crossings = _replay(lw)
-    return CrossingSet(lw.n, frozenset(crossings))
+    return lw._crossing_set
 
 
 def vertex_sides(lw: LinearWiring, e: Edge) -> dict:
     """Side of each strictly interior vertex relative to the strand of e."""
     e = _sorted_pair(*e)
     a, b = e
-    columns, _ = _replay(lw)
     out = {}
     for v in range(a + 1, b):
-        col = columns[v - 1]
+        col = lw._columns[v - 1]
         i = col.index(e)
         out[v] = Side.ABOVE if i < lw.vertex_pos[v - 1] else Side.BELOW
     return out
@@ -197,18 +199,6 @@ def induce(lw: LinearWiring, subset) -> LinearWiring:
     return LinearWiring(
         len(subset), tuple(new_strips), tuple(new_pos), tuple(new_left), tuple(new_right)
     )
-
-
-def wiring_to_rotation(lw: LinearWiring):
-    """Clockwise rotation of every vertex, read off the wiring columns."""
-    from drawkit.rotation import RotationSystem
-
-    rotations = []
-    for v in range(1, lw.n + 1):
-        right = [b for _, b in lw.right_order[v - 1]]
-        left = [a for a, _ in lw.left_order[v - 1]]
-        rotations.append(tuple(reversed(right)) + tuple(left))
-    return RotationSystem(lw.n, tuple(rotations))
 
 
 # ============================================================

@@ -213,6 +213,36 @@ def test_usage_errors_exit_64(capsys):
     assert run(["path"], capsys)[0] == 64
 
 
+@pytest.mark.parametrize(
+    "case, code",
+    [
+        ("bad-highlight", 64),
+        ("missing-file", 1),
+        ("not-json", 1),
+        ("missing-key", 1),
+        ("unwritable-out", 1),
+    ],
+)
+def test_bad_input_exits_without_traceback(case, code, tmp_path, capsys):
+    model = str(tmp_path / "c5.json")
+    serial.write_file(model, gen.convex(5)[1])
+    (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
+    (tmp_path / "nokey.json").write_text(
+        '{"kind": "linear_wiring", "payload": {"n": 3}}', encoding="utf-8"
+    )
+    argv = {
+        "bad-highlight": ["render", model, "--highlight", "1,x"],
+        "missing-file": ["stats", str(tmp_path / "absent.json")],
+        "not-json": ["stats", str(tmp_path / "bad.json")],
+        "missing-key": ["path", str(tmp_path / "nokey.json"), "1", "3"],
+        "unwritable-out": ["gen", "convex", "5", "--out", str(tmp_path / "absent" / "c.json")],
+    }[case]
+    got, out, err = run(argv, capsys)
+    assert got == code
+    assert out == ""
+    assert err.startswith("usage error:" if code == 64 else "error:")
+
+
 def test_gen_deterministic(tmp_path, capsys):
     a = run(["gen", "random-cyl", "6", "--seed", "7"], capsys)[1]
     b = run(["gen", "random-cyl", "6", "--seed", "7"], capsys)[1]

@@ -6,7 +6,7 @@ from drawkit import circular as circ
 from drawkit import cylinder as cyl
 from drawkit import generators as gen
 from drawkit.cylinder import ArcDir, CircleEdge, CylindricalDrawing, Face, LateralEdge
-from drawkit.errors import InvalidDrawing, RangeTooWide, WrongFace
+from drawkit.errors import InvalidDrawing, RangeTooWide, RealizationMismatch, WrongFace
 
 F = Fraction
 
@@ -271,6 +271,34 @@ def test_to_circular_wiring_with_lateral_face_circle_edges():
         cw = cyl.to_circular_wiring(dd)
         assert circ.crossing_set(cw).pairs == cyl.crossing_set(cd).pairs
     assert hit_lateral_face >= 3
+
+
+def test_realization_retries_when_curves_meet_at_a_breakpoint():
+    # on the first attempt two laterals meet exactly at a shared polyline
+    # breakpoint, so their swap is not reported and the events do not form a
+    # valid wiring; a later attempt realizes the drawing
+    cd = cyl.normalize_winding(gen.random_cylindrical(7, 32301026, strong=False))
+    cw = cyl.to_circular_wiring(cd)
+    assert circ.crossing_set(cw).pairs == cyl.crossing_set(cd).pairs
+
+
+def test_strong_chain_retries_when_curves_meet_at_a_breakpoint():
+    cd = gen.random_cylindrical(10, 253775303, strong=True)
+    dd = cyl.remove_double_spirals(cyl.normalize_winding(cd))
+    cw = cyl.to_strongly_c_monotone(dd)
+    assert circ.is_strongly_c_monotone(cw)
+    assert circ.crossing_set(cw).pairs == cyl.crossing_set(cd).pairs
+
+
+def test_realization_mismatch_lists_every_attempt(monkeypatch):
+    def degenerate(cd, attempt):
+        raise cyl._RetryRealization(f"degenerate {attempt}")
+
+    monkeypatch.setattr(cyl, "_realize", degenerate)
+    with pytest.raises(RealizationMismatch) as info:
+        cyl.to_circular_wiring(gen.hill(5))
+    for attempt in range(10):
+        assert f"attempt {attempt}: degenerate {attempt}" in str(info.value)
 
 
 def test_to_circular_wiring_rim_only_drawing():

@@ -12,7 +12,7 @@ def identity_rotations(n):
 
 
 def test_k4_table_has_the_two_classes():
-    table = rot.k4_table()
+    table = dict(rot._K4_TABLE)
     assert len(table) == 8
     values = {v for v in table.values()}
     crossings = {v for v in values if v is not None}

