@@ -304,7 +304,6 @@ def linear_to_circular(lw: LinearWiring, spread=Fraction(1, 2)) -> CircularWirin
     n = lw.n
     events = []
     angles = {}
-    order: list = []
 
     def col_angle(i, frac_in_strip=Fraction(0)):
         return (Fraction(i - 1) + frac_in_strip) * spread / n
@@ -316,18 +315,12 @@ def linear_to_circular(lw: LinearWiring, spread=Fraction(1, 2)) -> CircularWirin
                 angles[v], v, lw.left_order[v - 1], lw.right_order[v - 1], lw.vertex_pos[v - 1]
             )
         )
-        ending = lw.left_order[v - 1]
-        if ending:
-            k = order.index(ending[0])
-            del order[k : k + len(ending)]
-        order[lw.vertex_pos[v - 1] : lw.vertex_pos[v - 1]] = list(lw.right_order[v - 1])
         if v < n:
             swaps = lw.strips[v - 1]
             for j, k in enumerate(swaps):
                 events.append(
                     SwapEvent(col_angle(v, Fraction(j + 1, len(swaps) + 1)), k)
                 )
-                order[k], order[k + 1] = order[k + 1], order[k]
     return CircularWiring(n, tuple(angles[v] for v in range(1, n + 1)), (), tuple(events))
 
 

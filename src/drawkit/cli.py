@@ -119,6 +119,10 @@ def _cmd_path(args) -> int:
             XBoundedData: "oracle",
         }.get(type(model), "oracle")
     cs = _crossings_of(model)
+    try:
+        hp._check_ends(cs.n, a, b)
+    except InvalidDrawing as exc:
+        raise _UsageError(str(exc)) from None
     if engine == "xmono":
         if not isinstance(model, LinearWiring):
             raise InvalidDrawing("engine xmono needs a linear wiring")
@@ -153,8 +157,7 @@ def _cmd_verify(args) -> int:
     if args.infile:
         model = serial.read_file(args.infile)
         cs = _crossings_of(model)
-        cycle_ok = cs.n < 3 or oracle.find_cf_ham_cycle(cs) is not None
-        paths_ok = oracle.verify_all_pairs(cs)
+        cycle_ok, paths_ok = oracle.verify_drawing(cs)
         report = {
             "n": cs.n,
             "classes": 1,

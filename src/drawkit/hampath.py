@@ -4,7 +4,8 @@ Each drawing class gets the constructive procedure its structure supports:
 x-monotone wirings recurse on the sides of the edge {v_1, v_n}; strongly
 c-monotone wirings either cut to an x-monotone wiring or combine an inner
 x-monotone piece with a walk along gap edges; cylindrical drawings stitch rim
-walks with lateral edges; twisted drawings search short-span paths first.
+walks with lateral edges; twisted drawings search short-span paths first and
+fall back to the oracle's backtracking search over the nested crossings.
 Every construction validates its own output and raises InternalAssertion on
 failure, so a transcription bug can never return silently.
 """
@@ -15,6 +16,7 @@ from itertools import combinations
 
 from drawkit import circular as circ
 from drawkit import cylinder as cyl
+from drawkit import oracle
 from drawkit import wiring as w
 from drawkit.circular import CircularWiring, frac1
 from drawkit.cylinder import CylindricalDrawing, Face
@@ -22,6 +24,7 @@ from drawkit.errors import (
     BadRotation,
     EdgeIsCrossed,
     InternalAssertion,
+    InvalidDrawing,
     NotStronglyCMonotone,
 )
 from drawkit.rotation import CrossingSet, _norm_crossing, _sorted_pair, nested_rule_pairs
@@ -34,6 +37,11 @@ def is_crossing_free(cs: CrossingSet, path) -> bool:
     """True iff no two edges of the path cross in cs."""
     edges = [_sorted_pair(path[i], path[i + 1]) for i in range(len(path) - 1)]
     return not any((e, f) in cs for e, f in combinations(edges, 2))
+
+
+def _check_ends(n: int, a: int, b: int):
+    if not (1 <= a <= n and 1 <= b <= n) or a == b:
+        raise InvalidDrawing(f"end-vertices {a}, {b} must be distinct vertices of 1..{n}")
 
 
 def _check_path(cs: CrossingSet, path, a: int, b: int, n: int):
@@ -106,8 +114,7 @@ def _xmono_rec(lw: LinearWiring, a: int, b: int):
 def path_x_monotone(lw: LinearWiring, a: int, b: int):
     """Crossing-free Hamiltonian path from a to b in an x-monotone wiring of
     the complete graph."""
-    if not (1 <= a <= lw.n and 1 <= b <= lw.n) or a == b:
-        raise InternalAssertion(f"bad end-vertices {a}, {b}")
+    _check_ends(lw.n, a, b)
     path = _xmono_rec(lw, a, b)
     _check_path(w.crossing_set(lw), path, a, b, lw.n)
     return path
@@ -127,6 +134,7 @@ def _cut_then_solve(cw: CircularWiring, cut_angle, a: int, b: int):
 def path_strong_c_mon(cw: CircularWiring, a: int, b: int):
     """Crossing-free Hamiltonian path from a to b in a strongly c-monotone
     circular wiring of the complete graph."""
+    _check_ends(cw.n, a, b)
     if not circ.is_strongly_c_monotone(cw):
         raise NotStronglyCMonotone("input wiring fails the star cover check")
     cs = circ.crossing_set(cw)
@@ -220,6 +228,7 @@ def _rim_walk(cd: CylindricalDrawing, which: str, start: int, crossed_rims: set)
 def path_cylindrical(cd: CylindricalDrawing, a: int, b: int):
     """Crossing-free Hamiltonian path from a to b in a cylindrical drawing of
     the complete graph."""
+    _check_ends(cd.n, a, b)
     cs = cyl.crossing_set(cd)
     n = cd.n
     uncrossed = cyl.uncrossed_rim_edges(cd)
@@ -331,58 +340,23 @@ def _same_circle_path(cd: CylindricalDrawing, a, b, cs, crossed_rims):
 # Twisted drawings
 # ============================================================
 
-def _search_path(n, a, b, allowed_edge, conflict_pairs):
-    """Deterministic DFS for a Hamiltonian a-b path; neighbors ascending."""
-    cs_pairs = conflict_pairs
-
-    def edges_conflict(e, used):
-        return any(_norm_crossing(e, f) in cs_pairs for f in used)
-
-    path = [a]
-    used_edges: list = []
-    visited = {a}
-
-    def rec():
-        if len(path) == n:
-            return path[-1] == b
-        for v in range(1, n + 1):
-            if v in visited or (v == b and len(path) != n - 1):
-                continue
-            e = _sorted_pair(path[-1], v)
-            if not allowed_edge(e) or edges_conflict(e, used_edges):
-                continue
-            path.append(v)
-            visited.add(v)
-            used_edges.append(e)
-            if rec():
-                return True
-            path.pop()
-            visited.remove(v)
-            used_edges.pop()
-        return False
-
-    return list(path) if rec() else None
-
-
 def path_twisted(n: int, a: int, b: int):
     """Crossing-free Hamiltonian path from a to b in the twisted drawing.
 
     Paths over edges of index distance at most two can never use the outer
     edge of a nested pair, so they are crossing-free outright; when no such
-    path exists for the given ends, a validated backtracking fallback over
-    arbitrary non-nested edge sets takes over.
+    path exists for the given ends, the oracle's backtracking search over the
+    nested crossings takes over.
     """
-    if n < 2 or a == b:
-        raise InternalAssertion(f"bad arguments n={n}, ends {a},{b}")
-    if n == 2:
-        return [a, b]
-    nested = nested_rule_pairs(n)
-    path = _search_path(n, a, b, lambda e: e[1] - e[0] <= 2, frozenset())
+    _check_ends(n, a, b)
+    long_edges = [e for e in combinations(range(1, n + 1), 2) if e[1] - e[0] > 2]
+    path = oracle._search(CrossingSet(n, frozenset()), a, b, forbidden=long_edges)
+    cs = CrossingSet(n, nested_rule_pairs(n))
     if path is None:
-        path = _search_path(n, a, b, lambda e: True, nested)
+        path = oracle._search(cs, a, b)
     if path is None:
         raise InternalAssertion(f"no crossing-free path found in T_{n} for ({a}, {b})")
-    _check_path(CrossingSet(n, nested), path, a, b, n)
+    _check_path(cs, path, a, b, n)
     return path
 
 
@@ -402,12 +376,8 @@ def cycle_via_uncrossed(cs: CrossingSet, uncrossed, path_fn):
     a, b = e
     path = path_fn(a, b)
     _check_path(cs, path, a, b, cs.n)
-    closed = path + [path[0]]
-    for i, j in combinations(range(len(closed) - 1), 2):
-        e1 = _sorted_pair(closed[i], closed[i + 1])
-        e2 = _sorted_pair(closed[j], closed[j + 1])
-        if (e1, e2) in cs:
-            raise InternalAssertion("closing edge introduced a crossing")
+    if not is_crossing_free(cs, path + path[:1]):
+        raise InternalAssertion("closing edge introduced a crossing")
     return path
 
 

@@ -1,16 +1,19 @@
-"""Independent brute-force search for crossing-free Hamiltonian paths and
-cycles, plus conjecture verification over enumerated drawing classes.
+"""Brute-force search for crossing-free Hamiltonian paths and cycles, plus
+conjecture verification over enumerated drawing classes.
 
-The search shares no logic with the constructive algorithms: it backtracks
-over vertex sequences with a bitset of forbidden edges, pruning any partial
-path whose newest edge crosses an earlier one.
+One backtracking search serves the oracle's path and cycle queries and the
+twisted path engine's fallback: it extends a path in ascending vertex order
+with a bitmask of the edges the path crosses, pruning any partial path whose
+newest edge crosses an earlier one.  Every path engine's output is still
+validated against the crossing set by `hampath._check_path`, independently of
+this search.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from drawkit.errors import TooLarge
+from drawkit.errors import InvalidDrawing, TooLarge
 from drawkit.rotation import (
     CrossingSet,
     _sorted_pair,
@@ -21,18 +24,42 @@ from drawkit.rotation import (
 ABSENT = None
 
 
-class _Conflicts:
-    """Per-edge bitmask of the edges it crosses, for O(1) conflict checks."""
+def _search(cs: CrossingSet, start: int, end=None, leaf=None, forbidden=()):
+    """First crossing-free Hamiltonian path from `start`, extended in
+    ascending vertex order, that the leaf test accepts; None when none does.
 
-    def __init__(self, cs: CrossingSet):
-        n = cs.n
-        self.index = {}
-        for i, e in enumerate(combinations(range(1, n + 1), 2)):
-            self.index[e] = i
-        self.mask = [0] * len(self.index)
-        for e, f in cs.pairs:
-            self.mask[self.index[e]] |= 1 << self.index[f]
-            self.mask[self.index[f]] |= 1 << self.index[e]
+    `end`, when not None, may only come last.  `leaf(path, free)` decides on
+    a finished path (every one is accepted without it); `free(e)` tells
+    whether edge e crosses none of the path's edges.  The edges in
+    `forbidden` are never used.
+    """
+    n = cs.n
+    index = {e: i for i, e in enumerate(combinations(range(1, n + 1), 2))}
+    crosses = [0] * len(index)  # per edge, the mask of the edges it crosses
+    for e, f in cs.pairs:
+        crosses[index[e]] |= 1 << index[f]
+        crosses[index[f]] |= 1 << index[e]
+    path = [start]
+    visited = {start}
+
+    def rec(crossed):
+        if len(path) == n:
+            return leaf is None or leaf(path, lambda e: not crossed >> index[e] & 1)
+        for v in range(1, n + 1):
+            if v in visited or (v == end and len(path) != n - 1):
+                continue
+            i = index[_sorted_pair(path[-1], v)]
+            if crossed >> i & 1:
+                continue
+            path.append(v)
+            visited.add(v)
+            if rec(crossed | crosses[i]):
+                return True
+            path.pop()
+            visited.remove(v)
+        return False
+
+    return list(path) if rec(sum(1 << index[e] for e in forbidden)) else ABSENT
 
 
 def find_cf_ham_path(cs: CrossingSet, a: int, b: int):
@@ -41,34 +68,10 @@ def find_cf_ham_path(cs: CrossingSet, a: int, b: int):
     cap = size_cap(14)
     if cs.n > cap:
         raise TooLarge(cs.n, cap)
-    n = cs.n
-    if n == 1:
-        return [a]
-    conflicts = _Conflicts(cs)
-    path = [a]
-    visited = {a}
-    crossed_stack = [0]
-
-    def rec():
-        if len(path) == n:
-            return path[-1] == b
-        for v in range(1, n + 1):
-            if v in visited or (v == b and len(path) != n - 1):
-                continue
-            idx = conflicts.index[_sorted_pair(path[-1], v)]
-            if crossed_stack[-1] >> idx & 1:
-                continue
-            path.append(v)
-            visited.add(v)
-            crossed_stack.append(crossed_stack[-1] | conflicts.mask[idx])
-            if rec():
-                return True
-            path.pop()
-            visited.remove(v)
-            crossed_stack.pop()
-        return False
-
-    return list(path) if rec() else ABSENT
+    if not (1 <= a <= cs.n and 1 <= b <= cs.n):
+        raise InvalidDrawing(f"end-vertices {a}, {b} out of range 1..{cs.n}")
+    # b may only come last, so the leaf test matters only when a == b
+    return _search(cs, a, b, lambda path, free: path[-1] == b)
 
 
 def find_cf_ham_cycle(cs: CrossingSet):
@@ -78,37 +81,13 @@ def find_cf_ham_cycle(cs: CrossingSet):
     cap = size_cap(14)
     if cs.n > cap:
         raise TooLarge(cs.n, cap)
-    n = cs.n
-    if n < 3:
-        raise TooLarge(n, 3)
-    conflicts = _Conflicts(cs)
-    path = [1]
-    visited = {1}
-    crossed_stack = [0]
+    if cs.n < 3:
+        raise InvalidDrawing(f"a Hamiltonian cycle needs n >= 3, got n={cs.n}")
 
-    def rec():
-        if len(path) == n:
-            if path[1] > path[-1]:
-                return False
-            idx = conflicts.index[_sorted_pair(path[-1], 1)]
-            return not crossed_stack[-1] >> idx & 1
-        for v in range(2, n + 1):
-            if v in visited:
-                continue
-            idx = conflicts.index[_sorted_pair(path[-1], v)]
-            if crossed_stack[-1] >> idx & 1:
-                continue
-            path.append(v)
-            visited.add(v)
-            crossed_stack.append(crossed_stack[-1] | conflicts.mask[idx])
-            if rec():
-                return True
-            path.pop()
-            visited.remove(v)
-            crossed_stack.pop()
-        return False
+    def closes(path, free):
+        return path[1] < path[-1] and free(_sorted_pair(path[-1], 1))
 
-    return list(path) if rec() else ABSENT
+    return _search(cs, 1, None, closes)
 
 
 def verify_all_pairs(cs: CrossingSet) -> bool:
@@ -118,6 +97,13 @@ def verify_all_pairs(cs: CrossingSet) -> bool:
         find_cf_ham_path(cs, a, b) is not ABSENT
         for a, b in combinations(range(1, cs.n + 1), 2)
     )
+
+
+def verify_drawing(cs: CrossingSet) -> tuple[bool, bool]:
+    """Both conjectures on one drawing: whether it has a crossing-free
+    Hamiltonian cycle (vacuous below 3 vertices), and whether every vertex
+    pair has a crossing-free Hamiltonian path."""
+    return cs.n < 3 or find_cf_ham_cycle(cs) is not ABSENT, verify_all_pairs(cs)
 
 
 def verify_enumeration(n: int, jobs: int = 1) -> dict:
@@ -131,8 +117,7 @@ def verify_enumeration(n: int, jobs: int = 1) -> dict:
     failures = []
     for cs in enumerate_realizable(n, jobs=jobs):
         classes += 1
-        cycle_ok = n < 3 or find_cf_ham_cycle(cs) is not ABSENT
-        paths_ok = verify_all_pairs(cs)
+        cycle_ok, paths_ok = verify_drawing(cs)
         if not cycle_ok or not paths_ok:
             failures.append(
                 {

@@ -243,6 +243,25 @@ def test_bad_input_exits_without_traceback(case, code, tmp_path, capsys):
     assert err.startswith("usage error:" if code == 64 else "error:")
 
 
+@pytest.mark.parametrize(
+    "model, a, b",
+    [("c5", "0", "3"), ("h6", "3", "3"), ("s6", "1", "9"), ("c5", "1", "9")],
+)
+def test_path_bad_ends_are_usage_errors(model, a, b, tmp_path, capsys):
+    h6 = gen.hill(6)
+    models = {
+        "c5": gen.convex(5)[0],
+        "h6": h6,
+        "s6": cyl.to_strongly_c_monotone(cyl.remove_double_spirals(cyl.normalize_winding(h6))),
+    }
+    f = str(tmp_path / f"{model}.json")
+    serial.write_file(f, models[model])
+    code, out, err = run(["path", f, a, b], capsys)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("usage error:") and "end-vertices" in err
+
+
 def test_gen_deterministic(tmp_path, capsys):
     a = run(["gen", "random-cyl", "6", "--seed", "7"], capsys)[1]
     b = run(["gen", "random-cyl", "6", "--seed", "7"], capsys)[1]

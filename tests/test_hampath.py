@@ -1,4 +1,5 @@
-from itertools import combinations
+import hashlib
+from itertools import combinations, permutations
 
 import pytest
 
@@ -9,7 +10,7 @@ from drawkit import hampath as hp
 from drawkit import oracle
 from drawkit import rotation as rot
 from drawkit import wiring as w
-from drawkit.errors import BadRotation, EdgeIsCrossed
+from drawkit.errors import BadRotation, EdgeIsCrossed, InvalidDrawing
 from drawkit.rotation import CrossingSet
 
 
@@ -113,6 +114,41 @@ def test_path_twisted_all_pairs_to_n8():
         for a, b in combinations(range(1, n + 1), 2):
             p = hp.path_twisted(n, a, b)
             assert hp.is_crossing_free(CrossingSet(n, rot.nested_rule_pairs(n)), p)
+
+
+# sha256 of repr() of the list of path_twisted(n, a, b) over n = 2..12 and
+# every ordered pair (a, b), in permutations() order; pins the search order
+# of the short-span pass and of the fallback
+TWISTED_PATHS_DIGEST = "201c126268b5680aa49853b8e4b2a281b07dc58c64aea283011729321c8bdb41"
+
+
+def test_path_twisted_outputs_are_pinned():
+    paths = [
+        hp.path_twisted(n, a, b) for n in range(2, 13) for a, b in permutations(range(1, n + 1), 2)
+    ]
+    assert hashlib.sha256(repr(paths).encode()).hexdigest() == TWISTED_PATHS_DIGEST
+
+
+def test_path_twisted_fallback_example():
+    # no short-span 2..3 path exists at n = 12; the nested-crossing search
+    # returns the oracle's first path
+    expected = [2, 1, 4, 6, 8, 10, 12, 11, 9, 7, 5, 3]
+    assert hp.path_twisted(12, 2, 3) == expected
+    assert oracle.find_cf_ham_path(gen.twisted(12), 2, 3) == expected
+
+
+@pytest.mark.parametrize("a, b", [(0, 2), (1, 6), (3, 3)])
+def test_engines_reject_bad_ends(a, b):
+    lw = gen.convex(5)[1]
+    calls = [
+        lambda: hp.path_x_monotone(lw, a, b),
+        lambda: hp.path_strong_c_mon(circ.linear_to_circular(lw), a, b),
+        lambda: hp.path_cylindrical(gen.hill(5), a, b),
+        lambda: hp.path_twisted(5, a, b),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidDrawing, match="end-vertices"):
+            call()
 
 
 def test_short_span_paths_are_always_crossing_free():

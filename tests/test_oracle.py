@@ -6,7 +6,7 @@ from drawkit import generators as gen
 from drawkit import hampath as hp
 from drawkit import oracle
 from drawkit import rotation as rot
-from drawkit.errors import TooLarge
+from drawkit.errors import InvalidDrawing, TooLarge
 from drawkit.rotation import CrossingSet
 
 
@@ -67,6 +67,18 @@ def test_an_absent_instance_is_reported():
 def test_size_cap():
     with pytest.raises(TooLarge):
         oracle.find_cf_ham_path(CrossingSet(15, frozenset()), 1, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cycle_below_three_vertices_is_invalid(n):
+    with pytest.raises(InvalidDrawing, match="needs n >= 3"):
+        oracle.find_cf_ham_cycle(CrossingSet(n, frozenset()))
+
+
+@pytest.mark.parametrize("a, b", [(0, 3), (1, 6), (6, 6)])
+def test_path_ends_out_of_range_are_invalid(a, b):
+    with pytest.raises(InvalidDrawing, match="out of range"):
+        oracle.find_cf_ham_path(gen.convex(5)[0], a, b)
 
 
 def test_determinism():

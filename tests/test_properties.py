@@ -8,6 +8,7 @@ implementations and checked against it on wirings from every producer.
 import json
 from itertools import combinations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -77,6 +78,27 @@ def test_cover_characterizations_agree():
 
     check()
     assert outcomes == {True, False}
+
+
+# seeds of random_cylindrical(5, seed, strong=False) whose realization has
+# exactly one vertex star covering the circle, for vertices 1..5
+SOLE_COVERING_STAR_SEEDS = {1: 49, 2: 1, 3: 0, 4: 21, 5: 4}
+
+
+def covering_stars(cw):
+    stars = {v: [] for v in range(1, cw.n + 1)}
+    for e in cw.edges():
+        for v in e:
+            stars[v].append(circ.wedge(cw, e))
+    return [v for v, star in stars.items() if arcs_cover_circle(star)]
+
+
+@pytest.mark.parametrize("vertex, seed", sorted(SOLE_COVERING_STAR_SEEDS.items()))
+def test_star_test_sees_a_sole_covering_star(vertex, seed):
+    cw = wiring_from("cylindrical", 5, seed)
+    assert covering_stars(cw) == [vertex]
+    assert not circ.is_strongly_c_monotone(cw)
+    assert not no_pair_covers(cw)
 
 
 def models_from(n: int, seed: int):
