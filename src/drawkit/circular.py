@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from drawkit.errors import CutBlocked, InvalidDrawing, SubsetTooSmall
+from drawkit.errors import CutBlocked, InvalidDrawing
 from drawkit.rotation import CrossingSet, _norm_crossing, _sorted_pair
 from drawkit.wiring import LinearWiring
 
@@ -110,9 +111,11 @@ class CircularWiring:
             raise InvalidDrawing("vertex angles must lie in [0, 1)")
         # the validating sweep's results, kept outside the fields so that
         # equality, hashing and serialization see only the events
-        crossings, supports = _replay(self)
+        crossings, supports, columns, vertex_pos = _replay(self)
         object.__setattr__(self, "_crossing_set", CrossingSet(self.n, frozenset(crossings)))
         object.__setattr__(self, "_supports", supports)
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_vertex_pos", vertex_pos)
 
     def edges(self) -> list:
         return sorted(self._supports)
@@ -121,8 +124,10 @@ class CircularWiring:
 def _replay(cw: CircularWiring):
     """Walk the events once around; validate and collect swaps and supports.
 
-    Returns (crossings, supports): the ordered list of swapped pairs and a
-    map edge -> Arc of its angular wedge.
+    Returns (crossings, supports, columns, vertex_pos): the ordered list of
+    swapped pairs, a map edge -> Arc of its angular wedge, and per vertex v
+    the near-to-far order of the edges passing v's ray at columns[v-1] and
+    v's position in it at vertex_pos[v-1].
     """
     last = None
     seen_vertices = set()
@@ -131,6 +136,8 @@ def _replay(cw: CircularWiring):
     order = list(cw.base_order)
     crossings = []
     swapped = set()
+    columns = [()] * cw.n
+    vertex_pos = [0] * cw.n
     for ev in cw.events:
         if last is not None and ev.angle < last:
             raise InvalidDrawing("events must be sorted by angle")
@@ -156,6 +163,8 @@ def _replay(cw: CircularWiring):
                 del order[k : k + len(ev.ending)]
             if not 0 <= ev.pos <= len(order):
                 raise InvalidDrawing(f"pos of v{v} out of range")
+            columns[v - 1] = tuple(order)
+            vertex_pos[v - 1] = ev.pos
             for e in ev.ending:
                 ends[e] = ev.angle
             for e in ev.starting:
@@ -187,7 +196,7 @@ def _replay(cw: CircularWiring):
     supports = {}
     for e, s in starts.items():
         supports[e] = Arc(s, frac1(ends[e] - s))
-    return crossings, supports
+    return crossings, supports, tuple(columns), tuple(vertex_pos)
 
 
 def crossing_set(cw: CircularWiring) -> CrossingSet:
@@ -203,9 +212,10 @@ def wedge(cw: CircularWiring, e: Edge) -> Arc:
     return cw._supports[e]
 
 
-def _require_complete(cw: CircularWiring):
-    if len(cw.edges()) != cw.n * (cw.n - 1) // 2:
-        raise InvalidDrawing("operation requires a complete-graph wiring")
+def _require_complete(model):
+    """Raise unless the model (anything with n and edges()) draws K_n."""
+    if sorted(model.edges()) != list(combinations(range(1, model.n + 1), 2)):
+        raise InvalidDrawing("operation requires a drawing of the complete graph")
 
 
 def is_strongly_c_monotone(cw: CircularWiring) -> bool:
@@ -335,50 +345,3 @@ def rotation_system(cw: CircularWiring):
             leaving = [e[0] + e[1] - ev.v for e in ev.starting]
             rotations[ev.v] = tuple(arriving) + tuple(leaving)
     return RotationSystem(cw.n, tuple(rotations[v] for v in range(1, cw.n + 1)))
-
-
-def induce(cw: CircularWiring, subset) -> CircularWiring:
-    """Restriction to `subset`, relabeled 1..k by increasing original label;
-    the crossing set restricts accordingly."""
-    subset = sorted(set(subset))
-    if len(subset) < 2:
-        raise SubsetTooSmall("induced wiring needs at least 2 vertices")
-    keep = set(subset)
-    relabel = {v: i + 1 for i, v in enumerate(subset)}
-
-    def kept(e):
-        return e[0] in keep and e[1] in keep
-
-    def map_edge(e):
-        return _sorted_pair(relabel[e[0]], relabel[e[1]])
-
-    order = list(cw.base_order)
-    new_events = []
-    for ev in cw.events:
-        if isinstance(ev, VertexEvent):
-            if ev.v in keep:
-                passing_after = [e for e in order if e not in ev.ending]
-                kpos = sum(1 for e in passing_after[: ev.pos] if kept(e))
-                new_events.append(
-                    VertexEvent(
-                        ev.angle,
-                        relabel[ev.v],
-                        tuple(map_edge(e) for e in ev.ending if kept(e)),
-                        tuple(map_edge(e) for e in ev.starting if kept(e)),
-                        kpos,
-                    )
-                )
-            if ev.ending:
-                k = order.index(ev.ending[0])
-                del order[k : k + len(ev.ending)]
-            order[ev.pos : ev.pos] = list(ev.starting)
-        else:
-            k = ev.level
-            e, f = order[k], order[k + 1]
-            if kept(e) and kept(f):
-                klevel = sum(1 for g in order[:k] if kept(g))
-                new_events.append(SwapEvent(ev.angle, klevel))
-            order[k], order[k + 1] = f, e
-    new_base = tuple(map_edge(e) for e in cw.base_order if kept(e))
-    new_angles = tuple(cw.angles[v - 1] for v in subset)
-    return CircularWiring(len(subset), new_angles, new_base, tuple(new_events))

@@ -1,17 +1,23 @@
 """Constructive crossing-free Hamiltonian paths with prescribed end-vertices.
 
 Each drawing class gets the constructive procedure its structure supports:
-x-monotone wirings recurse on the sides of the edge {v_1, v_n}; strongly
-c-monotone wirings either cut to an x-monotone wiring or combine an inner
-x-monotone piece with a walk along gap edges; cylindrical drawings stitch rim
-walks with lateral edges; twisted drawings search short-span paths first and
-fall back to the oracle's backtracking search over the nested crossings.
+x-monotone wirings recurse on the sides of the edge {v_1, v_n}, on vertex
+subsets of the one input drawing, with each side read from the model by a
+side reader (a wiring's constructor columns, or an edge's page); strongly
+c-monotone wirings either run that recursion in the sweep order from an
+escaped gap or combine an inner x-monotone piece, the vertices of one wedge,
+with a walk along gap edges; cylindrical drawings stitch rim walks with
+lateral edges, and with one circle are 2-page drawings for the recursion;
+twisted drawings search short-span paths first and fall back to the oracle's
+backtracking search over the nested crossings.  No engine builds a model
+below its entry point.
 Every construction validates its own output and raises InternalAssertion on
 failure, so a transcription bug can never return silently.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from drawkit import circular as circ
@@ -19,7 +25,7 @@ from drawkit import cylinder as cyl
 from drawkit import oracle
 from drawkit import wiring as w
 from drawkit.circular import CircularWiring, frac1
-from drawkit.cylinder import CylindricalDrawing, Face
+from drawkit.cylinder import CylindricalDrawing
 from drawkit.errors import (
     BadRotation,
     EdgeIsCrossed,
@@ -57,56 +63,53 @@ def _check_path(cs: CrossingSet, path, a: int, b: int, n: int):
 # X-monotone drawings
 # ============================================================
 
-def _solve_on(lw: LinearWiring, subset, x: int, y: int):
-    """Recurse on the induced sub-wiring; arguments and result in original labels."""
-    subset = sorted(subset)
-    if len(subset) == 1:
-        return [x]
-    back = {i + 1: v for i, v in enumerate(subset)}
-    fwd = {v: i + 1 for i, v in enumerate(subset)}
-    sub = w.induce(lw, subset)
-    return [back[v] for v in _xmono_rec(sub, fwd[x], fwd[y])]
+def _xmono_rec(vs, a: int, b: int, side):
+    """Crossing-free Hamiltonian path from a to b on the vertices vs.
 
-
-def _xmono_rec(lw: LinearWiring, a: int, b: int):
-    n = lw.n
+    vs lists a vertex subset of one drawing in its sweep order, and the
+    sub-drawing it induces is x-monotone in that order.  side(e, v) reads the
+    side of an interior vertex v relative to the edge e of the whole drawing;
+    that side is the same in every induced sub-drawing, and only sides of one
+    edge are ever compared.  The recursion splits at the sides of the edge
+    between the first and last vertex and recurses on sub-lists of vs, in the
+    original labels, so no sub-drawing is ever built.
+    """
+    n = len(vs)
     if n <= 2:
         return [a, b][:n]
-    if {a, b} == {1, n}:
-        path = list(range(1, n + 1))
-        return path if a == 1 else path[::-1]
+    first, last = vs[0], vs[-1]
+    if {a, b} == {first, last}:
+        return list(vs) if a == first else vs[::-1]
     if n == 3:
-        mid = ({1, 2, 3} - {a, b}).pop()
-        return [a, mid, b]
-    sides = w.vertex_sides(lw, (1, n))
+        return [a, next(v for v in vs if v not in (a, b)), b]
+    inner = vs[1:-1]
+    e = _sorted_pair(first, last)
+    sides = {v: side(e, v) for v in inner}
 
-    if a not in (1, n) and b not in (1, n) and sides[a] != sides[b]:
+    if a not in (first, last) and b not in (first, last) and sides[a] != sides[b]:
         # end-vertices on different sides of {v_1, v_n}: split, join by that edge
-        sa = {v for v, s in sides.items() if s == sides[a]}
-        sb = {v for v, s in sides.items() if s == sides[b]}
-        p1 = _solve_on(lw, {1} | sa, a, 1)
-        p2 = _solve_on(lw, {n} | sb, n, b)
+        p1 = _xmono_rec([first] + [v for v in inner if sides[v] == sides[a]], a, first, side)
+        p2 = _xmono_rec([v for v in inner if sides[v] == sides[b]] + [last], last, b, side)
         return p1 + p2
 
     # same side (an end at v_1 or v_n counts as either side)
-    if a in (1, n) or b in (1, n):
-        p, q = (a, b) if b in (1, n) else (b, a)
-        main = sides[p]
-        rightward = q == n
+    pos = {v: i for i, v in enumerate(vs)}
+    if a in (first, last) or b in (first, last):
+        p, q = (a, b) if b in (first, last) else (b, a)
+        rightward = q == last
     else:
-        p, q = (a, b) if a < b else (b, a)
-        main = sides[p]
+        p, q = (a, b) if pos[a] < pos[b] else (b, a)
         rightward = True
-    group = {v for v, s in sides.items() if s == main}
-    other = {v for v, s in sides.items() if s != main}
+    group = [v for v in inner if sides[v] == sides[p]]
+    other = [first] + [v for v in inner if sides[v] != sides[p]] + [last]
     if rightward:
-        p1 = _solve_on(lw, {1} | {v for v in group if v < q}, p, 1)
-        p2 = _solve_on(lw, {1, n} | other, 1, n)
-        p3 = _solve_on(lw, {n} | {v for v in group if v >= q}, n, q)
+        p1 = _xmono_rec([first] + [v for v in group if pos[v] < pos[q]], p, first, side)
+        p2 = _xmono_rec(other, first, last, side)
+        p3 = _xmono_rec([v for v in group if pos[v] >= pos[q]] + [last], last, q, side)
     else:
-        p1 = _solve_on(lw, {n} | {v for v in group if v > q}, p, n)
-        p2 = _solve_on(lw, {1, n} | other, n, 1)
-        p3 = _solve_on(lw, {1} | {v for v in group if v <= q}, 1, q)
+        p1 = _xmono_rec([v for v in group if pos[v] > pos[q]] + [last], p, last, side)
+        p2 = _xmono_rec(other, last, first, side)
+        p3 = _xmono_rec([first] + [v for v in group if pos[v] <= pos[q]], first, q, side)
     path = p1 + p2[1:] + p3[1:]
     return path if path[0] == a else path[::-1]
 
@@ -115,7 +118,9 @@ def path_x_monotone(lw: LinearWiring, a: int, b: int):
     """Crossing-free Hamiltonian path from a to b in an x-monotone wiring of
     the complete graph."""
     _check_ends(lw.n, a, b)
-    path = _xmono_rec(lw, a, b)
+    circ._require_complete(lw)
+    side = w.side_reader(lw._columns, lw.vertex_pos)
+    path = _xmono_rec(list(range(1, lw.n + 1)), a, b, side)
     _check_path(w.crossing_set(lw), path, a, b, lw.n)
     return path
 
@@ -123,13 +128,6 @@ def path_x_monotone(lw: LinearWiring, a: int, b: int):
 # ============================================================
 # Strongly c-monotone drawings
 # ============================================================
-
-def _cut_then_solve(cw: CircularWiring, cut_angle, a: int, b: int):
-    lw = circ.cut_to_linear(cw, cut_angle)
-    ring = sorted(range(1, cw.n + 1), key=lambda v: frac1(cw.angles[v - 1] - cut_angle))
-    fwd = {v: i + 1 for i, v in enumerate(ring)}
-    return [ring[i - 1] for i in _xmono_rec(lw, fwd[a], fwd[b])]
-
 
 def path_strong_c_mon(cw: CircularWiring, a: int, b: int):
     """Crossing-free Hamiltonian path from a to b in a strongly c-monotone
@@ -144,18 +142,18 @@ def path_strong_c_mon(cw: CircularWiring, a: int, b: int):
 
     ring = circ.circular_vertex_order(cw)
     idx = {v: i for i, v in enumerate(ring)}
+    side = w.side_reader(cw._columns, cw._vertex_pos)
+
+    def sweep(vs, start):
+        # vs in counter-clockwise order from the ray at angle `start`
+        return sorted(vs, key=lambda v: frac1(cw.angles[v - 1] - start))
+
     flags = circ.gap_edges(cw)
     escaped = [e for e, inside in flags if not inside]
     if escaped:
         # some gap edge spans the rest of the circle: the whole drawing lives
-        # in its wedge and unrolls to an x-monotone drawing through its gap
-        gap_start = next(
-            i for i, u in enumerate(ring)
-            if _sorted_pair(u, ring[(i + 1) % n]) == escaped[0]
-        )
-        u0, u1 = ring[gap_start], ring[(gap_start + 1) % n]
-        cut = frac1(cw.angles[u0 - 1] + frac1(cw.angles[u1 - 1] - cw.angles[u0 - 1]) / 2)
-        path = _cut_then_solve(cw, cut, a, b)
+        # in its wedge and is x-monotone in the sweep order from its start
+        path = _xmono_rec(sweep(ring, circ.wedge(cw, escaped[0]).start), a, b, side)
         _check_path(cs, path, a, b, n)
         return path
 
@@ -178,19 +176,10 @@ def path_strong_c_mon(cw: CircularWiring, a: int, b: int):
     else:
         raise InternalAssertion("wedge of the predecessor edge contains neither end")
 
+    # the vertices inside the wedge induce an x-monotone drawing in their
+    # order along the wedge
     inside = [v for v in ring if wedge.contains(cw.angles[v - 1])]
-    sub = sorted(inside)
-    fwd = {v: i + 1 for i, v in enumerate(sub)}
-    back = {i + 1: v for i, v in enumerate(sub)}
-    sub_cw = circ.induce(cw, sub)
-    comp_start = wedge.end
-    after = min(
-        (frac1(cw.angles[v - 1] - comp_start) for v in ring if not wedge.contains(cw.angles[v - 1])),
-        default=frac1(1 - wedge.length) / 2,
-    )
-    cut = frac1(comp_start + after / 2)
-    inner = _cut_then_solve(sub_cw, cut, fwd[a], fwd[a_next])
-    path = [back[v] for v in inner]
+    path = _xmono_rec(sweep(inside, wedge.start), a, a_next, side)
     k = (idx[a_next] + 1) % n
     while ring[(k - 1) % n] != b:
         path.append(ring[k])
@@ -229,6 +218,7 @@ def path_cylindrical(cd: CylindricalDrawing, a: int, b: int):
     """Crossing-free Hamiltonian path from a to b in a cylindrical drawing of
     the complete graph."""
     _check_ends(cd.n, a, b)
+    circ._require_complete(cd)
     cs = cyl.crossing_set(cd)
     n = cd.n
     uncrossed = cyl.uncrossed_rim_edges(cd)
@@ -255,19 +245,12 @@ def path_cylindrical(cd: CylindricalDrawing, a: int, b: int):
 
 
 def _one_circle_path(cd: CylindricalDrawing, a: int, b: int):
-    """All vertices on one circle: the drawing is a 2-page book drawing."""
-    from drawkit.generators import two_page
-    from drawkit.rotation import relabel_crossing_set
-
-    which = "outer" if cd.outer else "inner"
-    spine = cd.ring(which)
-    pages = {ce.edge: (0 if ce.face is Face.HOME else 1) for ce in cd.circle}
-    cs2, lw = two_page(cd.n, pages, spine_order=spine)
-    pos = {v: i + 1 for i, v in enumerate(spine)}
-    if cs2.pairs != relabel_crossing_set(cyl.crossing_set(cd), pos).pairs:
-        raise InternalAssertion("one-circle drawing is not its own 2-page model")
-    inner = _xmono_rec(lw, pos[a], pos[b])
-    return [spine[i - 1] for i in inner]
+    """All vertices on one circle: the drawing is a 2-page book drawing along
+    the circle, its faces the pages.  Every vertex between the ends of an edge
+    lies on the spine, on the same side of it, so the edge's page serves as
+    the side."""
+    spine = cd.ring("outer" if cd.outer else "inner")
+    return _xmono_rec(spine, a, b, lambda e, v: cd.circle_edge(e).face)
 
 
 def _same_circle_path(cd: CylindricalDrawing, a, b, cs, crossed_rims):
@@ -340,6 +323,11 @@ def _same_circle_path(cd: CylindricalDrawing, a, b, cs, crossed_rims):
 # Twisted drawings
 # ============================================================
 
+@lru_cache(maxsize=8)
+def _nested_crossings(n: int) -> CrossingSet:
+    return CrossingSet(n, nested_rule_pairs(n))
+
+
 def path_twisted(n: int, a: int, b: int):
     """Crossing-free Hamiltonian path from a to b in the twisted drawing.
 
@@ -351,7 +339,7 @@ def path_twisted(n: int, a: int, b: int):
     _check_ends(n, a, b)
     long_edges = [e for e in combinations(range(1, n + 1), 2) if e[1] - e[0] > 2]
     path = oracle._search(CrossingSet(n, frozenset()), a, b, forbidden=long_edges)
-    cs = CrossingSet(n, nested_rule_pairs(n))
+    cs = _nested_crossings(n)
     if path is None:
         path = oracle._search(cs, a, b)
     if path is None:

@@ -170,13 +170,12 @@ def _render_circular(cw: CircularWiring, spec: RenderSpec) -> str:
     size = spec.canvas
     pal = spec.palette
     cx = cy = size / 2
-    max_live = len(cw.base_order)
-    order = list(cw.base_order)
-    for ev in cw.events:
-        if isinstance(ev, VertexEvent):
-            order = [e for e in order if e not in ev.ending]
-            order.extend(ev.starting)
-            max_live = max(max_live, len(order))
+    # live edges change only at vertex events: column plus starting edges
+    max_live = max(
+        [len(cw.base_order)]
+        + [len(cw._columns[ev.v - 1]) + len(ev.starting)
+           for ev in cw.events if isinstance(ev, VertexEvent)]
+    )
     r_lo, r_hi = size * 0.10, size * 0.42
 
     def rad(level):

@@ -23,7 +23,6 @@ from drawkit.errors import (
     IncomparableAtRequiredVertex,
     InconsistentInput,
     InvalidDrawing,
-    SubsetTooSmall,
 )
 from drawkit.rotation import CrossingSet, _norm_crossing, _sorted_pair
 
@@ -141,64 +140,27 @@ def crossing_set(lw: LinearWiring) -> CrossingSet:
     return lw._crossing_set
 
 
+def side_reader(columns, vertex_pos):
+    """Side test for a wiring's sweep: side(e, v) is True iff vertex v lies
+    above the strand of edge e, which must pass v's column.
+
+    columns[v-1] is the passing-edge order at v's column (bottom-to-top, or
+    near-to-far around the origin) and vertex_pos[v-1] is v's position in it,
+    as both wiring constructors keep them.  A vertex's side of an edge is the
+    same in every induced sub-drawing that keeps both.
+    """
+
+    def side(e, v):
+        return columns[v - 1].index(e) < vertex_pos[v - 1]
+
+    return side
+
+
 def vertex_sides(lw: LinearWiring, e: Edge) -> dict:
     """Side of each strictly interior vertex relative to the strand of e."""
     e = _sorted_pair(*e)
-    a, b = e
-    out = {}
-    for v in range(a + 1, b):
-        col = lw._columns[v - 1]
-        i = col.index(e)
-        out[v] = Side.ABOVE if i < lw.vertex_pos[v - 1] else Side.BELOW
-    return out
-
-
-def induce(lw: LinearWiring, subset) -> LinearWiring:
-    """Sub-wiring on `subset`, relabeled 1..k preserving the vertex order."""
-    subset = sorted(set(subset))
-    if len(subset) < 2:
-        raise SubsetTooSmall("induced wiring needs at least 2 vertices")
-    if subset[0] < 1 or subset[-1] > lw.n:
-        raise InvalidDrawing("subset outside vertex range")
-    relabel = {v: i + 1 for i, v in enumerate(subset)}
-    keep = set(subset)
-
-    def map_edge(e):
-        return (relabel[e[0]], relabel[e[1]])
-
-    kept = lambda e: e[0] in keep and e[1] in keep
-
-    new_strips = []
-    new_pos = []
-    new_left = []
-    new_right = []
-    order: list = []
-    cur_swaps: list = []
-    for v in range(1, lw.n + 1):
-        ending = lw.left_order[v - 1]
-        if ending:
-            start = order.index(ending[0])
-            del order[start : start + len(ending)]
-        if v in keep:
-            new_left.append(tuple(map_edge(e) for e in ending if kept(e)))
-            below = order[: lw.vertex_pos[v - 1]]
-            new_pos.append(sum(1 for e in below if kept(e)))
-        order[lw.vertex_pos[v - 1] : lw.vertex_pos[v - 1]] = list(lw.right_order[v - 1])
-        if v in keep:
-            new_right.append(tuple(map_edge(e) for e in lw.right_order[v - 1] if kept(e)))
-            if len(new_pos) > 1:
-                new_strips.append(tuple(cur_swaps))
-            cur_swaps = []
-        if v < lw.n:
-            for k in lw.strips[v - 1]:
-                e, f = order[k], order[k + 1]
-                if kept(e) and kept(f):
-                    kpos = sum(1 for g in order[:k] if kept(g))
-                    cur_swaps.append(kpos)
-                order[k], order[k + 1] = f, e
-    return LinearWiring(
-        len(subset), tuple(new_strips), tuple(new_pos), tuple(new_left), tuple(new_right)
-    )
+    above = side_reader(lw._columns, lw.vertex_pos)
+    return {v: Side.ABOVE if above(e, v) else Side.BELOW for v in range(e[0] + 1, e[1])}
 
 
 # ============================================================

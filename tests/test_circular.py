@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,7 @@ from drawkit.circular import (
     VertexEvent,
     arcs_cover_circle,
 )
-from drawkit.errors import CutBlocked, SubsetTooSmall
+from drawkit.errors import CutBlocked
 
 F = Fraction
 
@@ -159,34 +158,6 @@ def test_cut_through_empty_gap_succeeds():
         assert w.crossing_set(lw).pairs == circ.crossing_set(cw).pairs
         return
     pytest.skip("every gap is covered by a wedge in this drawing")
-
-
-def test_induce_identity_and_properties():
-    cw = covering_k4()
-    same = circ.induce(cw, [1, 2, 3, 4])
-    assert circ.crossing_set(same).pairs == circ.crossing_set(cw).pairs
-    sub = circ.induce(cw, [1, 2, 3])
-    assert circ.crossing_set(sub).pairs == frozenset()
-    with pytest.raises(SubsetTooSmall):
-        circ.induce(cw, [2])
-
-
-def test_induce_commutes_with_crossing_restriction():
-    rng = random.Random(9)
-    for seed in range(6):
-        cd = gen.random_cylindrical(7, seed, strong=True)
-        cw = cyl.to_circular_wiring(cyl.normalize_winding(cd))
-        cs = circ.crossing_set(cw)
-        subset = sorted(rng.sample(range(1, 8), 5))
-        relabel = {v: i + 1 for i, v in enumerate(subset)}
-        sub = circ.induce(cw, subset)
-        expected = set()
-        for e, f in cs.pairs:
-            if all(x in relabel for g in (e, f) for x in g):
-                e2 = tuple(sorted((relabel[e[0]], relabel[e[1]])))
-                f2 = tuple(sorted((relabel[f[0]], relabel[f[1]])))
-                expected.add(tuple(sorted((e2, f2))))
-        assert circ.crossing_set(sub).pairs == frozenset(expected)
 
 
 def test_composition_invariant_enforced():

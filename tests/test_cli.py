@@ -262,6 +262,18 @@ def test_path_bad_ends_are_usage_errors(model, a, b, tmp_path, capsys):
     assert err.startswith("usage error:") and "end-vertices" in err
 
 
+@pytest.mark.parametrize("which", ["xmono", "cylindrical"])
+def test_path_on_incomplete_drawing_exits_1(which, tmp_path, capsys):
+    from tests.test_hampath import K4_MINUS_23, hill6_minus_three_edges
+
+    model = K4_MINUS_23 if which == "xmono" else hill6_minus_three_edges()
+    f = tmp_path / "m.json"
+    serial.write_file(f, model)
+    code, _, err = run(["path", str(f), "2", "3"], capsys)
+    assert code == 1
+    assert "complete graph" in err and "Traceback" not in err
+
+
 def test_gen_deterministic(tmp_path, capsys):
     a = run(["gen", "random-cyl", "6", "--seed", "7"], capsys)[1]
     b = run(["gen", "random-cyl", "6", "--seed", "7"], capsys)[1]

@@ -1,4 +1,6 @@
 import hashlib
+import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -10,8 +12,70 @@ from drawkit import hampath as hp
 from drawkit import oracle
 from drawkit import rotation as rot
 from drawkit import wiring as w
+from drawkit.cylinder import ArcDir, CircleEdge, CylindricalDrawing, Face
 from drawkit.errors import BadRotation, EdgeIsCrossed, InvalidDrawing
 from drawkit.rotation import CrossingSet
+from drawkit.wiring import LinearWiring
+
+# valid drawings that are not drawings of a complete graph: x-monotone
+# wirings of K_3 minus {1, 3} and of K_4 minus {2, 3}, and hill(6) minus
+# {3, 5}, {3, 6} and {5, 6}
+K3_MINUS_13 = LinearWiring(
+    3, ((), ()), (0, 0, 0), ((), ((1, 2),), ((2, 3),)), (((1, 2),), ((2, 3),), ())
+)
+K4_MINUS_23 = LinearWiring(
+    4,
+    ((), (), ()),
+    (0, 2, 1, 0),
+    ((), ((1, 2),), ((1, 3),), ((1, 4), (3, 4), (2, 4))),
+    (((1, 4), (1, 3), (1, 2)), ((2, 4),), ((3, 4),), ()),
+)
+
+
+def hill6_minus_three_edges() -> CylindricalDrawing:
+    h6 = gen.hill(6)
+    gone = {(3, 5), (3, 6), (5, 6)}
+    return CylindricalDrawing(
+        h6.outer,
+        h6.inner,
+        tuple(le for le in h6.lateral if le.edge not in gone),
+        tuple(ce for ce in h6.circle if ce.edge not in gone),
+    )
+
+
+def all_pairs_digest(models, engine):
+    """sha256 of repr() of engine(model, a, b) over the models and, for each,
+    every ordered pair (a, b) in permutations() order."""
+    paths = [
+        engine(model, a, b) for model in models for a, b in permutations(range(1, model.n + 1), 2)
+    ]
+    return hashlib.sha256(repr(paths).encode()).hexdigest()
+
+
+def one_circle(n: int, seed: int) -> CylindricalDrawing:
+    """Seeded cylindrical drawing with all vertices on one circle (the outer
+    one for odd seeds): random angles, faces and arc directions, resampled
+    until valid."""
+    rng = random.Random(repr(("one-circle", n, seed)))
+    while True:
+        nums = rng.sample(range(64), n)
+        ring = tuple((v, Fraction(nums[v - 1], 64)) for v in range(1, n + 1))
+        circle = tuple(
+            CircleEdge(
+                u,
+                v,
+                Face.LATERAL if rng.random() < 0.4 else Face.HOME,
+                rng.choice((ArcDir.CW, ArcDir.CCW)),
+            )
+            for u, v in combinations(range(1, n + 1), 2)
+        )
+        rings = (ring, ()) if seed % 2 else ((), ring)
+        try:
+            cd = CylindricalDrawing(*rings, (), circle)
+            cyl.crossing_set(cd)
+            return cd
+        except InvalidDrawing:
+            continue
 
 
 def test_is_crossing_free_examples():
@@ -39,6 +103,38 @@ def test_path_x_monotone_all_pairs_random():
         lw = gen.random_x_monotone(n, seed)
         for a, b in combinations(range(1, n + 1), 2):
             hp.path_x_monotone(lw, a, b)  # validates internally
+
+
+# all_pairs_digest of each engine on fixed seeded instances, computed with
+# the earlier recursion that built an induced sub-model at every node; they
+# pin that reading sides from the input model changed no path
+XMONO_PATHS_DIGEST = "3ba1c71cdb36814251cc3c458a2db6f58748c2dd01bd39f55ad0ced8054ccce8"
+STRONG_PATHS_DIGEST = "bbe473e3d2690b250b560eb57f6a58e35c96c85b4770a0813752ab0bc4e34d79"
+ONE_CIRCLE_PATHS_DIGEST = "35c25f8ff47b7afaba8d27b50693c54ef4ef9ff705a3f2686c11dd9ee4694217"
+
+
+def test_path_x_monotone_outputs_are_pinned():
+    models = [gen.random_x_monotone(n, seed) for n in range(4, 13) for seed in (0, 1)]
+    assert all_pairs_digest(models, hp.path_x_monotone) == XMONO_PATHS_DIGEST
+
+
+def test_path_strong_c_mon_outputs_are_pinned():
+    # wedge and escaped-gap cases from realized drawings, the wedge case on
+    # hills, the escaped-gap case on embedded x-monotone wirings
+    models = []
+    for n in range(5, 9):
+        for seed in (0, 1):
+            cd = gen.random_cylindrical(n, seed, strong=True)
+            cd = cyl.remove_double_spirals(cyl.normalize_winding(cd))
+            models.append(cyl.to_strongly_c_monotone(cd))
+        models.append(cyl.to_strongly_c_monotone(gen.hill(n)))
+        models.append(circ.linear_to_circular(gen.random_x_monotone(n, 0)))
+    assert all_pairs_digest(models, hp.path_strong_c_mon) == STRONG_PATHS_DIGEST
+
+
+def test_path_cylindrical_one_circle_outputs_are_pinned():
+    models = [one_circle(n, seed) for n in range(3, 9) for seed in range(4)]
+    assert all_pairs_digest(models, hp.path_cylindrical) == ONE_CIRCLE_PATHS_DIGEST
 
 
 def test_path_strong_c_mon_adjacent_ends_use_gap_edges():
@@ -149,6 +245,21 @@ def test_engines_reject_bad_ends(a, b):
     for call in calls:
         with pytest.raises(InvalidDrawing, match="end-vertices"):
             call()
+
+
+@pytest.mark.parametrize(
+    "engine, model",
+    [
+        (hp.path_x_monotone, K3_MINUS_13),
+        (hp.path_x_monotone, K4_MINUS_23),
+        (hp.path_cylindrical, hill6_minus_three_edges()),
+    ],
+    ids=["xmono-K3-minus-13", "xmono-K4-minus-23", "cylindrical-hill6-minus-3"],
+)
+def test_engines_reject_incomplete_drawings(engine, model):
+    for a, b in permutations(range(1, model.n + 1), 2):
+        with pytest.raises(InvalidDrawing, match="complete graph"):
+            engine(model, a, b)
 
 
 def test_short_span_paths_are_always_crossing_free():

@@ -16,7 +16,11 @@ from drawkit import circular as circ
 from drawkit import cylinder as cyl
 from drawkit import generators as gen
 from drawkit import serial
+from drawkit import wiring as w
 from drawkit.circular import arcs_cover_circle
+from drawkit.errors import CutBlocked
+from drawkit.rotation import _sorted_pair
+from drawkit.wiring import Side
 from tests.test_circular import covering_k4
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
@@ -99,6 +103,52 @@ def test_star_test_sees_a_sole_covering_star(vertex, seed):
     assert covering_stars(cw) == [vertex]
     assert not circ.is_strongly_c_monotone(cw)
     assert not no_pair_covers(cw)
+
+
+def cuts(cw):
+    """Midpoints of the gaps between circularly consecutive vertices that no
+    wedge spans."""
+    ring = circ.circular_vertex_order(cw)
+    out = []
+    for u, v in zip(ring, ring[1:] + ring[:1]):
+        mid = circ.frac1(cw.angles[u - 1] + circ.frac1(cw.angles[v - 1] - cw.angles[u - 1]) / 2)
+        try:
+            circ.cut_to_linear(cw, mid)
+        except CutBlocked:
+            continue
+        out.append(mid)
+    return out
+
+
+def assert_side_reader_matches(cw, lw, ring):
+    """The circular side reader on cw agrees with wiring.vertex_sides on lw,
+    whose vertex i is ring[i - 1]."""
+    above = w.side_reader(cw._columns, cw._vertex_pos)
+    for e in lw.edges():
+        edge = _sorted_pair(ring[e[0] - 1], ring[e[1] - 1])
+        for v, side in w.vertex_sides(lw, e).items():
+            assert above(edge, ring[v - 1]) == (side is Side.ABOVE)
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(3, 9), seed=st.integers(0, 10**6))
+def test_side_reader_on_linear_to_circular(n, seed):
+    lw = gen.random_x_monotone(n, seed)
+    assert_side_reader_matches(circ.linear_to_circular(lw), lw, list(range(1, n + 1)))
+
+
+def test_side_reader_on_cut_to_linear():
+    # most realized wirings have every gap spanned by some wedge; scan fixed
+    # seeds and check every wiring that can be cut, at every gap it can
+    checked = 0
+    for source in SOURCES[:3]:
+        for seed in range(24):
+            cw = wiring_from(source, 4 + seed % 2, seed)
+            for mid in cuts(cw):
+                ring = sorted(range(1, cw.n + 1), key=lambda v: circ.frac1(cw.angles[v - 1] - mid))
+                assert_side_reader_matches(cw, circ.cut_to_linear(cw, mid), ring)
+                checked += 1
+    assert checked >= 10
 
 
 def models_from(n: int, seed: int):

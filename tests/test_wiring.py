@@ -4,9 +4,7 @@ from itertools import combinations
 import pytest
 
 from drawkit import generators as gen
-from drawkit import rotation as rot
 from drawkit import wiring as w
-from drawkit.errors import SubsetTooSmall
 from drawkit.rotation import RotationSystem
 from drawkit.wiring import Ordering, Side
 
@@ -20,23 +18,6 @@ def test_wiring_with_empty_strips_has_no_crossings():
     _, lw = gen.convex(3)
     assert all(not s for s in lw.strips)
     assert w.crossing_set(lw).pairs == frozenset()
-
-
-def test_induce_identity_and_small_subsets():
-    _, lw = gen.convex(5)
-    assert w.induce(lw, range(1, 6)) == lw
-    sub = w.induce(lw, [1, 2, 3])
-    assert w.crossing_set(sub).pairs == frozenset()
-    with pytest.raises(SubsetTooSmall):
-        w.induce(lw, [2])
-
-
-def test_induce_convex6_onto_four_vertices():
-    _, lw = gen.convex(6)
-    sub = w.induce(lw, [1, 3, 4, 6])
-    got = rot.canonical_crossing_form(w.crossing_set(sub))
-    want = rot.canonical_crossing_form(gen.convex(4)[0])
-    assert got.encode() == want.encode()
 
 
 def test_vertex_sides_of_the_parabola_chord():
