@@ -17,10 +17,13 @@ determined:
         from e's end-vertex to f's,
   (iv)  everything else never crosses.
 
-`to_circular_wiring` realizes the drawing with exact rational coordinates
-(radius over lifted angle) and extracts the circular sweep events from exact
-intersections; its success, with the rule-based crossing set reproduced, is
-the authoritative validity gate.
+`to_circular_wiring` realizes the drawing as piecewise-linear curves (radius
+over lifted angle) and extracts the circular sweep events from their exact
+intersections.  Each realization attempt puts its curves on one integer grid:
+every breakpoint is scaled by D, the lcm of all breakpoint denominators, so
+the curve-pair tests are integer orientation signs, and only a proper hit
+becomes a Fraction again.  Success, with the rule-based crossing set
+reproduced, is the authoritative validity gate.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from drawkit import circular as circ
-from drawkit._geom import segments_cross
 from drawkit.circular import (
     Arc,
     CircularWiring,
@@ -110,6 +113,7 @@ class CylindricalDrawing:
         circle = {v: "outer" for v, _ in self.outer} | {v: "inner" for v, _ in self.inner}
         object.__setattr__(self, "_circle", circle)
         object.__setattr__(self, "_circle_edge", {ce.edge: ce for ce in self.circle})
+        object.__setattr__(self, "_crossing_set", None)  # set by the first crossing_set()
         _validate(self)
 
     # -- lookups ------------------------------------------------------
@@ -250,7 +254,14 @@ def _raw_arcs_cover(a1, a2) -> bool:
 
 
 def crossing_set(cd: CylindricalDrawing) -> CrossingSet:
-    """Apply the four crossing rules to every non-incident edge pair."""
+    """Apply the four crossing rules to every non-incident edge pair; the
+    first successful derivation is kept on the drawing."""
+    if cd._crossing_set is None:
+        object.__setattr__(cd, "_crossing_set", _derive_crossing_set(cd))
+    return cd._crossing_set
+
+
+def _derive_crossing_set(cd: CylindricalDrawing) -> CrossingSet:
     angle = cd._angle
     pairs = set()
     # (iii) lateral vs lateral
@@ -479,27 +490,22 @@ R_INNER = Fraction(1)
 R_OUTER = Fraction(2)
 
 
-def _segments_intersect_fraction(p1, p2, p3, p4):
-    """Proper intersection point of two exact segments, or None."""
-    if not segments_cross(p1, p2, p3, p4):
-        return None
-    dx1, dy1 = p2[0] - p1[0], p2[1] - p1[1]
-    dx2, dy2 = p4[0] - p3[0], p4[1] - p3[1]
-    den = dx1 * dy2 - dy1 * dx2
-    t = ((p3[0] - p1[0]) * dy2 - (p3[1] - p1[1]) * dx2) / den
-    return (p1[0] + t * dx1, p1[1] + t * dy1)
-
-
 class _Curve:
-    """Piecewise-linear radius-over-lifted-angle trajectory of one edge."""
+    """Piecewise-linear radius-over-lifted-angle trajectory of one edge, on an
+    attempt's integer grid: coordinates are the exact values times D."""
 
-    __slots__ = ("edge", "points", "lo", "hi")
+    __slots__ = ("edge", "points", "lo", "hi", "segs")
 
     def __init__(self, edge, points):
         self.edge = edge
         self.points = points  # ((lifted angle, radius), ...) angle-monotone
         self.lo = min(points[0][0], points[-1][0])
         self.hi = max(points[0][0], points[-1][0])
+        # (x0, y0, x1, y1, angle range low, angle range high) per segment
+        self.segs = tuple(
+            (x0, y0, x1, y1, min(x0, x1), max(x0, x1))
+            for (x0, y0), (x1, y1) in zip(points, points[1:])
+        )
 
     def radius_at(self, lifted):
         pts = self.points if self.points[0][0] <= self.points[-1][0] else self.points[::-1]
@@ -507,27 +513,42 @@ class _Curve:
             if a0 <= lifted <= a1:
                 if a0 == a1:
                     return r0
-                return r0 + (r1 - r0) * (lifted - a0) / (a1 - a0)
+                return r0 + Fraction(r1 - r0) * (lifted - a0) / (a1 - a0)
         raise InvalidDrawing("angle outside curve support")
 
 
-def _curve_crossings(c1: _Curve, c2: _Curve):
-    """Exact proper intersections of two curves on the circle (angle mod 1).
+def _curve_crossings(c1: _Curve, c2: _Curve, D: int):
+    """Exact proper intersections of two curves on the circle (angle mod 1),
+    as (lifted angle, radius) Fractions in c1's lift.
 
     Lifted angles live in (-1, 2), so relative integer shifts up to 2 in
-    absolute value can put the two lifts onto a common window.
+    absolute value can put the two lifts onto a common window; only the
+    shifts whose windows overlap are tried.  Segments whose angle ranges meet
+    in at most one value cannot cross properly.  Both orientation tests are
+    on integers; a hit lies where the orientation against c2's segment,
+    linear along c1's segment, vanishes.
     """
     hits = []
-    segs1 = list(zip(c1.points, c1.points[1:]))
-    for shift in (-2, -1, 0, 1, 2):
-        if c2.lo + shift > c1.hi or c2.hi + shift < c1.lo:
-            continue
-        pts2 = [(a + shift, r) for a, r in c2.points]
-        for s1 in segs1:
-            for s2 in zip(pts2, pts2[1:]):
-                hit = _segments_intersect_fraction(s1[0], s1[1], s2[0], s2[1])
-                if hit is not None:
-                    hits.append(hit)
+    for shift in range(max(-2, -((c2.hi - c1.lo) // D)), min(2, (c1.hi - c2.lo) // D) + 1):
+        t = shift * D
+        for ax, ay, bx, by, lo1, hi1 in c1.segs:
+            ex, ey = bx - ax, by - ay
+            for cx, cy, dx, dy, lo2, hi2 in c2.segs:
+                if hi2 + t <= lo1 or lo2 + t >= hi1:
+                    continue
+                cx += t
+                dx += t
+                o1 = ex * (cy - ay) - ey * (cx - ax)
+                o2 = ex * (dy - ay) - ey * (dx - ax)
+                if not (o1 < 0 < o2 or o2 < 0 < o1):
+                    continue
+                fx, fy = dx - cx, dy - cy
+                o3 = fx * (ay - cy) - fy * (ax - cx)
+                o4 = fx * (by - cy) - fy * (bx - cx)
+                if not (o3 < 0 < o4 or o4 < 0 < o3):
+                    continue
+                w = o3 - o4
+                hits.append((Fraction(ax * w + o3 * ex, w * D), Fraction(ay * w + o3 * ey, w * D)))
     return hits
 
 
@@ -541,20 +562,23 @@ def _plateau_distances(supports: dict, span: Fraction, attempt: int, jitter: dic
     angles on ramps anchored at a common vertex from coinciding.
     """
 
-    def contains(big: Arc, small: Arc) -> bool:
-        return big != small and frac1(small.start - big.start) + small.length <= big.length
+    # arcs as integers over their common denominator
+    scale = lcm(*(x.denominator for arc in supports.values() for x in (arc.start, arc.length)))
+    box = {e: (int(arc.start * scale), int(arc.length * scale)) for e, arc in supports.items()}
+
+    def contains(big: Edge, small: Edge) -> bool:
+        (bs, bl), (ss, sl) = box[big], box[small]
+        return (bs, bl) != (ss, sl) and (ss - bs) % scale + sl <= bl
 
     edges = sorted(supports)
-    depth = {
-        e: sum(1 for f in edges if f != e and contains(supports[f], supports[e]))
-        for e in edges
-    }
+    depth = {e: sum(1 for f in edges if f != e and contains(f, e)) for e in edges}
     ordered = sorted(edges, key=lambda e: (depth[e], e))
     m = len(ordered)
+    jitter_den = 8 * (m + 2) * (max(jitter.values()) + 1)
     out = {}
     for i, e in enumerate(ordered):
         base = span * Fraction(m + 1 - i, m + 2 + attempt)
-        out[e] = base * (1 + Fraction(jitter[e], 8 * (m + 2) * (max(jitter.values()) + 1)))
+        out[e] = base * (1 + Fraction(jitter[e], jitter_den))
     return out
 
 
@@ -567,7 +591,9 @@ def _min_gap(angles) -> Fraction:
     return min(gaps)
 
 
-def _build_curves(cd: CylindricalDrawing, attempt: int):
+def _build_curves(cd: CylindricalDrawing, attempt: int) -> dict:
+    """Per edge, the exact breakpoints ((lifted angle, radius), ...) of its
+    curve, in angle-monotone order."""
     angles = cd._angle
     gap = _min_gap(angles.values())
     ramp = gap / (8 * (attempt + 1))
@@ -597,10 +623,7 @@ def _build_curves(cd: CylindricalDrawing, attempt: int):
         if le.omega < 0:
             bend = -bend
         mid = (a0 + (a0 + le.omega)) / 2 + bend
-        curves[le.edge] = _Curve(
-            le.edge,
-            ((a0, R_OUTER), (mid, (R_OUTER + R_INNER) / 2), (a0 + le.omega, R_INNER)),
-        )
+        curves[le.edge] = ((a0, R_OUTER), (mid, (R_OUTER + R_INNER) / 2), (a0 + le.omega, R_INNER))
 
     groups = {
         ("outer", Face.HOME): {},
@@ -630,32 +653,36 @@ def _build_curves(cd: CylindricalDrawing, attempt: int):
             length = arc.length
             p = base + sign * dists[e]
             w = min(ramp, length / 4)
-            curves[e] = _Curve(
-                e, ((s, base), (s + w, p), (s + length - w, p), (s + length, base))
-            )
+            curves[e] = ((s, base), (s + w, p), (s + length - w, p), (s + length, base))
     return curves
 
 
 def _realize(cd: CylindricalDrawing, attempt: int) -> CircularWiring:
     """Exact sweep of the realized curves, as a circular wiring."""
-    curves = _build_curves(cd, attempt)
+    paths = _build_curves(cd, attempt)
+    # one integer grid per attempt: D clears every breakpoint's denominator
+    D = lcm(*(x.denominator for pts in paths.values() for p in pts for x in p))
+    curves = {
+        e: _Curve(e, tuple((int(a * D), int(r * D)) for a, r in pts)) for e, pts in paths.items()
+    }
     vertex_angle = cd._angle
-    radius_of = {v: (R_OUTER if cd._circle[v] == "outer" else R_INNER) for v in vertex_angle}
+    grid_angle = {v: int(a * D) for v, a in vertex_angle.items()}
+    radius_of = {v: (R_OUTER if cd._circle[v] == "outer" else R_INNER) * D for v in vertex_angle}
 
-    crossings = []  # (angle mod 1, pair, exact point)
+    crossings = []  # (angle mod 1, pair)
     items = sorted(curves)
     for e, f in combinations(items, 2):
-        hits = _curve_crossings(curves[e], curves[f])
+        hits = _curve_crossings(curves[e], curves[f], D)
         if set(e) & set(f):
             if hits:
                 raise _RetryRealization(f"incident edges {e}, {f} intersect")
             continue
         if len(hits) > 1:
             raise _RetryRealization(f"edges {e}, {f} intersect {len(hits)} times")
-        for lifted, r in hits:
-            crossings.append((frac1(lifted), _norm_crossing(e, f), r))
+        for lifted, _ in hits:
+            crossings.append((frac1(lifted), _norm_crossing(e, f)))
 
-    event_angles = [a for a, _, _ in crossings] + list(vertex_angle.values())
+    event_angles = [a for a, _ in crossings] + list(vertex_angle.values())
     if len(set(event_angles)) != len(event_angles):
         raise _RetryRealization("coinciding event angles")
 
@@ -665,27 +692,17 @@ def _realize(cd: CylindricalDrawing, attempt: int) -> CircularWiring:
         bad = sorted(frac1(-a) for a in event_angles)
         sigma = min(b for b in bad if b > 0) / 2
 
-    def lift_near(curve: _Curve, angle: Fraction) -> Fraction:
-        for k in (-1, 0, 1):
-            if curve.lo <= angle + k <= curve.hi:
-                return angle + k
+    def lift_near(curve: _Curve, x):
+        for k in (-D, 0, D):
+            if curve.lo <= x + k <= curve.hi:
+                return x + k
         raise InvalidDrawing("angle not on curve")
 
-    # supports, in original (unshifted) angles
-    support = {}
-    for e, c in curves.items():
-        support[e] = (frac1(c.lo), c.hi - c.lo)
-
-    def alive_at(e, angle):
-        s, length = support[e]
-        d = frac1(angle - s)
-        return 0 < d < length
-
-    base_angle = frac1(-sigma)  # original angle that maps to shifted angle 0
+    base_x = frac1(-sigma) * D  # original angle that maps to shifted angle 0
     base = []
     for e, c in curves.items():
-        if alive_at(e, base_angle):
-            base.append((c.radius_at(lift_near(c, base_angle)), e))
+        if 0 < (base_x - c.lo) % D < c.hi - c.lo:
+            base.append((c.radius_at(lift_near(c, base_x)), e))
     if len({r for r, _ in base}) != len(base):
         raise _RetryRealization("radial tie on the base ray")
     base.sort()
@@ -694,14 +711,13 @@ def _realize(cd: CylindricalDrawing, attempt: int) -> CircularWiring:
     events = []
     for v, a in vertex_angle.items():
         events.append((frac1(a + sigma), "vertex", v))
-    for a, pair, _ in crossings:
+    for a, pair in crossings:
         events.append((frac1(a + sigma), "swap", pair))
     events.sort(key=lambda t: t[0])
 
     order = list(base_order)
     out_events = []
     for shifted_angle, kind, payload in events:
-        orig = frac1(shifted_angle - sigma)
         if kind == "swap":
             e, f = payload
             try:
@@ -715,6 +731,7 @@ def _realize(cd: CylindricalDrawing, attempt: int) -> CircularWiring:
             order[k], order[k + 1] = order[k + 1], order[k]
         else:
             v = payload
+            x = grid_angle[v]
             ending = [e for e in order if v in e]
             idx = sorted(order.index(e) for e in ending)
             if idx and idx != list(range(idx[0], idx[0] + len(idx))):
@@ -725,27 +742,27 @@ def _realize(cd: CylindricalDrawing, attempt: int) -> CircularWiring:
             pos = 0
             for e in order:
                 c = curves[e]
-                r = c.radius_at(lift_near(c, orig))
+                r = c.radius_at(lift_near(c, x))
                 if r == radius_of[v]:
                     raise _RetryRealization("edge passes through a vertex radius")
                 if r < radius_of[v]:
                     pos += 1
             if idx and idx[0] != pos:
                 raise _RetryRealization("ending block does not sit at the vertex level")
-            starting = [e for e in curves if v in e and support[e][0] == vertex_angle[v]]
+            starting = [e for e, c in curves.items() if v in e and c.lo % D == x]
             if starting:
                 # incident edges never cross, so their radial order is fixed on
                 # the whole shared support; sample it just after the vertex
                 step = None
                 for e in starting:
                     c = curves[e]
-                    a0 = lift_near(c, orig)
+                    a0 = lift_near(c, x)
                     nxt = min(p[0] for p in c.points if p[0] > a0)
                     step = nxt - a0 if step is None else min(step, nxt - a0)
                 probe = {}
                 for e in starting:
                     c = curves[e]
-                    probe[e] = c.radius_at(lift_near(c, orig) + step / 2)
+                    probe[e] = c.radius_at(lift_near(c, x) + Fraction(step, 2))
                 if len(set(probe.values())) != len(probe):
                     raise _RetryRealization("radial tie among edges leaving a vertex")
                 starting.sort(key=lambda e: probe[e])
@@ -790,8 +807,9 @@ def _split_common_rays(cd: CylindricalDrawing) -> CylindricalDrawing:
 
 
 def to_circular_wiring(cd: CylindricalDrawing) -> CircularWiring:
-    """Realize the drawing with exact rational geometry and read off the
-    circular sweep; the rule-based crossing set must be reproduced exactly.
+    """Realize the drawing with exact geometry on an integer grid and read
+    off the circular sweep; the rule-based crossing set must be reproduced
+    exactly.
 
     Up to ten attempts bend the curves differently; an attempt fails when its
     curves are degenerate or their events do not form a valid wiring.

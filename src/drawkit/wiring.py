@@ -95,6 +95,7 @@ def _replay(lw: LinearWiring):
     order: list = []
     crossings: list = []
     swapped = set()
+    started = set()
     columns = []
     for v in range(1, lw.n + 1):
         ending = lw.left_order[v - 1]
@@ -116,6 +117,9 @@ def _replay(lw: LinearWiring):
         for a, b in starting:
             if a != v or not (v < b <= lw.n):
                 raise InvalidDrawing(f"right_order of v{v} contains a foreign edge {(a, b)}")
+            if (a, b) in started:
+                raise InvalidDrawing(f"right_order of v{v} repeats the edge {(a, b)}")
+            started.add((a, b))
         order[pos:pos] = list(starting)
         if v < lw.n:
             for k in lw.strips[v - 1]:

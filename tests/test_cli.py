@@ -274,6 +274,28 @@ def test_path_on_incomplete_drawing_exits_1(which, tmp_path, capsys):
     assert "complete graph" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["convert", "--to", "xbounded"], ["render"]])
+def test_repeated_edge_wiring_exits_1(argv, tmp_path, capsys):
+    from tests.test_wiring import REPEATED_EDGE
+
+    n, strips, vertex_pos, left, right = REPEATED_EDGE
+    doc = {
+        "kind": "linear_wiring",
+        "payload": {
+            "n": n,
+            "strips": [list(s) for s in strips],
+            "vertex_pos": list(vertex_pos),
+            "left_order": [[list(e) for e in o] for o in left],
+            "right_order": [[list(e) for e in o] for o in right],
+        },
+    }
+    f = tmp_path / "lw.json"
+    f.write_text(json.dumps(doc))
+    code, _, err = run([argv[0], str(f), *argv[1:]], capsys)
+    assert code == 1
+    assert "repeats the edge" in err and "Traceback" not in err
+
+
 def test_gen_deterministic(tmp_path, capsys):
     a = run(["gen", "random-cyl", "6", "--seed", "7"], capsys)[1]
     b = run(["gen", "random-cyl", "6", "--seed", "7"], capsys)[1]

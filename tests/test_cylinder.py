@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,8 @@ import pytest
 from drawkit import circular as circ
 from drawkit import cylinder as cyl
 from drawkit import generators as gen
+from drawkit import hampath as hp
+from drawkit import serial
 from drawkit.cylinder import ArcDir, CircleEdge, CylindricalDrawing, Face, LateralEdge
 from drawkit.errors import InvalidDrawing, RangeTooWide, RealizationMismatch, WrongFace
 
@@ -362,3 +366,75 @@ def test_guard_rule_symmetric_for_same_circle_pairs():
         ),
     )
     assert cyl.crossing_set(cd).pairs == {((1, 4), (2, 6))}
+
+
+def realizations(chain):
+    """The realized wirings of one chain on fixed instances: normalized
+    non-strong random drawings through `to_circular_wiring`, strong ones with
+    double-spirals removed through `to_strongly_c_monotone`, or hill(5..9)."""
+    if chain == "hill":
+        return [cyl.to_circular_wiring(gen.hill(n)) for n in range(5, 10)]
+    out = []
+    for n in range(5, 11):
+        for seed in (0, 1):
+            cd = cyl.normalize_winding(gen.random_cylindrical(n, seed, strong=chain == "strong"))
+            if chain == "strong":
+                out.append(cyl.to_strongly_c_monotone(cyl.remove_double_spirals(cd)))
+            else:
+                out.append(cyl.to_circular_wiring(cd))
+    return out
+
+
+# sha256 of the JSON (sorted keys) of the list of serial.dump() of every
+# realization of the chain, computed with the earlier realization that tested
+# curve pairs in Fraction coordinates; they pin that the integer grid changed
+# no wiring
+REALIZATION_DIGESTS = {
+    "nonstrong": "7dc8d1398410c7a62ee648ebffaaa4dcc5a05d6ee728878f203bd4e1530f3c96",
+    "strong": "d9c584c6e352e3819cc7985cb3efea21a9a7a18a4558fce9c87c56a16425ad4c",
+    "hill": "700d481aa24b4f33a90b0f4d127e0f3e28673f4705c2971035979860f80148d1",
+}
+
+
+@pytest.mark.parametrize("chain", sorted(REALIZATION_DIGESTS))
+def test_realization_outputs_are_pinned(chain):
+    docs = [serial.dump(cw) for cw in realizations(chain)]
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == REALIZATION_DIGESTS[chain]
+
+
+def test_crossing_set_is_derived_once(monkeypatch):
+    calls = []
+    derive = cyl._derive_crossing_set
+
+    def counting(cd):
+        calls.append(cd)
+        return derive(cd)
+
+    monkeypatch.setattr(cyl, "_derive_crossing_set", counting)
+    cd = gen.hill(7)
+    hp.path_cylindrical(cd, 1, 5)
+    hp.path_cylindrical(cd, 2, 6)
+    assert cyl.uncrossed_rim_edges(cd) == cyl.uncrossed_rim_edges(gen.hill(7))
+    # one derivation for cd over both paths and the rim query, one for the fresh copy
+    assert [c is cd for c in calls] == [True, False]
+    # the kept result is no field: equality, hashing and serialization ignore it
+    fresh = gen.hill(7)
+    assert cd == fresh and hash(cd) == hash(fresh)
+    assert serial.dump(cd) == serial.dump(fresh)
+
+
+def test_failed_crossing_set_derivation_is_not_kept(monkeypatch):
+    derive = cyl._derive_crossing_set
+    outcomes = [InvalidDrawing("first derivation fails")]
+
+    def flaky(cd):
+        if outcomes:
+            raise outcomes.pop()
+        return derive(cd)
+
+    monkeypatch.setattr(cyl, "_derive_crossing_set", flaky)
+    cd = gen.hill(5)
+    with pytest.raises(InvalidDrawing):
+        cyl.crossing_set(cd)
+    assert cyl.crossing_set(cd).pairs == derive(gen.hill(5)).pairs

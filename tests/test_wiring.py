@@ -5,6 +5,7 @@ import pytest
 
 from drawkit import generators as gen
 from drawkit import wiring as w
+from drawkit.errors import InvalidDrawing
 from drawkit.rotation import RotationSystem
 from drawkit.wiring import Ordering, Side
 
@@ -126,3 +127,12 @@ def test_wiring_to_rotation_matches_points():
     rs, _ = gen.from_points(ps)
     lw = gen.wiring_from_points(ps)
     assert wiring_to_rotation(lw) == rs
+
+
+# a three-vertex wiring that lists its only edge, (1, 2), twice
+REPEATED_EDGE = (3, ((), ()), (0, 0, 0), ((), ((1, 2), (1, 2)), ()), (((1, 2), (1, 2)), (), ()))
+
+
+def test_repeated_edge_rejected():
+    with pytest.raises(InvalidDrawing, match="repeats the edge"):
+        w.LinearWiring(*REPEATED_EDGE)
