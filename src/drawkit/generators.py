@@ -1,7 +1,10 @@
 """Generators for the named drawings and for seeded random test instances.
 
-Everything is exact: point coordinates, arc heights, and crossing positions
-are rationals, so every incidence decision is a comparison, never a guess.
+Point coordinates and angles are exact rationals, so every incidence
+decision is a comparison, never a guess.  The x-monotone generators sweep no
+curves: each reads off its drawing's side data (which side of every vertex
+each edge passes, and the order of the edges at every vertex) and hands it to
+`wiring.to_x_monotone`, which redraws the wiring strip by strip.
 """
 
 from __future__ import annotations
@@ -31,7 +34,13 @@ from drawkit.rotation import (
     linked_rule_pairs,
     nested_rule_pairs,
 )
-from drawkit.wiring import LinearWiring, crossing_set as wiring_crossing_set
+from drawkit.wiring import (
+    LinearWiring,
+    Side,
+    XBoundedData,
+    crossing_set as wiring_crossing_set,
+    to_x_monotone,
+)
 
 Edge = tuple[int, int]
 
@@ -84,138 +93,35 @@ def from_points(ps: PointSet):
 
 
 # ============================================================
-# Wiring construction from exact one-crossing curve models
+# Wirings from side data
 # ============================================================
 
-class _SegCurve:
-    """Line segment between two points (for straight-line drawings)."""
-
-    def __init__(self, p, q):
-        if p[0] > q[0]:
-            p, q = q, p
-        self.p, self.q = p, q
-
-    def y_at(self, x: Fraction) -> Fraction:
-        p, q = self.p, self.q
-        return p[1] + (q[1] - p[1]) * (x - p[0]) / (q[0] - p[0])
-
-    def crossings_with(self, other) -> list:
-        if not _geom.segments_cross(self.p, self.q, other.p, other.q):
-            return []
-        s1 = (self.q[1] - self.p[1]) / (self.q[0] - self.p[0])
-        s2 = (other.q[1] - other.p[1]) / (other.q[0] - other.p[0])
-        x = (other.p[1] - other.p[0] * s2 - self.p[1] + self.p[0] * s1) / (s1 - s2)
-        return [x]
-
-
-class _ArcCurve:
-    """Parabolic page arc over spine interval [a, b]: y = sign * (x-a)(b-x).
-
-    Two same-page arcs differ by a linear function, so they cross at most
-    once, exactly when their intervals are linked; opposite pages never meet.
-    """
-
-    def __init__(self, a, b, page):
-        self.a, self.b = Fraction(a), Fraction(b)
-        self.page = page
-        self.sign = 1 if page == 0 else -1
-
-    def y_at(self, x: Fraction) -> Fraction:
-        return self.sign * (x - self.a) * (self.b - x)
-
-    def crossings_with(self, other) -> list:
-        if self.page != other.page:
-            return []
-        (a, b), (c, d) = sorted(((self.a, self.b), (other.a, other.b)))
-        if not a < c < b < d:
-            return []
-        x = (a * b - c * d) / ((a + b) - (c + d))
-        return [x]
-
-
-def _wiring_from_curves(xs: list, curves: dict) -> LinearWiring:
-    """Sweep exact curves into a LinearWiring.
-
-    xs[v-1] is the column of vertex v (ascending); curves maps each edge
-    (a, b) to a curve spanning [xs[a-1], xs[b-1]].  Vertex heights are
-    curves' shared endpoint values; for spine models every vertex sits at 0.
-    """
-    n = len(xs)
-    heights = {}
-    for v in range(1, n + 1):
-        incident = [e for e in curves if v in e]
-        ys = {curves[e].y_at(xs[v - 1]) for e in incident}
-        if len(ys) > 1:
-            raise DegeneratePointSet(f"incident curves disagree at vertex {v}")
-        heights[v] = ys.pop() if ys else Fraction(0)
-
-    points = {}  # (x, y) -> set of strands crossing there
-    for e, f in combinations(sorted(curves), 2):
-        if set(e) & set(f):
-            continue
-        for x in curves[e].crossings_with(curves[f]):
-            if not (xs[0] < x <= xs[-1]):
-                raise DegeneratePointSet("crossing outside the strip range")
-            points.setdefault((x, curves[e].y_at(x)), set()).update((e, f))
-    events = {}  # strip index -> [(x, y, strand set)]
-    for (x, y), strands in points.items():
-        strip = max(i for i in range(1, n) if xs[i - 1] < x)
-        events.setdefault(strip, []).append((x, y, strands))
-
-    strips = []
-    vertex_pos = []
-    left_order = []
-    right_order = []
-    order: list = []
-    for v in range(1, n + 1):
-        xv = xs[v - 1]
-        ending = [e for e in order if v in e]
-        if ending:
-            k = order.index(ending[0])
-            if order[k : k + len(ending)] != ending:
-                raise DegeneratePointSet(f"edges ending at vertex {v} are interleaved")
-            del order[k : k + len(ending)]
-            pos = k
-        else:
-            pos = sum(1 for e in order if curves[e].y_at(xv) < heights[v])
-        left_order.append(tuple(ending))
-        vertex_pos.append(pos)
-        starting = sorted(
-            (e for e in curves if e[0] == v),
-            key=lambda e: curves[e].y_at(xv + (xs[v] - xv) / 2) if v < n else 0,
-        )
-        right_order.append(tuple(starting))
-        order[pos:pos] = starting
-        if v < n:
-            swaps = []
-            for x, y, strands in sorted(events.get(v, []), key=lambda t: (t[0], t[1])):
-                # k curves through one point pairwise cross exactly there;
-                # realize the concurrency as a reversal of the strand block
-                pos0 = min(order.index(e) for e in strands)
-                block = order[pos0 : pos0 + len(strands)]
-                if set(block) != strands:
-                    raise DegeneratePointSet(f"crossing of non-adjacent strands {strands}")
-                for i in range(len(block) - 1):
-                    for j in range(len(block) - 1 - i):
-                        swaps.append(pos0 + j)
-                        order[pos0 + j], order[pos0 + j + 1] = (
-                            order[pos0 + j + 1],
-                            order[pos0 + j],
-                        )
-            strips.append(tuple(swaps))
-    return LinearWiring(n, tuple(strips), tuple(vertex_pos), tuple(left_order), tuple(right_order))
-
-
 def wiring_from_points(ps: PointSet) -> LinearWiring:
-    """Wiring of a straight-line drawing; the points must be x-sorted."""
+    """Wiring of a straight-line drawing; the points must be x-sorted.
+
+    An edge passes above the vertices right of its direction; edges leave a
+    vertex bottom-to-top by ascending slope and arrive by descending slope.
+    """
     pts = list(ps.points)
     if pts != sorted(pts):
         raise DegeneratePointSet("points must be sorted by x for the wiring sweep")
-    xs = [p[0] for p in pts]
-    curves = {}
-    for a, b in combinations(range(1, len(pts) + 1), 2):
-        curves[(a, b)] = _SegCurve(pts[a - 1], pts[b - 1])
-    return _wiring_from_curves(xs, curves)
+    n = len(pts)
+    pt = dict(enumerate(pts, 1))
+    edges = list(combinations(range(1, n + 1), 2))
+    side = {}
+    for a, b in edges:
+        for v in range(a + 1, b):
+            below = _geom.orient(pt[a], pt[b], pt[v]) < 0
+            side[((a, b), v)] = Side.ABOVE if below else Side.BELOW
+
+    def slope(e):
+        (x0, y0), (x1, y1) = pt[e[0]], pt[e[1]]
+        return (y1 - y0) / (x1 - x0)
+
+    left_order = [sorted((e for e in edges if e[1] == v), key=slope, reverse=True)
+                  for v in range(1, n + 1)]
+    right_order = [sorted((e for e in edges if e[0] == v), key=slope) for v in range(1, n + 1)]
+    return to_x_monotone(XBoundedData(n, side, left_order, right_order))
 
 
 # ============================================================
@@ -285,9 +191,22 @@ def two_page(n: int, page_of_edge: dict, spine_order=None):
         if a < c < b < d:
             pairs.add(_norm_crossing(e, f))
     cs = CrossingSet(n, frozenset(pairs))
-    xs = [Fraction(i) for i in range(1, n + 1)]
-    curves = {e: _ArcCurve(e[0], e[1], pages[e]) for e in pages}
-    lw = _wiring_from_curves(xs, curves)
+    # page 0 runs above the spine, page 1 below; near a vertex the page-1
+    # edges come first, the longer ones lower, then the page-0 edges, the
+    # shorter ones lower
+    side = {
+        (e, v): Side.ABOVE if pages[e] == 0 else Side.BELOW
+        for e in pages
+        for v in range(e[0] + 1, e[1])
+    }
+
+    def level(e):
+        length = e[1] - e[0]
+        return (0, -length) if pages[e] == 1 else (1, length)
+
+    left_order = [sorted((e for e in pages if e[1] == v), key=level) for v in range(1, n + 1)]
+    right_order = [sorted((e for e in pages if e[0] == v), key=level) for v in range(1, n + 1)]
+    lw = to_x_monotone(XBoundedData(n, side, left_order, right_order))
     if wiring_crossing_set(lw).pairs != cs.pairs:
         raise InternalAssertion("page arcs do not realize the 2-page rule")
     return cs, lw
@@ -406,13 +325,8 @@ def random_x_monotone(n: int, seed: int) -> LinearWiring:
     if n < 2:
         raise InvalidDrawing("need n >= 2")
     rng = random.Random(("xmono", n, seed).__repr__())
-    for attempt in range(200):
-        if rng.random() < 0.5:
-            try:
-                return wiring_from_points(random_point_set(n, seed * 1000 + attempt))
-            except DegeneratePointSet:
-                continue
-        pages = {e: rng.randint(0, 1) for e in combinations(range(1, n + 1), 2)}
-        _, lw = two_page(n, pages)
-        return lw
-    raise GaveUp(200)
+    if rng.random() < 0.5:
+        return wiring_from_points(random_point_set(n, seed * 1000))
+    pages = {e: rng.randint(0, 1) for e in combinations(range(1, n + 1), 2)}
+    _, lw = two_page(n, pages)
+    return lw

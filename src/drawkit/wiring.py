@@ -311,7 +311,6 @@ def to_x_monotone(xb: XBoundedData) -> LinearWiring:
     predicted = predicted_crossings(xb)
     strips = []
     vertex_pos = [0]
-    left_order = [()]
     cur: list = []
     for i in range(1, n):
         cur[vertex_pos[i - 1] : vertex_pos[i - 1]] = list(xb.right_order[i - 1])
@@ -328,10 +327,11 @@ def to_x_monotone(xb: XBoundedData) -> LinearWiring:
         swaps = _bubble_swaps(cur, target_rank)
         strips.append(tuple(swaps))
         vertex_pos.append(len(below))
-        left_order.append(tuple(ending))
         cur = below + above
     try:
-        lw = LinearWiring(n, tuple(strips), tuple(vertex_pos), tuple(left_order), xb.right_order)
+        # the constructor's sweep checks that each vertex's ending block
+        # arrives in the given left order
+        lw = LinearWiring(n, tuple(strips), tuple(vertex_pos), xb.left_order, xb.right_order)
     except InvalidDrawing as exc:
         raise InconsistentInput(f"side data is not realizable: {exc}") from exc
     if crossing_set(lw).pairs != predicted.pairs:

@@ -403,6 +403,27 @@ def test_realization_outputs_are_pinned(chain):
     assert digest == REALIZATION_DIGESTS[chain]
 
 
+def test_direction_assignment_keeps_the_rule_based_crossing_set(monkeypatch):
+    """`to_strongly_c_monotone` hands the input's crossing set on to the
+    direction-assigned drawing; rule (i) ignores arc directions, so deriving
+    it again gives the same set."""
+    assigned = []
+    realize = cyl.to_circular_wiring
+
+    def capturing(cd):
+        assigned.append(cd)
+        return realize(cd)
+
+    monkeypatch.setattr(cyl, "to_circular_wiring", capturing)
+    for n in range(5, 11):
+        for seed in (0, 1):
+            cd = cyl.normalize_winding(gen.random_cylindrical(n, seed, strong=True))
+            cd = cyl.remove_double_spirals(cd)
+            cyl.to_strongly_c_monotone(cd)
+            assert assigned[-1] is not cd
+            assert cyl._derive_crossing_set(assigned[-1]) == cyl.crossing_set(cd)
+
+
 def test_crossing_set_is_derived_once(monkeypatch):
     calls = []
     derive = cyl._derive_crossing_set

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from drawkit import circular as circ
@@ -20,10 +20,11 @@ from drawkit import serial
 from drawkit import wiring as w
 from drawkit._geom import segments_cross
 from drawkit.circular import arcs_cover_circle
-from drawkit.errors import CutBlocked
+from drawkit.errors import CutBlocked, DegeneratePointSet
 from drawkit.rotation import _sorted_pair
 from drawkit.wiring import Side
 from tests.test_circular import covering_k4
+from tests.test_wiring import wiring_to_rotation
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
 
@@ -205,3 +206,47 @@ def test_integer_crossing_test_agrees_with_segments_cross(s1, s2, shift):
         dx2, dy2 = p4[0] - p3[0], p4[1] - p3[1]
         t = ((p3[0] - p1[0]) * dy2 - (p3[1] - p1[1]) * dx2) / (dx1 * dy2 - dy1 * dx2)
         assert hits == [(p1[0] + t * dx1, p1[1] + t * dy1)]
+
+
+non_integer = st.builds(Fraction, st.integers(-60, 60), st.integers(2, 12)).filter(
+    lambda q: q.denominator > 1
+)
+
+
+@st.composite
+def rational_point_sets(draw):
+    """x-sorted point sets in general position, n = 3..9, whose coordinates
+    are all non-integer rationals."""
+    n = draw(st.integers(3, 9))
+    xs = draw(st.lists(non_integer, min_size=n, max_size=n, unique=True))
+    ys = draw(st.lists(non_integer, min_size=n, max_size=n))
+    try:
+        return gen.PointSet(tuple(zip(sorted(xs), ys)))
+    except DegeneratePointSet:
+        assume(False)
+
+
+@PROPERTY_SETTINGS
+@given(rational_point_sets())
+def test_wiring_from_points_matches_the_segments(ps):
+    """The wiring built from side data has the crossing set of the segment
+    tests and the clockwise rotations of the point set, and the strip redraw
+    of its own side data gives it back."""
+    rs, cs = gen.from_points(ps)
+    lw = gen.wiring_from_points(ps)
+    assert w.crossing_set(lw).pairs == cs.pairs
+    assert wiring_to_rotation(lw) == rs
+    assert w.to_x_monotone(w.extract_xbounded(lw)) == lw
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(3, 9), data=st.data())
+def test_two_page_sides_follow_the_pages(n, data):
+    edges = list(combinations(range(1, n + 1), 2))
+    pages = {e: data.draw(st.integers(0, 1)) for e in edges}
+    _, lw = gen.two_page(n, pages)
+    side = w.extract_xbounded(lw).side
+    assert side.keys() == {(e, v) for e in edges for v in range(e[0] + 1, e[1])}
+    for (e, v), s in side.items():
+        assert (s is Side.ABOVE) == (pages[e] == 0)
+    assert w.to_x_monotone(w.extract_xbounded(lw)) == lw

@@ -5,7 +5,7 @@ import pytest
 
 from drawkit import generators as gen
 from drawkit import wiring as w
-from drawkit.errors import InvalidDrawing
+from drawkit.errors import InconsistentInput, InvalidDrawing
 from drawkit.rotation import RotationSystem
 from drawkit.wiring import Ordering, Side
 
@@ -93,6 +93,15 @@ def test_to_x_monotone_round_trip_small():
         xb = w.extract_xbounded(lw)
         back = w.to_x_monotone(xb)
         assert w.crossing_set(back).pairs == w.crossing_set(lw).pairs
+
+
+def test_to_x_monotone_rejects_a_wrong_left_order():
+    _, lw = gen.convex(5)
+    xb = w.extract_xbounded(lw)
+    left = list(xb.left_order)
+    left[4] = tuple(reversed(left[4]))
+    with pytest.raises(InconsistentInput):
+        w.to_x_monotone(w.XBoundedData(5, xb.side, left, xb.right_order))
 
 
 def test_to_x_monotone_planar_k4():
