@@ -299,6 +299,13 @@ def cut_to_linear(cw: CircularWiring, angle) -> LinearWiring:
     return lw
 
 
+def strip_events(lo, hi, swaps) -> list:
+    """Swap events for one strip's swap positions, evenly spaced strictly
+    between the angles lo and hi."""
+    step = (hi - lo) / (len(swaps) + 1)
+    return [SwapEvent(lo + step * (j + 1), k) for j, k in enumerate(swaps)]
+
+
 def linear_to_circular(lw: LinearWiring, spread=Fraction(1, 2)) -> CircularWiring:
     """Embed an x-monotone wiring as a circular wiring.
 
@@ -315,8 +322,8 @@ def linear_to_circular(lw: LinearWiring, spread=Fraction(1, 2)) -> CircularWirin
     events = []
     angles = {}
 
-    def col_angle(i, frac_in_strip=Fraction(0)):
-        return (Fraction(i - 1) + frac_in_strip) * spread / n
+    def col_angle(i):
+        return Fraction(i - 1) * spread / n
 
     for v in range(1, n + 1):
         angles[v] = col_angle(v)
@@ -326,11 +333,7 @@ def linear_to_circular(lw: LinearWiring, spread=Fraction(1, 2)) -> CircularWirin
             )
         )
         if v < n:
-            swaps = lw.strips[v - 1]
-            for j, k in enumerate(swaps):
-                events.append(
-                    SwapEvent(col_angle(v, Fraction(j + 1, len(swaps) + 1)), k)
-                )
+            events += strip_events(col_angle(v), col_angle(v + 1), lw.strips[v - 1])
     return CircularWiring(n, tuple(angles[v] for v in range(1, n + 1)), (), tuple(events))
 
 

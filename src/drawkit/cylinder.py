@@ -17,13 +17,14 @@ determined:
         from e's end-vertex to f's,
   (iv)  everything else never crosses.
 
-`to_circular_wiring` realizes the drawing as piecewise-linear curves (radius
-over lifted angle) and extracts the circular sweep events from their exact
-intersections.  Each realization attempt puts its curves on one integer grid:
-every breakpoint is scaled by D, the lcm of all breakpoint denominators, so
-the curve-pair tests are integer orientation signs, and only a proper hit
-becomes a Fraction again.  Success, with the rule-based crossing set
-reproduced, is the authoritative validity gate.
+`to_circular_wiring` realizes the drawing as a circular wiring without any
+geometry.  What fixes the drawing is combinatorial: which side of each vertex
+every edge passes, given by its band (inner home arcs nearer the origin than
+every vertex, outer home arcs farther, laterals and lateral-face arcs in the
+annulus between the circles), and the order of the edges at each vertex.
+`wiring.redraw_strips`, the strip redraw shared with x-monotone wirings,
+rebuilds the sweep from that data.  Reproducing the rule-based crossing set
+is the authoritative validity gate.
 """
 
 from __future__ import annotations
@@ -32,13 +33,11 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from drawkit import circular as circ
 from drawkit.circular import (
     Arc,
     CircularWiring,
-    SwapEvent,
     VertexEvent,
     arcs_cover_circle,
     frac1,
@@ -52,6 +51,7 @@ from drawkit.errors import (
     WrongFace,
 )
 from drawkit.rotation import CrossingSet, _norm_crossing, _sorted_pair
+from drawkit.wiring import redraw_strips
 
 Edge = tuple[int, int]
 
@@ -486,304 +486,6 @@ def remove_double_spirals(cd: CylindricalDrawing) -> CylindricalDrawing:
 # Realization as a circular wiring
 # ============================================================
 
-R_INNER = Fraction(1)
-R_OUTER = Fraction(2)
-
-
-class _Curve:
-    """Piecewise-linear radius-over-lifted-angle trajectory of one edge, on an
-    attempt's integer grid: coordinates are the exact values times D."""
-
-    __slots__ = ("edge", "points", "lo", "hi", "segs")
-
-    def __init__(self, edge, points):
-        self.edge = edge
-        self.points = points  # ((lifted angle, radius), ...) angle-monotone
-        self.lo = min(points[0][0], points[-1][0])
-        self.hi = max(points[0][0], points[-1][0])
-        # (x0, y0, x1, y1, angle range low, angle range high) per segment
-        self.segs = tuple(
-            (x0, y0, x1, y1, min(x0, x1), max(x0, x1))
-            for (x0, y0), (x1, y1) in zip(points, points[1:])
-        )
-
-    def radius_at(self, lifted):
-        pts = self.points if self.points[0][0] <= self.points[-1][0] else self.points[::-1]
-        for (a0, r0), (a1, r1) in zip(pts, pts[1:]):
-            if a0 <= lifted <= a1:
-                if a0 == a1:
-                    return r0
-                return r0 + Fraction(r1 - r0) * (lifted - a0) / (a1 - a0)
-        raise InvalidDrawing("angle outside curve support")
-
-
-def _curve_crossings(c1: _Curve, c2: _Curve, D: int):
-    """Exact proper intersections of two curves on the circle (angle mod 1),
-    as (lifted angle, radius) Fractions in c1's lift.
-
-    Lifted angles live in (-1, 2), so relative integer shifts up to 2 in
-    absolute value can put the two lifts onto a common window; only the
-    shifts whose windows overlap are tried.  Segments whose angle ranges meet
-    in at most one value cannot cross properly.  Both orientation tests are
-    on integers; a hit lies where the orientation against c2's segment,
-    linear along c1's segment, vanishes.
-    """
-    hits = []
-    for shift in range(max(-2, -((c2.hi - c1.lo) // D)), min(2, (c1.hi - c2.lo) // D) + 1):
-        t = shift * D
-        for ax, ay, bx, by, lo1, hi1 in c1.segs:
-            ex, ey = bx - ax, by - ay
-            for cx, cy, dx, dy, lo2, hi2 in c2.segs:
-                if hi2 + t <= lo1 or lo2 + t >= hi1:
-                    continue
-                cx += t
-                dx += t
-                o1 = ex * (cy - ay) - ey * (cx - ax)
-                o2 = ex * (dy - ay) - ey * (dx - ax)
-                if not (o1 < 0 < o2 or o2 < 0 < o1):
-                    continue
-                fx, fy = dx - cx, dy - cy
-                o3 = fx * (ay - cy) - fy * (ax - cx)
-                o4 = fx * (by - cy) - fy * (bx - cx)
-                if not (o3 < 0 < o4 or o4 < 0 < o3):
-                    continue
-                w = o3 - o4
-                hits.append((Fraction(ax * w + o3 * ex, w * D), Fraction(ay * w + o3 * ey, w * D)))
-    return hits
-
-
-def _plateau_distances(supports: dict, span: Fraction, attempt: int, jitter: dict):
-    """Distinct bulge distances in (0, span) per edge: edges whose support
-    contains another's sit strictly farther out than what they contain.
-
-    With one shared ramp width, curve slopes scale with these distances, so
-    the ordering also keeps nested and endpoint-sharing trapezoids disjoint.
-    The per-edge jitter (too small to reorder any two levels) keeps crossing
-    angles on ramps anchored at a common vertex from coinciding.
-    """
-
-    # arcs as integers over their common denominator
-    scale = lcm(*(x.denominator for arc in supports.values() for x in (arc.start, arc.length)))
-    box = {e: (int(arc.start * scale), int(arc.length * scale)) for e, arc in supports.items()}
-
-    def contains(big: Edge, small: Edge) -> bool:
-        (bs, bl), (ss, sl) = box[big], box[small]
-        return (bs, bl) != (ss, sl) and (ss - bs) % scale + sl <= bl
-
-    edges = sorted(supports)
-    depth = {e: sum(1 for f in edges if f != e and contains(f, e)) for e in edges}
-    ordered = sorted(edges, key=lambda e: (depth[e], e))
-    m = len(ordered)
-    jitter_den = 8 * (m + 2) * (max(jitter.values()) + 1)
-    out = {}
-    for i, e in enumerate(ordered):
-        base = span * Fraction(m + 1 - i, m + 2 + attempt)
-        out[e] = base * (1 + Fraction(jitter[e], jitter_den))
-    return out
-
-
-def _min_gap(angles) -> Fraction:
-    vals = sorted(set(angles))
-    if len(vals) <= 1:
-        return Fraction(1)
-    gaps = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
-    gaps.append(vals[0] + 1 - vals[-1])
-    return min(gaps)
-
-
-def _build_curves(cd: CylindricalDrawing, attempt: int) -> dict:
-    """Per edge, the exact breakpoints ((lifted angle, radius), ...) of its
-    curve, in angle-monotone order."""
-    angles = cd._angle
-    gap = _min_gap(angles.values())
-    ramp = gap / (8 * (attempt + 1))
-    # lateral-face plateaus stay shallower than any lateral edge's slope over
-    # one ramp width, so edges leaving an arc endpoint dive under them freely
-    shallow = ramp / 2
-
-    curves = {}
-    laterals = sorted(cd.lateral, key=lambda le: le.edge)
-    if attempt == 0:
-        bend_scale = Fraction(0)
-    else:
-        tight = [gap]
-        for le in laterals:
-            tight.append(abs(le.omega))
-        for e, f in combinations(cd.lateral, 2):
-            dw = f.omega - e.omega
-            if dw != 0:
-                tight.append(abs(dw))
-            else:
-                delta = frac1(angles[f.u] - angles[e.u])
-                tight.append(min(delta, 1 - delta))
-        bend_scale = min(tight) / (8 * 2 ** attempt)
-    for i, le in enumerate(laterals):
-        a0 = angles[le.u]
-        bend = bend_scale * Fraction(i + 1, len(laterals) + 1)
-        if le.omega < 0:
-            bend = -bend
-        mid = (a0 + (a0 + le.omega)) / 2 + bend
-        curves[le.edge] = ((a0, R_OUTER), (mid, (R_OUTER + R_INNER) / 2), (a0 + le.omega, R_INNER))
-
-    groups = {
-        ("outer", Face.HOME): {},
-        ("outer", Face.LATERAL): {},
-        ("inner", Face.HOME): {},
-        ("inner", Face.LATERAL): {},
-    }
-    for ce in cd.circle:
-        groups[(cd._circle[ce.u], ce.face)][ce.edge] = home_side_arc(cd, ce.edge)
-
-    # (base radius, bulge sign, maximal bulge distance)
-    bands = {
-        ("outer", Face.HOME): (R_OUTER, 1, Fraction(9, 10)),
-        ("outer", Face.LATERAL): (R_OUTER, -1, shallow),
-        ("inner", Face.HOME): (R_INNER, -1, Fraction(9, 20)),
-        ("inner", Face.LATERAL): (R_INNER, 1, shallow),
-    }
-    all_circle = sorted(ce.edge for ce in cd.circle)
-    jitter = {e: i + 1 + attempt for i, e in enumerate(all_circle)}
-    for key, supports in groups.items():
-        if not supports:
-            continue
-        base, sign, span = bands[key]
-        dists = _plateau_distances(supports, span, attempt, jitter)
-        for e, arc in supports.items():
-            s = arc.start
-            length = arc.length
-            p = base + sign * dists[e]
-            w = min(ramp, length / 4)
-            curves[e] = ((s, base), (s + w, p), (s + length - w, p), (s + length, base))
-    return curves
-
-
-def _realize(cd: CylindricalDrawing, attempt: int) -> CircularWiring:
-    """Exact sweep of the realized curves, as a circular wiring."""
-    paths = _build_curves(cd, attempt)
-    # one integer grid per attempt: D clears every breakpoint's denominator
-    D = lcm(*(x.denominator for pts in paths.values() for p in pts for x in p))
-    curves = {
-        e: _Curve(e, tuple((int(a * D), int(r * D)) for a, r in pts)) for e, pts in paths.items()
-    }
-    vertex_angle = cd._angle
-    grid_angle = {v: int(a * D) for v, a in vertex_angle.items()}
-    radius_of = {v: (R_OUTER if cd._circle[v] == "outer" else R_INNER) * D for v in vertex_angle}
-
-    crossings = []  # (angle mod 1, pair)
-    items = sorted(curves)
-    for e, f in combinations(items, 2):
-        hits = _curve_crossings(curves[e], curves[f], D)
-        if set(e) & set(f):
-            if hits:
-                raise _RetryRealization(f"incident edges {e}, {f} intersect")
-            continue
-        if len(hits) > 1:
-            raise _RetryRealization(f"edges {e}, {f} intersect {len(hits)} times")
-        for lifted, _ in hits:
-            crossings.append((frac1(lifted), _norm_crossing(e, f)))
-
-    event_angles = [a for a, _ in crossings] + list(vertex_angle.values())
-    if len(set(event_angles)) != len(event_angles):
-        raise _RetryRealization("coinciding event angles")
-
-    sigma = Fraction(0)
-    if Fraction(0) in event_angles:
-        # shift so that no event sits exactly on the reference ray
-        bad = sorted(frac1(-a) for a in event_angles)
-        sigma = min(b for b in bad if b > 0) / 2
-
-    def lift_near(curve: _Curve, x):
-        for k in (-D, 0, D):
-            if curve.lo <= x + k <= curve.hi:
-                return x + k
-        raise InvalidDrawing("angle not on curve")
-
-    base_x = frac1(-sigma) * D  # original angle that maps to shifted angle 0
-    base = []
-    for e, c in curves.items():
-        if 0 < (base_x - c.lo) % D < c.hi - c.lo:
-            base.append((c.radius_at(lift_near(c, base_x)), e))
-    if len({r for r, _ in base}) != len(base):
-        raise _RetryRealization("radial tie on the base ray")
-    base.sort()
-    base_order = [e for _, e in base]
-
-    events = []
-    for v, a in vertex_angle.items():
-        events.append((frac1(a + sigma), "vertex", v))
-    for a, pair in crossings:
-        events.append((frac1(a + sigma), "swap", pair))
-    events.sort(key=lambda t: t[0])
-
-    order = list(base_order)
-    out_events = []
-    for shifted_angle, kind, payload in events:
-        if kind == "swap":
-            e, f = payload
-            try:
-                i, j = order.index(e), order.index(f)
-            except ValueError:
-                raise _RetryRealization("swap between edges not both alive")
-            if abs(i - j) != 1:
-                raise _RetryRealization("swapping edges not radially adjacent")
-            k = min(i, j)
-            out_events.append(SwapEvent(shifted_angle, k))
-            order[k], order[k + 1] = order[k + 1], order[k]
-        else:
-            v = payload
-            x = grid_angle[v]
-            ending = [e for e in order if v in e]
-            idx = sorted(order.index(e) for e in ending)
-            if idx and idx != list(range(idx[0], idx[0] + len(idx))):
-                raise _RetryRealization("ending edges not contiguous")
-            ending_sorted = [order[i] for i in idx]
-            for e in ending_sorted:
-                order.remove(e)
-            pos = 0
-            for e in order:
-                c = curves[e]
-                r = c.radius_at(lift_near(c, x))
-                if r == radius_of[v]:
-                    raise _RetryRealization("edge passes through a vertex radius")
-                if r < radius_of[v]:
-                    pos += 1
-            if idx and idx[0] != pos:
-                raise _RetryRealization("ending block does not sit at the vertex level")
-            starting = [e for e, c in curves.items() if v in e and c.lo % D == x]
-            if starting:
-                # incident edges never cross, so their radial order is fixed on
-                # the whole shared support; sample it just after the vertex
-                step = None
-                for e in starting:
-                    c = curves[e]
-                    a0 = lift_near(c, x)
-                    nxt = min(p[0] for p in c.points if p[0] > a0)
-                    step = nxt - a0 if step is None else min(step, nxt - a0)
-                probe = {}
-                for e in starting:
-                    c = curves[e]
-                    probe[e] = c.radius_at(lift_near(c, x) + Fraction(step, 2))
-                if len(set(probe.values())) != len(probe):
-                    raise _RetryRealization("radial tie among edges leaving a vertex")
-                starting.sort(key=lambda e: probe[e])
-            out_events.append(
-                VertexEvent(shifted_angle, v, tuple(ending_sorted), tuple(starting), pos)
-            )
-            order[pos:pos] = starting
-
-    shifted_vertex = [frac1(vertex_angle[v] + sigma) for v in sorted(vertex_angle)]
-    try:
-        return CircularWiring(cd.n, shifted_vertex, tuple(base_order), tuple(out_events))
-    except InvalidDrawing as exc:
-        # an intersection that is not proper, such as two curves meeting at a
-        # shared breakpoint, is not reported as a swap
-        raise _RetryRealization(f"events do not form a wiring: {exc}") from exc
-
-
-class _RetryRealization(Exception):
-    pass
-
-
 def _split_common_rays(cd: CylindricalDrawing) -> CylindricalDrawing:
     """Rotate the inner circle slightly if an inner and an outer vertex share
     a ray; crossings are unaffected."""
@@ -806,29 +508,88 @@ def _split_common_rays(cd: CylindricalDrawing) -> CylindricalDrawing:
     )
 
 
-def to_circular_wiring(cd: CylindricalDrawing) -> CircularWiring:
-    """Realize the drawing with exact geometry on an integer grid and read
-    off the circular sweep; the rule-based crossing set must be reproduced
-    exactly.
+# edge kinds, in their radial order at an outer vertex, near to far
+_LATERAL, _LATERAL_FACE_ARC, _HOME_ARC = range(3)
 
-    Up to ten attempts bend the curves differently; an attempt fails when its
-    curves are degenerate or their events do not form a valid wiring.
+
+def _runs(cd: CylindricalDrawing) -> dict:
+    """Per edge, (first vertex, last vertex, kind): the edge runs
+    counter-clockwise from its first vertex to its last.  Windings are
+    nonzero once `_split_common_rays` has run."""
+    runs = {}
+    for le in cd.lateral:
+        runs[le.edge] = (le.u, le.w, _LATERAL) if le.omega > 0 else (le.w, le.u, _LATERAL)
+    for ce in cd.circle:
+        first, last = (ce.u, ce.v) if ce.arc is ArcDir.CCW else (ce.v, ce.u)
+        runs[ce.edge] = (first, last, _LATERAL_FACE_ARC if ce.face is Face.LATERAL else _HOME_ARC)
+    return runs
+
+
+def to_circular_wiring(cd: CylindricalDrawing) -> CircularWiring:
+    """Redraw the drawing strip by strip as a circular wiring; the
+    rule-based crossing set must be reproduced exactly.
+
+    Home arcs of the inner circle pass nearer the origin than every vertex,
+    home arcs of the outer circle farther; laterals and lateral-face arcs lie
+    in the annulus, nearer than the outer vertices and farther than the inner
+    ones.  At an outer vertex the incident edges run near to far as laterals
+    by |winding| ascending, lateral-face arcs by length descending, then home
+    arcs by length ascending; at an inner vertex in the reverse order.
+
+    `wiring.redraw_strips` sweeps the vertices counter-clockwise from the
+    0-ray, turned off any vertex first, and sweeps twice.  The first sweep
+    starts from the wrapping edges in any order.  Every pair of edges alive
+    at its end got its order where the later of the two started, or after,
+    so the order it ends with is the one the second sweep starts and closes
+    with.
     """
     if any(abs(le.omega) >= 1 for le in cd.lateral):
         raise InvalidDrawing("normalize windings before realization")
     cd2 = _split_common_rays(cd)
     expected = crossing_set(cd)
-    reasons = []
-    for attempt in range(10):
-        try:
-            cw = _realize(cd2, attempt)
-            break
-        except _RetryRealization as exc:
-            reasons.append(f"attempt {attempt}: {exc}")
-    else:
-        raise RealizationMismatch("no clean realization found: " + "; ".join(reasons))
-    got = circ.crossing_set(cw)
-    if got.pairs != expected.pairs:
+    angle = cd2._angle
+    if 0 in angle.values():
+        sigma = min(frac1(-a) for a in angle.values() if a) / 2
+        angle = {v: a + sigma for v, a in angle.items()}
+    outer = {v for v, _ in cd2.outer}
+    runs = _runs(cd2)
+    ring = sorted(angle, key=angle.get)
+    starting = {v: [] for v in ring}
+    ending = {v: [] for v in ring}
+    near = {}
+    for e, (first, last, kind) in runs.items():
+        starting[first].append(e)
+        ending[last].append(e)
+        length = frac1(angle[last] - angle[first])
+        near[e] = (kind, -length if kind == _LATERAL_FACE_ARC else length)
+    # edges arriving at v keep the order in which they leave it: the
+    # constructor checks that the redraw delivers them so
+    for v in ring:
+        for block in (starting, ending):
+            block[v] = tuple(sorted(block[v], key=near.get, reverse=v not in outer))
+
+    def below(e, v):
+        first, _, kind = runs[e]
+        if kind == _HOME_ARC:
+            return first not in outer
+        return v in outer
+
+    wrapping = [e for e, (first, last, _) in runs.items() if angle[first] > angle[last]]
+    _, _, base = redraw_strips(ring, wrapping, starting, below)
+    strips, positions, _ = redraw_strips(ring, base, starting, below)
+    events = []
+    lo = Fraction(0)
+    for v, swaps, pos in zip(ring, strips, positions):
+        events += circ.strip_events(lo, angle[v], swaps)
+        events.append(VertexEvent(angle[v], v, ending[v], starting[v], pos))
+        lo = angle[v]
+    try:
+        cw = CircularWiring(
+            cd.n, tuple(angle[v] for v in range(1, cd.n + 1)), tuple(base), tuple(events)
+        )
+    except InvalidDrawing as exc:
+        raise RealizationMismatch(f"redraw does not form a wiring: {exc}") from exc
+    if circ.crossing_set(cw).pairs != expected.pairs:
         raise RealizationMismatch("realized crossings differ from the rule-based set")
     return cw
 

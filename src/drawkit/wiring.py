@@ -11,6 +11,8 @@ endpoints, whether the edge passes above or below that vertex, plus the
 bottom-to-top order in which edges leave each vertex to the left and right.
 `to_x_monotone` rebuilds a strip diagram from that data, strip by strip, so
 that the crossing set is reproduced exactly and the vertex order is kept.
+Its strip loop, `redraw_strips`, also realizes cylindrical drawings as
+circular wirings.
 """
 
 from __future__ import annotations
@@ -297,41 +299,61 @@ def _bubble_swaps(cur: list, target_rank: dict) -> list:
     return swaps
 
 
+def redraw_strips(ring, base, starting, below):
+    """The strip redraw shared by the linear and circular models.
+
+    Sweeps the vertices of `ring` in order, starting from the strand order
+    `base`.  Before each vertex v, bottom-up bubble passes stably partition
+    the strands into those below v, those ending at v and those above v
+    (`below(e, v)` tells the passers apart); the ending block then makes way
+    for `starting[v]`, bottom-to-top.  Every swap is an inversion of the
+    partition, so no pair swaps twice within one strip.
+
+    Returns (strips, positions, final_order): strips[i] lists the swap
+    positions before ring[i], positions[i] is the number of strands below
+    ring[i] at its column, and final_order is the strand order after the
+    last vertex.
+    """
+    strips = []
+    positions = []
+    cur = list(base)
+    for v in ring:
+        lo, ending, hi = [], [], []
+        for e in cur:
+            if v in e:
+                ending.append(e)
+            elif below(e, v):
+                lo.append(e)
+            else:
+                hi.append(e)
+        target_rank = {e: k for k, e in enumerate(lo + ending + hi)}
+        strips.append(tuple(_bubble_swaps(cur, target_rank)))
+        positions.append(len(lo))
+        cur = lo + list(starting[v]) + hi
+    return strips, positions, cur
+
+
 def to_x_monotone(xb: XBoundedData) -> LinearWiring:
     """Strip-by-strip redraw into an x-monotone wiring with the same vertex
     order and exactly the predicted crossing set.
 
-    Each strip starts from the incoming strand order, inserts the right-leaving
-    edges of its left vertex between the below- and above-passers, partitions
-    the strands by their relation to the right vertex (below / ending / above,
-    keeping relative order), and realizes the resulting permutation as its
-    inversions via bottom-up bubble passes.
+    `redraw_strips` sweeps the vertices left to right from no strands, each
+    vertex's right-leaving edges entering bottom-to-top; the strip before
+    vertex 1 is empty and dropped.
     """
     n = xb.n
     predicted = predicted_crossings(xb)
-    strips = []
-    vertex_pos = [0]
-    cur: list = []
-    for i in range(1, n):
-        cur[vertex_pos[i - 1] : vertex_pos[i - 1]] = list(xb.right_order[i - 1])
-        below, ending, above = [], [], []
-        for e in cur:
-            if e[1] == i + 1:
-                ending.append(e)
-            elif xb.side[(e, i + 1)] is Side.BELOW:
-                below.append(e)
-            else:
-                above.append(e)
-        target = below + ending + above
-        target_rank = {e: k for k, e in enumerate(target)}
-        swaps = _bubble_swaps(cur, target_rank)
-        strips.append(tuple(swaps))
-        vertex_pos.append(len(below))
-        cur = below + above
+    ring = range(1, n + 1)
+    strips, vertex_pos, _ = redraw_strips(
+        ring,
+        (),
+        dict(zip(ring, xb.right_order)),
+        lambda e, v: xb.side[(e, v)] is Side.BELOW,
+    )
     try:
         # the constructor's sweep checks that each vertex's ending block
-        # arrives in the given left order
-        lw = LinearWiring(n, tuple(strips), tuple(vertex_pos), xb.left_order, xb.right_order)
+        # arrives in the given left order and that no strand is left over
+        lw = LinearWiring(n, tuple(strips[1:]), tuple(vertex_pos), xb.left_order, xb.right_order)
     except InvalidDrawing as exc:
         raise InconsistentInput(f"side data is not realizable: {exc}") from exc
     if crossing_set(lw).pairs != predicted.pairs:

@@ -8,7 +8,9 @@ from drawkit import circular as circ
 from drawkit import cylinder as cyl
 from drawkit import generators as gen
 from drawkit import hampath as hp
+from drawkit import rotation as rot
 from drawkit import serial
+from drawkit import wiring as w
 from drawkit.cylinder import ArcDir, CircleEdge, CylindricalDrawing, Face, LateralEdge
 from drawkit.errors import InvalidDrawing, RangeTooWide, RealizationMismatch, WrongFace
 
@@ -99,8 +101,6 @@ def test_independent_counter_agrees_on_strong_random_instances():
 
 def test_hill5_is_the_fig_class():
     cs = cyl.crossing_set(gen.hill(5))
-    from drawkit import rotation as rot
-
     assert rot.canonical_crossing_form(cs).encode() in rot.k5_reference_forms()
     assert len(cs) == 1
 
@@ -278,15 +278,17 @@ def test_to_circular_wiring_with_lateral_face_circle_edges():
 
 
 def test_realization_retries_when_curves_meet_at_a_breakpoint():
-    # on the first attempt two laterals meet exactly at a shared polyline
-    # breakpoint, so their swap is not reported and the events do not form a
-    # valid wiring; a later attempt realizes the drawing
+    # the earlier geometric realization met a degenerate curve breakpoint on
+    # this drawing and needed a second attempt; the strip redraw has no
+    # attempts, and the drawing stays a regression case
     cd = cyl.normalize_winding(gen.random_cylindrical(7, 32301026, strong=False))
     cw = cyl.to_circular_wiring(cd)
     assert circ.crossing_set(cw).pairs == cyl.crossing_set(cd).pairs
 
 
 def test_strong_chain_retries_when_curves_meet_at_a_breakpoint():
+    # the same for the strong chain: a degenerate breakpoint once forced a
+    # retry of the geometric realization here
     cd = gen.random_cylindrical(10, 253775303, strong=True)
     dd = cyl.remove_double_spirals(cyl.normalize_winding(cd))
     cw = cyl.to_strongly_c_monotone(dd)
@@ -294,15 +296,73 @@ def test_strong_chain_retries_when_curves_meet_at_a_breakpoint():
     assert circ.crossing_set(cw).pairs == cyl.crossing_set(cd).pairs
 
 
-def test_realization_mismatch_lists_every_attempt(monkeypatch):
-    def degenerate(cd, attempt):
-        raise cyl._RetryRealization(f"degenerate {attempt}")
+def test_redraw_that_forms_no_wiring_is_a_realization_mismatch(monkeypatch):
+    redraw = cyl.redraw_strips
 
-    monkeypatch.setattr(cyl, "_realize", degenerate)
-    with pytest.raises(RealizationMismatch) as info:
-        cyl.to_circular_wiring(gen.hill(5))
-    for attempt in range(10):
-        assert f"attempt {attempt}: degenerate {attempt}" in str(info.value)
+    def without_swaps(ring, base, starting, below):
+        strips, positions, final = redraw(ring, base, starting, below)
+        return [()] * len(strips), positions, final
+
+    monkeypatch.setattr(cyl, "redraw_strips", without_swaps)
+    with pytest.raises(RealizationMismatch, match="does not form a wiring"):
+        cyl.to_circular_wiring(gen.hill(6))
+
+
+def assert_realization_follows_the_drawing(cd, cw):
+    """Every wedge is the drawing's arc, every side follows the band rule,
+    and the realized rotations give the drawing's crossings."""
+    cd2 = cyl._split_common_rays(cd)  # the realized angles, before the ray turn
+    turn = circ.frac1(cw.angles[0] - cd2.angle_of(1))
+    assert cw.angles == tuple(circ.frac1(cd2.angle_of(v) + turn) for v in range(1, cd.n + 1))
+    for le in cd2.lateral:
+        start, length = cyl._lateral_wedge_raw(cd2, le)
+        assert circ.wedge(cw, le.edge) == circ.Arc(start + turn, length)
+    for ce in cd2.circle:
+        arc = cyl.home_side_arc(cd2, ce.edge)
+        assert circ.wedge(cw, ce.edge) == circ.Arc(arc.start + turn, arc.length)
+    # inner home arcs pass below every vertex, outer ones above; laterals and
+    # lateral-face arcs lie in the annulus, below outer and above inner vertices
+    home_circle = {ce.edge: cd.circle_of(ce.u) for ce in cd.circle if ce.face is Face.HOME}
+    above = w.side_reader(cw._columns, cw._vertex_pos)
+    for v in range(1, cd.n + 1):
+        for e in cw._columns[v - 1]:
+            if e in home_circle:
+                below = home_circle[e] == "inner"
+            else:
+                below = cd.circle_of(v) == "outer"
+            assert above(e, v) == below, (e, v)
+    assert rot.crossings_from_rotation(circ.rotation_system(cw)).pairs == cyl.crossing_set(cd).pairs
+
+
+def nested_lateral_face_arcs():
+    """K5 with vertex 1 on the 0-ray and the nested lateral-face arcs (1, 3)
+    and (1, 4) on the outer circle, sharing the endpoint 1."""
+    outer = tuple((i + 1, F(i, 4)) for i in range(4))
+    lateral = (
+        LateralEdge(1, 5, F(1, 8)),
+        LateralEdge(2, 5, F(-1, 8)),
+        LateralEdge(3, 5, F(-3, 8)),
+        LateralEdge(4, 5, F(3, 8)),
+    )
+    circle = (
+        CircleEdge(1, 3, Face.LATERAL, ArcDir.CCW),
+        CircleEdge(1, 4, Face.LATERAL, ArcDir.CCW),
+        CircleEdge(1, 2, Face.HOME, ArcDir.CCW),
+        CircleEdge(2, 3, Face.HOME, ArcDir.CCW),
+        CircleEdge(3, 4, Face.HOME, ArcDir.CCW),
+        CircleEdge(2, 4, Face.HOME, ArcDir.CCW),
+    )
+    return CylindricalDrawing(outer, ((5, F(1, 8)),), lateral, circle)
+
+
+def test_nested_lateral_face_arcs_sharing_an_outer_endpoint():
+    cd = nested_lateral_face_arcs()
+    assert cyl.crossing_set(cd).pairs == {((1, 3), (2, 5)), ((1, 4), (2, 5)), ((1, 4), (3, 5))}
+    cw = cyl.to_circular_wiring(cd)
+    assert_realization_follows_the_drawing(cd, cw)
+    # the longer arc leaves vertex 1 nearer the origin, under the shorter one
+    first = next(ev for ev in cw.events if isinstance(ev, circ.VertexEvent) and ev.v == 1)
+    assert first.starting == ((1, 5), (1, 4), (1, 3), (1, 2))
 
 
 def test_to_circular_wiring_rim_only_drawing():
@@ -385,22 +445,60 @@ def realizations(chain):
     return out
 
 
+def side_view(cw):
+    """What the drawing fixes of a realization, independent of where its
+    swaps sit: the crossing pairs, rotations, ring order, each edge's wedge
+    as (start vertex, length) and every `side_reader` value."""
+    above = w.side_reader(cw._columns, cw._vertex_pos)
+    wedges = []
+    for e in cw.edges():
+        arc = circ.wedge(cw, e)
+        start = next(v for v in e if cw.angles[v - 1] == arc.start)
+        wedges.append([list(e), start, str(arc.length)])
+    return {
+        "crossings": sorted([list(e), list(f)] for e, f in circ.crossing_set(cw).pairs),
+        "rotations": [list(r) for r in circ.rotation_system(cw).rotations],
+        "ring": circ.circular_vertex_order(cw),
+        "wedges": wedges,
+        "sides": sorted(
+            [list(e), v, above(e, v)] for v in range(1, cw.n + 1) for e in cw._columns[v - 1]
+        ),
+    }
+
+
+def digest(docs) -> str:
+    return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of the JSON (sorted keys) of the list of side_view() of every
+# realization of the chain, computed with the earlier geometric realization
+# (polyline curves intersected on an integer grid); they pin that the strip
+# redraw realizes the same drawings
+REALIZATION_SIDE_DIGESTS = {
+    "nonstrong": "43e489cf4d3ea25a7a41cde63ee72ff6ffee1c3d1763496cf27523de82adae34",
+    "strong": "67b03fc6bbbaaab7ad2d832a3828d64967be699b27ab3bb9a540d17e99b92a32",
+    "hill": "33c12e5f4f2b0f883725006e90963a9c969855aca39bf23d6ca642c31553069b",
+}
+
 # sha256 of the JSON (sorted keys) of the list of serial.dump() of every
-# realization of the chain, computed with the earlier realization that tested
-# curve pairs in Fraction coordinates; they pin that the integer grid changed
-# no wiring
-REALIZATION_DIGESTS = {
-    "nonstrong": "7dc8d1398410c7a62ee648ebffaaa4dcc5a05d6ee728878f203bd4e1530f3c96",
-    "strong": "d9c584c6e352e3819cc7985cb3efea21a9a7a18a4558fce9c87c56a16425ad4c",
-    "hill": "700d481aa24b4f33a90b0f4d127e0f3e28673f4705c2971035979860f80148d1",
+# realization of the chain, computed with the strip redraw: swap angles
+# included
+REALIZATION_SERIAL_DIGESTS = {
+    "nonstrong": "2e315f32e6e73197b896bdb498d4f9ca9ec56560280b4bd50bf2a290b3275f9a",
+    "strong": "d55f08854a86dca403ef046ec98a17e4755abb1cb37b78f5d41db378af8bff3f",
+    "hill": "0825d9188f7f3baa3ffc23bfd5320ccc8db00a177b1d5ebfd88fff0019b89a85",
 }
 
 
-@pytest.mark.parametrize("chain", sorted(REALIZATION_DIGESTS))
+@pytest.mark.parametrize("chain", sorted(REALIZATION_SIDE_DIGESTS))
+def test_realization_sides_are_pinned(chain):
+    assert digest([side_view(cw) for cw in realizations(chain)]) == REALIZATION_SIDE_DIGESTS[chain]
+
+
+@pytest.mark.parametrize("chain", sorted(REALIZATION_SERIAL_DIGESTS))
 def test_realization_outputs_are_pinned(chain):
     docs = [serial.dump(cw) for cw in realizations(chain)]
-    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
-    assert digest == REALIZATION_DIGESTS[chain]
+    assert digest(docs) == REALIZATION_SERIAL_DIGESTS[chain]
 
 
 def test_direction_assignment_keeps_the_rule_based_crossing_set(monkeypatch):

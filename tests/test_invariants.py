@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+import drawkit
 from drawkit import circular as circ
 from drawkit import cylinder as cyl
 from drawkit import generators as gen
@@ -98,7 +99,10 @@ def test_max_n_env_override(tmp_path):
         "rot.canonical_crossing_form(CrossingSet(10, frozenset()))\n"
         "print('ok')\n"
     )
-    env = dict(os.environ, DRAWKIT_MAX_N="10")
+    # the child imports the same drawkit as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(drawkit.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, DRAWKIT_MAX_N="10", PYTHONPATH=path)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )

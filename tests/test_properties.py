@@ -18,12 +18,12 @@ from drawkit import cylinder as cyl
 from drawkit import generators as gen
 from drawkit import serial
 from drawkit import wiring as w
-from drawkit._geom import segments_cross
 from drawkit.circular import arcs_cover_circle
 from drawkit.errors import CutBlocked, DegeneratePointSet
 from drawkit.rotation import _sorted_pair
 from drawkit.wiring import Side
 from tests.test_circular import covering_k4
+from tests.test_cylinder import assert_realization_follows_the_drawing
 from tests.test_wiring import wiring_to_rotation
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
@@ -175,37 +175,11 @@ def test_serial_round_trip(n, seed):
         assert serial.load(json.loads(text)) == model
 
 
-GRID = 64  # larger than the coordinate range, so one shift aligns the two lifts
-grid_point = st.tuples(st.integers(0, 6), st.integers(0, 6))
-grid_segment = st.tuples(grid_point, grid_point)
-
-
-@settings(PROPERTY_SETTINGS, max_examples=1000)
-@given(grid_segment, grid_segment, st.integers(-2, 2))
-@example(((0, 0), (4, 4)), ((4, 4), (6, 0)), 0)  # shared endpoint
-@example(((0, 0), (4, 0)), ((2, 0), (2, 3)), 0)  # endpoint on the other's interior
-@example(((0, 0), (4, 4)), ((2, 2), (6, 6)), 1)  # collinear overlap
-@example(((1, 0), (1, 4)), ((1, 2), (1, 6)), -2)  # vertical collinear overlap
-@example(((2, 0), (2, 4)), ((0, 2), (2, 2)), 0)  # vertical, touched at an endpoint
-@example(((2, 0), (2, 4)), ((0, 2), (4, 2)), 2)  # vertical, proper crossing
-@example(((0, 0), (4, 4)), ((0, 4), (4, 0)), -2)  # proper crossing two turns apart
-@example(((0, 0), (4, 4)), ((3, 4), (5, 0)), 0)  # proper crossing where the ranges barely overlap
-def test_integer_crossing_test_agrees_with_segments_cross(s1, s2, shift):
-    """`_curve_crossings` on two one-segment curves of an integer grid, the
-    second lifted by `shift` turns, finds exactly the proper crossings of the
-    Fraction segments, at their exact intersection point."""
-    c1 = cyl._Curve((1, 2), s1)
-    c2 = cyl._Curve((3, 4), tuple((x + shift * GRID, y) for x, y in s2))
-    hits = cyl._curve_crossings(c1, c2, GRID)
-    (p1, p2), (p3, p4) = (
-        tuple((Fraction(x, GRID), Fraction(y, GRID)) for x, y in s) for s in (s1, s2)
-    )
-    assert bool(hits) == segments_cross(p1, p2, p3, p4)
-    if hits:
-        dx1, dy1 = p2[0] - p1[0], p2[1] - p1[1]
-        dx2, dy2 = p4[0] - p3[0], p4[1] - p3[1]
-        t = ((p3[0] - p1[0]) * dy2 - (p3[1] - p1[1]) * dx2) / (dx1 * dy2 - dy1 * dx2)
-        assert hits == [(p1[0] + t * dx1, p1[1] + t * dy1)]
+@PROPERTY_SETTINGS
+@given(n=st.integers(3, 9), seed=st.integers(0, 10**6), strong=st.booleans())
+def test_realization_follows_the_drawing(n, seed, strong):
+    cd = gen.random_cylindrical(n, seed, strong)
+    assert_realization_follows_the_drawing(cd, cyl.to_circular_wiring(cd))
 
 
 non_integer = st.builds(Fraction, st.integers(-60, 60), st.integers(2, 12)).filter(
