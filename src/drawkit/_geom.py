@@ -1,15 +1,15 @@
-"""Exact rational plane geometry used by the drawing generators.
+"""Exact plane geometry used by the drawing generators.
 
-Everything here works on `fractions.Fraction` (or int) coordinates so that
-orientation and intersection queries are decisions, never estimates.
+Point sets arrive here on integers: `generators.PointSet` scales its
+rational points to one integer grid, so orientation and intersection queries
+are a few int products, decisions and never estimates.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cmp_to_key
 
-Point = tuple[Fraction, Fraction]
+Point = tuple[int, int]
 
 
 def orient(p: Point, q: Point, r: Point) -> int:

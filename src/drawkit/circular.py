@@ -23,7 +23,8 @@ Edge = tuple[int, int]
 
 def frac1(x: Fraction) -> Fraction:
     """x mod 1 as a Fraction in [0, 1)."""
-    return x - (x.numerator // x.denominator)
+    whole = x.numerator // x.denominator
+    return x - whole if whole else x
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,6 @@ class Arc:
         object.__setattr__(self, "length", Fraction(self.length))
         if not 0 <= self.length < 1:
             raise InvalidDrawing(f"arc length must lie in [0, 1), got {self.length}")
-
-    @property
-    def end(self) -> Fraction:
-        return frac1(self.start + self.length)
 
     def contains(self, angle: Fraction) -> bool:
         return frac1(Fraction(angle) - self.start) <= self.length
@@ -299,11 +296,12 @@ def cut_to_linear(cw: CircularWiring, angle) -> LinearWiring:
     return lw
 
 
-def strip_events(lo, hi, swaps) -> list:
+def strip_events(lo, hi, swaps, D=1) -> list:
     """Swap events for one strip's swap positions, evenly spaced strictly
-    between the angles lo and hi."""
-    step = (hi - lo) / (len(swaps) + 1)
-    return [SwapEvent(lo + step * (j + 1), k) for j, k in enumerate(swaps)]
+    between the angles lo / D and hi / D."""
+    k = len(swaps) + 1
+    return [SwapEvent(Fraction(lo * k + (hi - lo) * j, D * k), level)
+            for j, level in enumerate(swaps, 1)]
 
 
 def linear_to_circular(lw: LinearWiring, spread=Fraction(1, 2)) -> CircularWiring:

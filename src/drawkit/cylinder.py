@@ -25,23 +25,26 @@ annulus between the circles), and the order of the edges at each vertex.
 `wiring.redraw_strips`, the strip redraw shared with x-monotone wirings,
 rebuilds the sweep from that data.  Reproducing the rule-based crossing set
 is the authoritative validity gate.
+
+Angles and windings are exact Fractions, and so stay every field, equality,
+hash and serialized form.  Every decision runs on one integer grid per
+drawing: the constructor scales all angles and windings by D, the lcm of
+their denominators, so an angle is an int A in [0, D), a winding an int W,
+and x mod 1 becomes x % D.  Fractions are built only for new angles and
+windings and for the realized wiring's event angles.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from drawkit import circular as circ
-from drawkit.circular import (
-    Arc,
-    CircularWiring,
-    VertexEvent,
-    arcs_cover_circle,
-    frac1,
-)
+from drawkit.circular import Arc, CircularWiring, VertexEvent, frac1
 from drawkit.errors import (
     BothDirectionsForbidden,
     InvalidDrawing,
@@ -113,6 +116,13 @@ class CylindricalDrawing:
         circle = {v: "outer" for v, _ in self.outer} | {v: "inner" for v, _ in self.inner}
         object.__setattr__(self, "_circle", circle)
         object.__setattr__(self, "_circle_edge", {ce.edge: ce for ce in self.circle})
+        # the integer grid: angle numerators A in [0, D) per vertex, winding
+        # numerators W per lateral edge
+        D = lcm(*(a.denominator for _, a in self.outer + self.inner),
+                *(le.omega.denominator for le in self.lateral))
+        object.__setattr__(self, "_D", D)
+        object.__setattr__(self, "_A", {v: _on_grid(a, D) for v, a in self._angle.items()})
+        object.__setattr__(self, "_W", {le.edge: _on_grid(le.omega, D) for le in self.lateral})
         object.__setattr__(self, "_crossing_set", None)  # set by the first crossing_set()
         _validate(self)
 
@@ -140,7 +150,7 @@ class CylindricalDrawing:
     def ring(self, which: str) -> list:
         """Vertices of one circle in counter-clockwise angular order."""
         pairs = self.outer if which == "outer" else self.inner
-        return [v for v, _ in sorted(pairs, key=lambda p: p[1])]
+        return sorted((v for v, _ in pairs), key=self._A.__getitem__)
 
     def circle_edge(self, e: Edge):
         e = _sorted_pair(*e)
@@ -152,8 +162,19 @@ class CylindricalDrawing:
         return sorted([le.edge for le in self.lateral] + [ce.edge for ce in self.circle])
 
 
+def _on_grid(q: Fraction, D: int) -> int:
+    """Numerator of q over D, which its denominator divides."""
+    return q.numerator * (D // q.denominator)
+
+
+def _laterals(cd: CylindricalDrawing) -> list:
+    """(edge, u, w, W, A of u) per lateral edge, in field order."""
+    A, W = cd._A, cd._W
+    return [(le.edge, le.u, le.w, W[le.edge], A[le.u]) for le in cd.lateral]
+
+
 def _validate(cd: CylindricalDrawing):
-    angle, circle = cd._angle, cd._circle
+    angle, circle, A, D = cd._angle, cd._circle, cd._A, cd._D
     if len(angle) != cd.n:
         raise InvalidDrawing("vertex labels must be distinct")
     if set(angle) != set(range(1, cd.n + 1)):
@@ -165,7 +186,7 @@ def _validate(cd: CylindricalDrawing):
     for le in cd.lateral:
         if circle.get(le.u) != "outer" or circle.get(le.w) != "inner":
             raise InvalidDrawing(f"lateral edge {le.u}-{le.w} must run outer to inner")
-        if frac1(angle[le.u] + le.omega) != angle[le.w]:
+        if (A[le.u] + _on_grid(le.omega, D)) % D != A[le.w]:
             raise InvalidDrawing(f"winding of {le.edge} inconsistent with the angles")
         if le.edge in seen:
             raise InvalidDrawing(f"duplicate edge {le.edge}")
@@ -177,30 +198,29 @@ def _validate(cd: CylindricalDrawing):
         if ce.edge in seen:
             raise InvalidDrawing(f"duplicate edge {ce.edge}")
         seen.add(ce.edge)
-    # pairwise lateral window: anything outside [-1, 2] would cross twice
-    for e, f in combinations(cd.lateral, 2):
-        if e.u == f.u or e.w == f.w:
+    # pairwise lateral window: anything outside [-D, 2D] would cross twice
+    for (e, eu, ew, We, Ae), (f, fu, fw, Wf, Af) in combinations(_laterals(cd), 2):
+        if eu == fu or ew == fw:
             # incident pairs would be forced to cross, which simplicity forbids
-            if e.u == f.u and not abs(f.omega - e.omega) < 1:
-                raise InvalidDrawing(f"incident laterals {e.edge}, {f.edge} forced to cross")
-            if e.w == f.w:
-                val = frac1(angle[f.u] - angle[e.u]) + f.omega - e.omega
-                if val not in (0, 1):
-                    raise InvalidDrawing(f"incident laterals {e.edge}, {f.edge} forced to cross")
+            if eu == fu and abs(Wf - We) >= D:
+                raise InvalidDrawing(f"incident laterals {e}, {f} forced to cross")
+            if ew == fw and (Af - Ae) % D + Wf - We not in (0, D):
+                raise InvalidDrawing(f"incident laterals {e}, {f} forced to cross")
             continue
-        val = frac1(angle[f.u] - angle[e.u]) + f.omega - e.omega
-        if not -1 <= val <= 2:
+        val = (Af - Ae) % D + Wf - We
+        if not -D <= val <= 2 * D:
             raise InvalidDrawing(
-                f"laterals {e.edge}, {f.edge} would cross twice (window value {val})"
+                f"laterals {e}, {f} would cross twice (window value {Fraction(val, D)})"
             )
     # lateral-face circle edges on one circle must not mutually guard
     lat_circle = [ce for ce in cd.circle if ce.face is Face.LATERAL]
+    guarded = {ce.edge: guards(cd, ce.edge) for ce in lat_circle}
     for e, f in combinations(lat_circle, 2):
         if set(e.edge) & set(f.edge):
             continue
         if circle[e.u] != circle[f.u]:
             continue
-        if set(f.edge) <= guards(cd, e.edge) and set(e.edge) <= guards(cd, f.edge):
+        if set(f.edge) <= guarded[e.edge] and set(e.edge) <= guarded[f.edge]:
             raise InvalidDrawing(f"circle edges {e.edge}, {f.edge} mutually guard")
 
 
@@ -214,43 +234,46 @@ def guarded_arc(cd: CylindricalDrawing, e: Edge) -> Arc:
 def guards(cd: CylindricalDrawing, e: Edge) -> set:
     """Vertices of e's circle inside the closed guarded arc, endpoints included."""
     ce = cd.circle_edge(e)
-    arc = guarded_arc(cd, e)
-    which = cd.circle_of(ce.u)
-    ring = cd.outer if which == "outer" else cd.inner
-    return {v for v, a in ring if arc.contains(a)}
+    if ce.face is not Face.LATERAL:
+        raise WrongFace(f"edge {ce.edge} lies in its home face")
+    start, length = _arc_raw(cd, ce, ce.arc)
+    ring = cd.outer if cd._circle[ce.u] == "outer" else cd.inner
+    return {v for v, _ in ring if (cd._A[v] - start) % cd._D <= length}
+
+
+def _arc_raw(cd: CylindricalDrawing, ce: CircleEdge, arc: ArcDir):
+    """(start, length) on the grid of the arc from u to v in direction arc."""
+    au, av = cd._A[ce.u], cd._A[ce.v]
+    if arc is ArcDir.CCW:
+        return au, (av - au) % cd._D
+    return av, (au - av) % cd._D
 
 
 def home_side_arc(cd: CylindricalDrawing, e: Edge) -> Arc:
     """The arc from u to v in the edge's arc direction: the drawn side of a
     home edge, the guarded arc of a lateral-face edge."""
     ce = cd.circle_edge(e)
-    au, av = cd.angle_of(ce.u), cd.angle_of(ce.v)
-    if ce.arc is ArcDir.CCW:
-        return Arc(au, frac1(av - au))
-    return Arc(av, frac1(au - av))
-
-
-def _linked_on_circle(cd: CylindricalDrawing, e: Edge, f: Edge) -> bool:
-    angles = sorted((cd.angle_of(v), v) for v in (*e, *f))
-    ring = [v for _, v in angles]
-    return ring[0] in e and ring[2] in e or ring[0] in f and ring[2] in f
+    start, length = _arc_raw(cd, ce, ce.arc)
+    return Arc(Fraction(start, cd._D), Fraction(length, cd._D))
 
 
 def _lateral_wedge_raw(cd: CylindricalDrawing, le: LateralEdge):
-    """(start, length) of the lateral edge's angular support; length may be 0."""
-    a = cd.angle_of(le.u)
-    if le.omega >= 0:
-        return (a, le.omega)
-    return (frac1(a + le.omega), -le.omega)
+    """(start, length) on the grid of the lateral edge's angular support;
+    length may be 0."""
+    a, W = cd._A[le.u], cd._W[le.edge]
+    if W >= 0:
+        return (a, W)
+    return ((a + W) % cd._D, -W)
 
 
-def _raw_arcs_cover(a1, a2) -> bool:
+def _raw_arcs_cover(a1, a2, D: int) -> bool:
+    """True iff two closed arcs, (start, length) on a grid of D, cover the
+    circle: each starts inside the other."""
     (s1, l1), (s2, l2) = a1, a2
-    if l1 >= 1 or l2 >= 1:
+    if l1 >= D or l2 >= D:
         return True
-    if l1 + l2 < 1:
-        return False
-    return arcs_cover_circle((Arc(s1, l1), Arc(s2, l2)))
+    d = (s2 - s1) % D
+    return 0 < d <= l1 and d + l2 >= D
 
 
 def crossing_set(cd: CylindricalDrawing) -> CrossingSet:
@@ -262,15 +285,15 @@ def crossing_set(cd: CylindricalDrawing) -> CrossingSet:
 
 
 def _derive_crossing_set(cd: CylindricalDrawing) -> CrossingSet:
-    angle = cd._angle
+    D = cd._D
     pairs = set()
     # (iii) lateral vs lateral
-    for e, f in combinations(cd.lateral, 2):
-        if set(e.edge) & set(f.edge):
+    for (e, eu, ew, We, Ae), (f, fu, fw, Wf, Af) in combinations(_laterals(cd), 2):
+        if eu == fu or ew == fw:
             continue
-        val = frac1(angle[f.u] - angle[e.u]) + f.omega - e.omega
-        if not 0 <= val <= 1:
-            pairs.add(_norm_crossing(e.edge, f.edge))
+        val = (Af - Ae) % D + Wf - We
+        if val < 0 or val > D:
+            pairs.add(_norm_crossing(e, f))
     # (ii) lateral-face circle edges vs lateral-face edges
     lat_circle = [ce for ce in cd.circle if ce.face is Face.LATERAL]
     guarded = {ce.edge: guards(cd, ce.edge) for ce in lat_circle}
@@ -292,16 +315,21 @@ def _derive_crossing_set(cd: CylindricalDrawing) -> CrossingSet:
             raise InvalidDrawing(f"guard rule asymmetric for {ce.edge}, {cf.edge}")
         if hit_ef:
             pairs.add(_norm_crossing(ce.edge, cf.edge))
-    # (i) home circle edges on a common circle
-    for ce, cf in combinations(cd.circle, 2):
-        if ce.face is not Face.HOME or cf.face is not Face.HOME:
-            continue
-        if set(ce.edge) & set(cf.edge):
-            continue
-        if cd._circle[ce.u] != cd._circle[cf.u]:
-            continue
-        if _linked_on_circle(cd, ce.edge, cf.edge):
-            pairs.add(_norm_crossing(ce.edge, cf.edge))
+    # (i) home circle edges on a common circle cross iff their ends
+    # interleave: with ends ranked around the circle, a < c < b < d
+    for which in ("outer", "inner"):
+        rank = {v: i for i, v in enumerate(cd.ring(which))}
+        chords = sorted(
+            (*sorted((rank[ce.u], rank[ce.v])), ce.edge)
+            for ce in cd.circle
+            if ce.face is Face.HOME and cd._circle[ce.u] == which
+        )
+        for i, (a, b, e) in enumerate(chords):
+            for c, d, f in chords[i + 1 :]:
+                if c >= b:
+                    break
+                if a < c and b < d:
+                    pairs.add(_norm_crossing(e, f))
     return CrossingSet(cd.n, frozenset(pairs))
 
 
@@ -353,18 +381,18 @@ def normalize_winding(cd: CylindricalDrawing) -> CylindricalDrawing:
     """
     if not cd.lateral:
         return cd
-    lo = min(le.omega for le in cd.lateral)
-    hi = max(le.omega for le in cd.lateral)
-    if hi - lo >= 2:
-        raise RangeTooWide(f"winding spread {hi - lo} >= 2; drawing invalid")
-    if abs(lo) < 1 and abs(hi) < 1:
+    A, D, W = cd._A, cd._D, cd._W
+    lo, hi = min(W.values()), max(W.values())
+    if hi - lo >= 2 * D:
+        raise RangeTooWide(f"winding spread {Fraction(hi - lo, D)} >= 2; drawing invalid")
+    if -D < lo and hi < D:
         return cd
-    t = (hi + lo) / 2
+    t = hi + lo  # the turn is t / 2D
     before = crossing_set(cd)
     new = CylindricalDrawing(
-        tuple((v, frac1(a + t)) for v, a in cd.outer),
+        tuple((v, Fraction((2 * A[v] + t) % (2 * D), 2 * D)) for v, _ in cd.outer),
         cd.inner,
-        tuple(replace(le, omega=le.omega - t) for le in cd.lateral),
+        tuple(replace(le, omega=Fraction(2 * W[le.edge] - t, 2 * D)) for le in cd.lateral),
         cd.circle,
     )
     if crossing_set(new).pairs != before.pairs:
@@ -376,78 +404,79 @@ def find_double_spirals(cd: CylindricalDrawing) -> list:
     """Non-incident lateral pairs with same-sign windings whose wedges cover
     the full circle; sorted for determinism."""
     found = []
-    for e, f in combinations(cd.lateral, 2):
-        if set(e.edge) & set(f.edge):
-            continue
-        if e.omega == 0 or f.omega == 0:
-            continue
-        if (e.omega > 0) != (f.omega > 0):
-            continue
-        if _raw_arcs_cover(_lateral_wedge_raw(cd, e), _lateral_wedge_raw(cd, f)):
-            pair = tuple(sorted((e.edge, f.edge)))
-            found.append(pair)
+    for positive in (True, False):
+        wedges = sorted(
+            ((_lateral_wedge_raw(cd, le), le)
+             for le in cd.lateral
+             if cd._W[le.edge] and (cd._W[le.edge] > 0) == positive),
+            key=lambda wl: wl[0][1],
+        )
+        lengths = [w[1] for w, _ in wedges]
+        for i, (we, e) in enumerate(wedges):
+            # two arcs shorter than a turn together cover no circle
+            for wf, f in wedges[max(i + 1, bisect_left(lengths, cd._D - we[1])) :]:
+                if e.u != f.u and e.w != f.w and _raw_arcs_cover(we, wf, cd._D):
+                    found.append(tuple(sorted((e.edge, f.edge))))
     return sorted(found)
 
 
 def _mirror(cd: CylindricalDrawing) -> CylindricalDrawing:
     """Reflect the drawing; windings flip sign, arcs flip direction."""
     flip = {ArcDir.CW: ArcDir.CCW, ArcDir.CCW: ArcDir.CW}
+    A, D = cd._A, cd._D
     return CylindricalDrawing(
-        tuple((v, frac1(-a)) for v, a in cd.outer),
-        tuple((v, frac1(-a)) for v, a in cd.inner),
+        tuple((v, Fraction(-A[v] % D, D)) for v, _ in cd.outer),
+        tuple((v, Fraction(-A[v] % D, D)) for v, _ in cd.inner),
         tuple(replace(le, omega=-le.omega) for le in cd.lateral),
         tuple(replace(ce, arc=flip[ce.arc]) for ce in cd.circle),
     )
 
 
 def _cw_spirals(cd: CylindricalDrawing) -> list:
-    by_edge = {le.edge: le for le in cd.lateral}
-    return [p for p in find_double_spirals(cd) if by_edge[p[0]].omega < 0]
+    return [p for p in find_double_spirals(cd) if cd._W[p[0]] < 0]
 
 
 def _resolve_cw_spiral(cd: CylindricalDrawing, pair) -> CylindricalDrawing:
     """One removal step: slide the inner end-vertex of the second edge (and
     everything it passes) counter-clockwise out of the first edge's wedge into
     the outer gap following that wedge."""
+    A, D, W = cd._A, cd._D, cd._W
     by_edge = {le.edge: le for le in cd.lateral}
     e, f = by_edge[pair[0]], by_edge[pair[1]]
-    theta_a = cd.angle_of(e.u)
-    theta_d = cd.angle_of(f.w)
+    theta_a = A[e.u]
+    theta_d = A[f.w]
     # first outer vertex counter-clockwise after v_a
-    gaps = sorted(frac1(a - theta_a) for v, a in cd.outer if v != e.u)
-    gap_len = gaps[0] if gaps else Fraction(1)
+    gap_len = min(((A[v] - theta_a) % D for v, _ in cd.outer if v != e.u), default=D)
     # inner vertices dragged along: counter-clockwise arc (theta_d, theta_a]
-    span = frac1(theta_a - theta_d)
-    dragged = [
-        (frac1(a - theta_d), v)
-        for v, a in cd.inner
-        if v != f.w and 0 < frac1(a - theta_d) <= span
-    ]
-    dragged.sort()
+    span = (theta_a - theta_d) % D
+    dragged = sorted(
+        ((A[v] - theta_d) % D, v)
+        for v, _ in cd.inner
+        if v != f.w and 0 < (A[v] - theta_d) % D <= span
+    )
     block = [f.w] + [v for _, v in dragged]
     # free room after theta_a, before the next outer vertex or undragged inner vertex
     land = gap_len
     moved = set(block)
-    for v, a in cd.inner:
+    for v, _ in cd.inner:
         if v not in moved:
-            d = frac1(a - theta_a)
+            d = (A[v] - theta_a) % D
             if 0 < d < land:
                 land = d
-    target = {}
-    delta = {}
-    for i, v in enumerate(block):
-        target[v] = frac1(theta_a + land * (i + 1) / (len(block) + 2))
-        delta[v] = frac1(target[v] - cd.angle_of(v))
-    new = CylindricalDrawing(
+    # the block lands evenly spaced in the room, on the grid of D * k
+    k = len(block) + 2
+    Dk = D * k
+    target = {v: (theta_a * k + land * (i + 1)) % Dk for i, v in enumerate(block)}
+    delta = {v: (t - A[v] * k) % Dk for v, t in target.items()}
+    return CylindricalDrawing(
         cd.outer,
-        tuple((v, target.get(v, a)) for v, a in cd.inner),
+        tuple((v, Fraction(target[v], Dk)) if v in target else (v, a) for v, a in cd.inner),
         tuple(
-            replace(le, omega=le.omega + delta[le.w]) if le.w in delta else le
+            replace(le, omega=Fraction(W[le.edge] * k + delta[le.w], Dk)) if le.w in delta else le
             for le in cd.lateral
         ),
         cd.circle,
     )
-    return new
 
 
 def remove_double_spirals(cd: CylindricalDrawing) -> CylindricalDrawing:
@@ -489,21 +518,22 @@ def remove_double_spirals(cd: CylindricalDrawing) -> CylindricalDrawing:
 def _split_common_rays(cd: CylindricalDrawing) -> CylindricalDrawing:
     """Rotate the inner circle slightly if an inner and an outer vertex share
     a ray; crossings are unaffected."""
-    out_angles = {a for _, a in cd.outer}
-    inn_angles = {a for _, a in cd.inner}
+    A, D, W = cd._A, cd._D, cd._W
+    out_angles = {A[v] for v, _ in cd.outer}
+    inn_angles = {A[v] for v, _ in cd.inner}
     if not out_angles & inn_angles:
         return cd
-    bad = sorted({frac1(ao - ai) for ao in out_angles for ai in inn_angles})
-    headroom = 1 - max((abs(le.omega) for le in cd.lateral), default=Fraction(0))
-    positive = [b for b in bad if b > 0]
-    t = min(positive + [headroom, Fraction(1, 2)]) / 2
+    headroom = D - max(map(abs, W.values()), default=0)
     if headroom <= 0:
         raise InvalidDrawing("normalize windings before realization")
-    t = min(t, headroom / 2)
+    # the turn t / 4D: half the least of every positive outer-minus-inner
+    # angle, the headroom and a half turn
+    t = min([2 * ((ao - ai) % D) for ao in out_angles for ai in inn_angles if ao != ai]
+            + [2 * headroom, D])
     return CylindricalDrawing(
         cd.outer,
-        tuple((v, frac1(a + t)) for v, a in cd.inner),
-        tuple(replace(le, omega=le.omega + t) for le in cd.lateral),
+        tuple((v, Fraction((4 * A[v] + t) % (4 * D), 4 * D)) for v, _ in cd.inner),
+        tuple(replace(le, omega=Fraction(4 * W[le.edge] + t, 4 * D)) for le in cd.lateral),
         cd.circle,
     )
 
@@ -518,7 +548,7 @@ def _runs(cd: CylindricalDrawing) -> dict:
     nonzero once `_split_common_rays` has run."""
     runs = {}
     for le in cd.lateral:
-        runs[le.edge] = (le.u, le.w, _LATERAL) if le.omega > 0 else (le.w, le.u, _LATERAL)
+        runs[le.edge] = (le.u, le.w, _LATERAL) if cd._W[le.edge] > 0 else (le.w, le.u, _LATERAL)
     for ce in cd.circle:
         first, last = (ce.u, ce.v) if ce.arc is ArcDir.CCW else (ce.v, ce.u)
         runs[ce.edge] = (first, last, _LATERAL_FACE_ARC if ce.face is Face.LATERAL else _HOME_ARC)
@@ -543,13 +573,16 @@ def to_circular_wiring(cd: CylindricalDrawing) -> CircularWiring:
     so the order it ends with is the one the second sweep starts and closes
     with.
     """
-    if any(abs(le.omega) >= 1 for le in cd.lateral):
+    if any(abs(W) >= cd._D for W in cd._W.values()):
         raise InvalidDrawing("normalize windings before realization")
     cd2 = _split_common_rays(cd)
     expected = crossing_set(cd)
-    angle = cd2._angle
+    # angles on the grid of 2D, turned by half the first gap if a vertex
+    # sits on the 0-ray
+    D2 = 2 * cd2._D
+    angle = {v: 2 * a for v, a in cd2._A.items()}
     if 0 in angle.values():
-        sigma = min(frac1(-a) for a in angle.values() if a) / 2
+        sigma = min(-a % D2 for a in angle.values() if a) // 2
         angle = {v: a + sigma for v, a in angle.items()}
     outer = {v for v, _ in cd2.outer}
     runs = _runs(cd2)
@@ -560,7 +593,7 @@ def to_circular_wiring(cd: CylindricalDrawing) -> CircularWiring:
     for e, (first, last, kind) in runs.items():
         starting[first].append(e)
         ending[last].append(e)
-        length = frac1(angle[last] - angle[first])
+        length = (angle[last] - angle[first]) % D2
         near[e] = (kind, -length if kind == _LATERAL_FACE_ARC else length)
     # edges arriving at v keep the order in which they leave it: the
     # constructor checks that the redraw delivers them so
@@ -577,21 +610,58 @@ def to_circular_wiring(cd: CylindricalDrawing) -> CircularWiring:
     wrapping = [e for e, (first, last, _) in runs.items() if angle[first] > angle[last]]
     _, _, base = redraw_strips(ring, wrapping, starting, below)
     strips, positions, _ = redraw_strips(ring, base, starting, below)
+    at = {v: Fraction(a, D2) for v, a in angle.items()}
     events = []
-    lo = Fraction(0)
+    lo = 0
     for v, swaps, pos in zip(ring, strips, positions):
-        events += circ.strip_events(lo, angle[v], swaps)
-        events.append(VertexEvent(angle[v], v, ending[v], starting[v], pos))
+        events += circ.strip_events(lo, angle[v], swaps, D2)
+        events.append(VertexEvent(at[v], v, ending[v], starting[v], pos))
         lo = angle[v]
     try:
         cw = CircularWiring(
-            cd.n, tuple(angle[v] for v in range(1, cd.n + 1)), tuple(base), tuple(events)
+            cd.n, tuple(at[v] for v in range(1, cd.n + 1)), tuple(base), tuple(events)
         )
     except InvalidDrawing as exc:
         raise RealizationMismatch(f"redraw does not form a wiring: {exc}") from exc
     if circ.crossing_set(cw).pairs != expected.pairs:
         raise RealizationMismatch("realized crossings differ from the rule-based set")
     return cw
+
+
+def _assign_directions(cd: CylindricalDrawing) -> CylindricalDrawing:
+    """The drawing with a direction around the center chosen for every
+    circle edge so that no lateral wedge covers the circle with its arc."""
+    A, D = cd._A, cd._D
+    lat_wedges = sorted((_lateral_wedge_raw(cd, le) for le in cd.lateral), key=lambda w: w[1])
+    lengths = [w[1] for w in lat_wedges]
+
+    # a reference ray inside the first outer gap, clear of all vertices; on
+    # the grid of 2D
+    all_angles = sorted(A.values())
+    outer_sorted = sorted(A[v] for v, _ in cd.outer)
+    g0 = outer_sorted[0]
+    g1 = outer_sorted[1] if len(outer_sorted) > 1 else g0 + D
+    inside = [g0] + [a for a in all_angles if g0 < a < g1] + [g1]
+    ray = inside[0] + inside[1]
+
+    new_circle = []
+    for ce in cd.circle:
+        allowed = []
+        for d in (ArcDir.CCW, ArcDir.CW):
+            arc = _arc_raw(cd, ce, d)
+            # only a wedge at least as long as the arc's complement can cover
+            # the circle with it
+            first = bisect_left(lengths, D - arc[1])
+            if not any(_raw_arcs_cover(arc, w, D) for w in lat_wedges[first:]):
+                allowed.append((d, *arc))
+        if not allowed:
+            raise BothDirectionsForbidden(ce.edge)
+        if len(allowed) == 1:
+            choice = allowed[0][0]
+        else:
+            choice = next(d for d, s, length in allowed if (ray - 2 * s) % (2 * D) > 2 * length)
+        new_circle.append(replace(ce, arc=choice))
+    return CylindricalDrawing(cd.outer, cd.inner, cd.lateral, tuple(new_circle))
 
 
 def to_strongly_c_monotone(cd: CylindricalDrawing) -> CircularWiring:
@@ -604,44 +674,11 @@ def to_strongly_c_monotone(cd: CylindricalDrawing) -> CircularWiring:
     """
     if not is_strongly_cylindrical(cd):
         raise InvalidDrawing("input must be strongly cylindrical")
-    if any(abs(le.omega) >= 1 for le in cd.lateral):
+    if any(abs(W) >= cd._D for W in cd._W.values()):
         raise InvalidDrawing("normalize windings first")
     if find_double_spirals(cd):
         raise InvalidDrawing("remove double-spirals first")
-
-    lat_wedges = [_lateral_wedge_raw(cd, le) for le in cd.lateral]
-
-    # a reference ray inside the first outer gap, clear of all vertices
-    all_angles = sorted(cd._angle.values())
-    outer_sorted = sorted(a for _, a in cd.outer)
-    g0 = outer_sorted[0]
-    g1 = outer_sorted[1] if len(outer_sorted) > 1 else g0 + 1
-    inside = [g0] + [a for a in all_angles if g0 < a < g1] + [g1]
-    ray = (inside[0] + inside[1]) / 2
-
-    new_circle = []
-    for ce in cd.circle:
-        au, av = cd.angle_of(ce.u), cd.angle_of(ce.v)
-        options = {
-            ArcDir.CCW: (au, frac1(av - au)),
-            ArcDir.CW: (av, frac1(au - av)),
-        }
-        allowed = {
-            d: arc
-            for d, arc in options.items()
-            if not any(_raw_arcs_cover(arc, w) for w in lat_wedges)
-        }
-        if not allowed:
-            raise BothDirectionsForbidden(ce.edge)
-        if len(allowed) == 1:
-            choice = next(iter(allowed))
-        else:
-            choice = next(
-                d for d, arc in options.items() if not Arc(arc[0], arc[1]).contains(ray)
-            )
-        new_circle.append(replace(ce, arc=choice))
-
-    assigned = CylindricalDrawing(cd.outer, cd.inner, cd.lateral, tuple(new_circle))
+    assigned = _assign_directions(cd)
     # every circle edge is a home edge, and rule (i) ignores arc directions:
     # the input's crossing set is the assigned drawing's, and the
     # realization is compared with it

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from drawkit import _geom
 from drawkit.circular import frac1
@@ -47,18 +48,25 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class PointSet:
-    """Exact rational points in general position with distinct x-coordinates."""
+    """Exact rational points in general position with distinct x-coordinates.
+
+    The points stay Fractions; every test reads them scaled by the lcm of
+    their denominators, on one integer grid kept outside the fields.
+    """
 
     points: tuple
 
     def __post_init__(self):
         pts = tuple((Fraction(x), Fraction(y)) for x, y in self.points)
         object.__setattr__(self, "points", pts)
-        xs = [p[0] for p in pts]
+        D = lcm(*(c.denominator for p in pts for c in p))
+        grid = tuple(tuple(c.numerator * (D // c.denominator) for c in p) for p in pts)
+        object.__setattr__(self, "_grid", grid)
+        xs = [p[0] for p in grid]
         if len(set(xs)) != len(xs):
             raise DegeneratePointSet("two points share an x-coordinate")
-        for a, b, c in combinations(pts, 3):
-            if _geom.orient(a, b, c) == 0:
+        for (a, ga), (b, gb), (c, gc) in combinations(zip(pts, grid), 3):
+            if _geom.orient(ga, gb, gc) == 0:
                 raise DegeneratePointSet(f"collinear points {a}, {b}, {c}")
 
     def __len__(self):
@@ -71,7 +79,7 @@ def from_points(ps: PointSet):
     Vertex i is the i-th point; the two outputs are checked against each
     other through the rotation-to-crossing table.
     """
-    pts = {i + 1: p for i, p in enumerate(ps.points)}
+    pts = dict(enumerate(ps._grid, 1))
     n = len(pts)
     if n < 3:
         raise DegeneratePointSet("need at least 3 points")
@@ -102,7 +110,7 @@ def wiring_from_points(ps: PointSet) -> LinearWiring:
     An edge passes above the vertices right of its direction; edges leave a
     vertex bottom-to-top by ascending slope and arrive by descending slope.
     """
-    pts = list(ps.points)
+    pts = list(ps._grid)
     if pts != sorted(pts):
         raise DegeneratePointSet("points must be sorted by x for the wiring sweep")
     n = len(pts)
@@ -116,7 +124,7 @@ def wiring_from_points(ps: PointSet) -> LinearWiring:
 
     def slope(e):
         (x0, y0), (x1, y1) = pt[e[0]], pt[e[1]]
-        return (y1 - y0) / (x1 - x0)
+        return Fraction(y1 - y0, x1 - x0)
 
     left_order = [sorted((e for e in edges if e[1] == v), key=slope, reverse=True)
                   for v in range(1, n + 1)]
@@ -273,18 +281,17 @@ def random_cylindrical(n: int, seed: int, strong: bool, attempts: int = 400) -> 
     denom = 4096
     for attempt in range(attempts):
         p = rng.randint(max(1, n // 2 - 1), min(n - 1, n // 2 + 1))
-        nums = rng.sample(range(denom), n)
-        angles = {v: Fraction(nums[v - 1], denom) for v in range(1, n + 1)}
-        outer = tuple((v, angles[v]) for v in range(1, p + 1))
-        inner = tuple((v, angles[v]) for v in range(p + 1, n + 1))
+        nums = dict(zip(range(1, n + 1), rng.sample(range(denom), n)))
+        outer = tuple((v, Fraction(nums[v], denom)) for v in range(1, p + 1))
+        inner = tuple((v, Fraction(nums[v], denom)) for v in range(p + 1, n + 1))
         pflip = 0.3 * (0.85 ** attempt)
         lateral = []
         for u in range(1, p + 1):
             for w in range(p + 1, n + 1):
-                d = frac1(angles[w] - angles[u])
-                short, long_ = (d, d - 1) if d <= Fraction(1, 2) else (d - 1, d)
+                d = (nums[w] - nums[u]) % denom
+                short, long_ = (d, d - denom) if 2 * d <= denom else (d - denom, d)
                 omega = long_ if rng.random() < pflip else short
-                lateral.append(LateralEdge(u, w, omega))
+                lateral.append(LateralEdge(u, w, Fraction(omega, denom)))
         circle = []
         for ring in (range(1, p + 1), range(p + 1, n + 1)):
             for u, v in combinations(ring, 2):
@@ -292,9 +299,9 @@ def random_cylindrical(n: int, seed: int, strong: bool, attempts: int = 400) -> 
                     face = Face.HOME
                 else:
                     face = Face.LATERAL if rng.random() < 0.35 else Face.HOME
-                ccw = frac1(angles[v] - angles[u])
+                ccw = (nums[v] - nums[u]) % denom
                 if face is Face.HOME:
-                    arc = ArcDir.CCW if ccw <= Fraction(1, 2) else ArcDir.CW
+                    arc = ArcDir.CCW if 2 * ccw <= denom else ArcDir.CW
                 else:
                     arc = rng.choice((ArcDir.CCW, ArcDir.CW))
                 circle.append(CircleEdge(u, v, face, arc))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -134,13 +133,8 @@ def relabel_crossing_set(cs: CrossingSet, perm) -> CrossingSet:
 # The K4 class table
 # ============================================================
 
-_PARABOLA4 = [(Fraction(x), Fraction(x * x)) for x in (1, 2, 3, 4)]
-_TRIANGLE4 = [
-    (Fraction(0), Fraction(0)),
-    (Fraction(6), Fraction(1)),
-    (Fraction(3), Fraction(7)),
-    (Fraction(4), Fraction(3)),
-]
+_PARABOLA4 = [(x, x * x) for x in (1, 2, 3, 4)]
+_TRIANGLE4 = [(0, 0), (6, 1), (3, 7), (4, 3)]
 
 
 def _rotation_key_from_points(pts: dict) -> tuple[tuple[int, ...], ...]:

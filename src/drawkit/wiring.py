@@ -247,41 +247,36 @@ def partial_order_at(xb: XBoundedData, v: int, e: Edge, f: Edge) -> Ordering:
     return Ordering.INCOMPARABLE
 
 
-def _pair_kind(e: Edge, f: Edge) -> str:
-    (a, b), (c, d) = sorted((e, f))
-    if b < c:
-        return "separated"
-    if c < b < d:
-        return "linked"
-    return "nested"
-
-
 def predicted_crossings(xb: XBoundedData) -> CrossingSet:
     """Crossing classification of x-bounded drawings.
 
     Separated pairs never cross; nested pairs cross iff their order flips
     between the two inner endpoints; linked pairs iff it flips between the
-    second left endpoint and the first right endpoint.
+    second left endpoint and the first right endpoint.  At each of these
+    checkpoints one edge of the pair ends and the other passes, so the order
+    there is the side of the vertex on which the passing edge runs.
     """
+    side = xb.side
     pairs = set()
     for e, f in combinations(combinations(range(1, xb.n + 1), 2), 2):
-        if set(e) & set(f):
+        (a, b), (c, d) = e, f  # a <= c
+        if b < c or a == c or b == c or b == d:
             continue
-        (a, b), (c, d) = sorted((e, f))
-        kind = _pair_kind(e, f)
-        if kind == "separated":
-            continue
-        if kind == "nested":
-            checkpoints = (c, d)
+        if d < b:
+            # nested: e passes c and d, and the order flips iff on two sides
+            s, t = side.get((e, c)), side.get((e, d))
+            crossed = s is not t
         else:
-            checkpoints = (c, b)
-        rels = [partial_order_at(xb, v, (a, b), (c, d)) for v in checkpoints]
-        if Ordering.INCOMPARABLE in rels:
+            # linked: e is below f at c iff e passes below c, and at b iff f
+            # passes above b; the order flips iff both sides are the same
+            s, t = side.get((e, c)), side.get((f, b))
+            crossed = s is t
+        if s is None or t is None:
             raise IncomparableAtRequiredVertex(
-                f"edges {(a, b)}, {(c, d)} incomparable at a shared checkpoint"
+                f"edges {e}, {f} incomparable at a shared checkpoint"
             )
-        if rels[0] != rels[1]:
-            pairs.add(_norm_crossing((a, b), (c, d)))
+        if crossed:
+            pairs.add((e, f))
     return CrossingSet(xb.n, frozenset(pairs))
 
 

@@ -315,8 +315,8 @@ def assert_realization_follows_the_drawing(cd, cw):
     turn = circ.frac1(cw.angles[0] - cd2.angle_of(1))
     assert cw.angles == tuple(circ.frac1(cd2.angle_of(v) + turn) for v in range(1, cd.n + 1))
     for le in cd2.lateral:
-        start, length = cyl._lateral_wedge_raw(cd2, le)
-        assert circ.wedge(cw, le.edge) == circ.Arc(start + turn, length)
+        start, length = cyl._lateral_wedge_raw(cd2, le)  # on the drawing's grid
+        assert circ.wedge(cw, le.edge) == circ.Arc(F(start, cd2._D) + turn, F(length, cd2._D))
     for ce in cd2.circle:
         arc = cyl.home_side_arc(cd2, ce.edge)
         assert circ.wedge(cw, ce.edge) == circ.Arc(arc.start + turn, arc.length)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from drawkit import cylinder as cyl
 from drawkit import generators as gen
 from drawkit import rotation as rot
+from drawkit import serial
 from drawkit import wiring as w
 from drawkit.errors import DegeneratePointSet
 
@@ -197,3 +199,23 @@ def test_x_monotone_side_data_is_pinned():
     lws.append(gen.two_page_crossing_minimal_k8()[1])
     records = [side_record(lw) for lw in lws]
     assert hashlib.sha256(repr(records).encode()).hexdigest() == SIDE_DATA_DIGEST
+
+
+# sha256 of the JSON (sorted keys) of the serial.dump() of
+# random_cylindrical(n, seed, strong), its normalize_winding result and that
+# result's remove_double_spirals result, for both flags, n = 3..14 and seeds
+# 0..9, computed with the generator and the chain deciding on Fractions; it
+# pins that deciding on one integer grid per drawing changed no drawing
+CYLINDRICAL_CHAIN_DIGEST = "746902d876913bff9b4a0c9c096fadbf73d095a68fbf076a90cea53841f9ca4c"
+
+
+def test_random_cylindrical_and_its_spiral_chain_are_pinned():
+    docs = []
+    for strong in (False, True):
+        for n in range(3, 15):
+            for seed in range(10):
+                cd = gen.random_cylindrical(n, seed, strong)
+                norm = cyl.normalize_winding(cd)
+                docs += [serial.dump(d) for d in (cd, norm, cyl.remove_double_spirals(norm))]
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == CYLINDRICAL_CHAIN_DIGEST

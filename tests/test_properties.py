@@ -6,6 +6,7 @@ implementations and checked against it on wirings from every producer.
 """
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,14 +20,15 @@ from drawkit import generators as gen
 from drawkit import serial
 from drawkit import wiring as w
 from drawkit.circular import arcs_cover_circle
-from drawkit.errors import CutBlocked, DegeneratePointSet
-from drawkit.rotation import _sorted_pair
+from drawkit.errors import BothDirectionsForbidden, CutBlocked, DegeneratePointSet, InvalidDrawing
+from drawkit.rotation import CrossingSet, _sorted_pair
 from drawkit.wiring import Side
 from tests.test_circular import covering_k4
 from tests.test_cylinder import assert_realization_follows_the_drawing
 from tests.test_wiring import wiring_to_rotation
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
+F = Fraction
 
 SOURCES = ("cylindrical", "strong-cylindrical", "strongly-c-monotone", "linear", "covering-k4")
 
@@ -224,3 +226,266 @@ def test_two_page_sides_follow_the_pages(n, data):
     for (e, v), s in side.items():
         assert (s is Side.ABOVE) == (pages[e] == 0)
     assert w.to_x_monotone(w.extract_xbounded(lw)) == lw
+
+
+# ============================================================
+# Cylindrical decisions: the integer grid against Fractions
+# ============================================================
+#
+# `CylindricalDrawing` decides everything on one integer grid.  The functions
+# below decide the same questions as the rules state them, on the Fraction
+# fields: the constructor's window and guard checks, rules (i)-(iii),
+# double-spirals and the direction choice of `to_strongly_c_monotone`.
+
+
+def ref_guarded(angle, ring, ce):
+    au, av = angle[ce.u], angle[ce.v]
+    start, length = (au, circ.frac1(av - au)) if ce.arc is cyl.ArcDir.CCW else (
+        av, circ.frac1(au - av))
+    return {v for v, a in ring if circ.frac1(a - start) <= length}
+
+
+def ref_rings(outer, inner):
+    return {v: outer for v, _ in outer} | {v: inner for v, _ in inner}
+
+
+def ref_validate(outer, inner, lateral, circle):
+    """Message of the first window or guard failure, or None."""
+    angle, ring = dict(outer + inner), ref_rings(outer, inner)
+    for e, f in combinations(lateral, 2):
+        if e.u == f.u or e.w == f.w:
+            if e.u == f.u and not abs(f.omega - e.omega) < 1:
+                return f"incident laterals {e.edge}, {f.edge} forced to cross"
+            if e.w == f.w:
+                val = circ.frac1(angle[f.u] - angle[e.u]) + f.omega - e.omega
+                if val not in (0, 1):
+                    return f"incident laterals {e.edge}, {f.edge} forced to cross"
+            continue
+        val = circ.frac1(angle[f.u] - angle[e.u]) + f.omega - e.omega
+        if not -1 <= val <= 2:
+            return f"laterals {e.edge}, {f.edge} would cross twice (window value {val})"
+    lat_circle = [ce for ce in circle if ce.face is cyl.Face.LATERAL]
+    for e, f in combinations(lat_circle, 2):
+        if set(e.edge) & set(f.edge) or ring[e.u] is not ring[f.u]:
+            continue
+        if (set(f.edge) <= ref_guarded(angle, ring[e.u], e)
+                and set(e.edge) <= ref_guarded(angle, ring[f.u], f)):
+            return f"circle edges {e.edge}, {f.edge} mutually guard"
+    return None
+
+
+def ref_crossings(cd):
+    """Rules (i)-(iii) on Fractions: the crossing pairs."""
+    angle, ring = dict(cd.outer + cd.inner), ref_rings(cd.outer, cd.inner)
+    pairs = set()
+    for e, f in combinations(cd.lateral, 2):
+        if set(e.edge) & set(f.edge):
+            continue
+        val = circ.frac1(angle[f.u] - angle[e.u]) + f.omega - e.omega
+        if not 0 <= val <= 1:
+            pairs.add(tuple(sorted((e.edge, f.edge))))
+    lat_circle = [ce for ce in cd.circle if ce.face is cyl.Face.LATERAL]
+    guarded = {ce.edge: ref_guarded(angle, ring[ce.u], ce) for ce in lat_circle}
+    for ce in lat_circle:
+        for le in cd.lateral:
+            if not set(ce.edge) & set(le.edge) and len(guarded[ce.edge] & set(le.edge)) == 1:
+                pairs.add(tuple(sorted((ce.edge, le.edge))))
+    home = [ce for ce in cd.circle if ce.face is cyl.Face.HOME]
+    for e, f in combinations(lat_circle, 2):
+        if set(e.edge) & set(f.edge) or ring[e.u] is not ring[f.u]:
+            continue
+        hit_ef = len(guarded[e.edge] & set(f.edge)) == 1
+        if hit_ef != (len(guarded[f.edge] & set(e.edge)) == 1):
+            raise InvalidDrawing(f"guard rule asymmetric for {e.edge}, {f.edge}")
+        if hit_ef:
+            pairs.add(tuple(sorted((e.edge, f.edge))))
+    for e, f in combinations(home, 2):
+        if set(e.edge) & set(f.edge) or ring[e.u] is not ring[f.u]:
+            continue
+        around = [v for _, v in sorted((angle[v], v) for v in (*e.edge, *f.edge))]
+        if (around[0] in e.edge) == (around[2] in e.edge):
+            pairs.add(tuple(sorted((e.edge, f.edge))))
+    return CrossingSet(cd.n, frozenset(pairs)).pairs
+
+
+def ref_wedge(angle, le):
+    a = angle[le.u]
+    return (a, le.omega) if le.omega >= 0 else (circ.frac1(a + le.omega), -le.omega)
+
+
+def ref_cover(w1, w2):
+    (s1, l1), (s2, l2) = w1, w2
+    if l1 >= 1 or l2 >= 1:
+        return True
+    return l1 + l2 >= 1 and arcs_cover_circle((circ.Arc(s1, l1), circ.Arc(s2, l2)))
+
+
+def ref_double_spirals(cd):
+    angle = dict(cd.outer + cd.inner)
+    found = []
+    for e, f in combinations(cd.lateral, 2):
+        if set(e.edge) & set(f.edge) or e.omega == 0 or f.omega == 0:
+            continue
+        if (e.omega > 0) == (f.omega > 0) and ref_cover(ref_wedge(angle, e), ref_wedge(angle, f)):
+            found.append(tuple(sorted((e.edge, f.edge))))
+    return sorted(found)
+
+
+def ref_directions(cd):
+    """The arc direction chosen for every circle edge, or None if some edge
+    has both directions forbidden."""
+    angle = dict(cd.outer + cd.inner)
+    wedges = [ref_wedge(angle, le) for le in cd.lateral]
+    outer_sorted = sorted(a for _, a in cd.outer)
+    g0 = outer_sorted[0]
+    g1 = outer_sorted[1] if len(outer_sorted) > 1 else g0 + 1
+    inside = [g0] + [a for a in sorted(angle.values()) if g0 < a < g1] + [g1]
+    ray = (inside[0] + inside[1]) / 2
+    chosen = []
+    for ce in cd.circle:
+        au, av = angle[ce.u], angle[ce.v]
+        options = {cyl.ArcDir.CCW: (au, circ.frac1(av - au)),
+                   cyl.ArcDir.CW: (av, circ.frac1(au - av))}
+        allowed = [d for d, arc in options.items() if not any(ref_cover(arc, w) for w in wedges)]
+        if not allowed:
+            return None
+        if len(allowed) > 1:
+            allowed = [d for d in allowed if not circ.Arc(*options[d]).contains(ray)]
+        chosen.append(allowed[0])
+    return tuple(chosen)
+
+
+def outcome(fn, *args):
+    """fn's result, or the message of the InvalidDrawing it raises."""
+    try:
+        return fn(*args)
+    except InvalidDrawing as exc:
+        return str(exc)
+
+
+def assert_decides_as_fractions(cd):
+    assert ref_validate(cd.outer, cd.inner, cd.lateral, cd.circle) is None
+    assert outcome(lambda: cyl._derive_crossing_set(cd).pairs) == outcome(ref_crossings, cd)
+    for ce in cd.circle:
+        if ce.face is cyl.Face.LATERAL:
+            ring = cd.outer if cd.circle_of(ce.u) == "outer" else cd.inner
+            assert cyl.guards(cd, ce.edge) == ref_guarded(dict(cd.outer + cd.inner), ring, ce)
+    assert cyl.find_double_spirals(cd) == ref_double_spirals(cd)
+    if cd.outer and all(abs(le.omega) < 1 for le in cd.lateral):
+        try:
+            got = tuple(ce.arc for ce in cyl._assign_directions(cd).circle)
+        except BothDirectionsForbidden:
+            got = None
+        assert got == ref_directions(cd)
+
+
+def on_a_shared_ray(cd):
+    """cd with its inner circle turned, and the windings with it, so that
+    the inner end of a lateral edge of middle winding sits on the ray of its
+    outer end; None if some winding then leaves (-1, 1)."""
+    if not cd.lateral:
+        return None
+    mid = sorted(le.omega for le in cd.lateral)[len(cd.lateral) // 2]
+    if any(abs(le.omega - mid) >= 1 for le in cd.lateral):
+        return None
+    return cyl.CylindricalDrawing(
+        cd.outer,
+        tuple((v, circ.frac1(a - mid)) for v, a in cd.inner),
+        tuple(replace(le, omega=le.omega - mid) for le in cd.lateral),
+        cd.circle,
+    )
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(3, 9), seed=st.integers(0, 10**6), strong=st.booleans())
+def test_integer_grid_decides_as_fractions_on_generated_drawings(n, seed, strong):
+    cd = gen.random_cylindrical(n, seed, strong)
+    norm = cyl.normalize_winding(cd)
+    flat = cyl.remove_double_spirals(norm)
+    drawings = [cd, norm, flat, cyl._mirror(cd), cyl._mirror(flat), cyl._split_common_rays(norm)]
+    shared = on_a_shared_ray(norm)
+    if shared is not None:
+        drawings += [shared, cyl._split_common_rays(shared)]
+    for d in drawings:
+        assert_decides_as_fractions(d)
+
+
+# pairwise coprime angle denominators: D is their product, up to 15 digits
+COPRIME_DENOMINATORS = (2, 3, 5, 7, 11, 13, 97, 101, 103, 107, 109, 113)
+CIRCLE_EDGE_KINDS = [None] + [(face, arc) for face in cyl.Face for arc in cyl.ArcDir]
+
+
+@st.composite
+def hand_built_fields(draw):
+    """Fields of a would-be cylindrical drawing with 1-4 vertices per circle:
+    windings of any lift from -2 to +1 turns, circle edges of both faces and
+    directions.  Either the angles have pairwise coprime denominators and an
+    inner vertex may share the ray of an outer one, or all angles sit on one
+    small grid."""
+    p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        dens = draw(st.permutations(COPRIME_DENOMINATORS))[: p + q]
+        angles = [F(draw(st.integers(1, d - 1)), d) for d in dens]
+        if draw(st.booleans()):
+            angles[p] = angles[0]
+    else:
+        grid = draw(st.integers(max(p, q), 9))
+        nums = draw(st.lists(st.integers(0, grid - 1), min_size=p, max_size=p, unique=True))
+        nums += draw(st.lists(st.integers(0, grid - 1), min_size=q, max_size=q, unique=True))
+        angles = [F(k, grid) for k in nums]
+    outer = tuple((v, angles[v - 1]) for v in range(1, p + 1))
+    inner = tuple((v, angles[v - 1]) for v in range(p + 1, p + q + 1))
+    lateral = []
+    for u in range(1, p + 1):
+        for w in range(p + 1, p + q + 1):
+            lift = draw(st.sampled_from((None, -2, -1, -1, 0, 0, 1)))
+            if lift is not None:
+                omega = circ.frac1(angles[w - 1] - angles[u - 1]) + lift
+                lateral.append(cyl.LateralEdge(u, w, omega))
+    circle = []
+    for ring in (range(1, p + 1), range(p + 1, p + q + 1)):
+        for u, v in combinations(ring, 2):
+            kind = draw(st.sampled_from(CIRCLE_EDGE_KINDS))
+            if kind is not None:
+                circle.append(cyl.CircleEdge(u, v, *kind))
+    return outer, inner, tuple(lateral), tuple(circle)
+
+
+def window_pair(inner3, omega3, inner4, omega4):
+    """Fields of two non-incident laterals 1-3 and 2-4, outer vertices at 0
+    and 1/2."""
+    return (
+        ((1, F(0)), (2, F(1, 2))),
+        ((3, inner3), (4, inner4)),
+        (cyl.LateralEdge(1, 3, omega3), cyl.LateralEdge(2, 4, omega4)),
+        (),
+    )
+
+
+# window values one grid step (1/8) past each bound and one step inside it:
+# -9/8, -7/8, 17/8 and 15/8
+WINDOW_EDGES = [
+    window_pair(F(1, 8), F(9, 8), F(0), F(-1, 2)),
+    window_pair(F(1, 8), F(9, 8), F(1, 4), F(-1, 4)),
+    window_pair(F(7, 8), F(-9, 8), F(0), F(1, 2)),
+    window_pair(F(7, 8), F(-9, 8), F(3, 4), F(1, 4)),
+]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(hand_built_fields())
+@example(WINDOW_EDGES[0])
+@example(WINDOW_EDGES[1])
+@example(WINDOW_EDGES[2])
+@example(WINDOW_EDGES[3])
+def test_integer_grid_decides_as_fractions_on_hand_built_drawings(fields):
+    try:
+        cd = cyl.CylindricalDrawing(*fields)
+    except InvalidDrawing as exc:
+        assert str(exc) == ref_validate(*fields)
+        return
+    assert ref_validate(*fields) is None
+    for d in (cd, cyl._mirror(cd)):
+        assert_decides_as_fractions(d)
+    if all(abs(le.omega) < 1 for le in cd.lateral):
+        assert_decides_as_fractions(cyl._split_common_rays(cd))

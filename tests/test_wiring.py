@@ -5,7 +5,7 @@ import pytest
 
 from drawkit import generators as gen
 from drawkit import wiring as w
-from drawkit.errors import InconsistentInput, InvalidDrawing
+from drawkit.errors import IncomparableAtRequiredVertex, InconsistentInput, InvalidDrawing
 from drawkit.rotation import RotationSystem
 from drawkit.wiring import Ordering, Side
 
@@ -84,6 +84,14 @@ def test_predicted_crossings_requires_complete_side_data():
     broken.pop(((1, 3), 2))
     with pytest.raises(Exception):
         w.XBoundedData(4, broken, xb.left_order, xb.right_order)
+
+
+def test_predicted_crossings_needs_a_side_at_every_checkpoint():
+    _, lw = gen.convex(5)
+    xb = w.extract_xbounded(lw)
+    del xb.side[((1, 4), 2)]  # where (1, 4) passes the left end of (2, 3)
+    with pytest.raises(IncomparableAtRequiredVertex):
+        w.predicted_crossings(xb)
 
 
 def test_to_x_monotone_round_trip_small():
