@@ -5,7 +5,9 @@ edge at most once.  Combinatorially that is a circular sweep: vertices sit at
 distinct rational angles, each edge occupies an angular wedge of length less
 than one turn, and the radial (near-to-far) order of the edges met by the
 sweeping ray changes only at vertex events and at swap events; every swap is
-a crossing.
+a crossing.  `wiring.sweep`, which also validates linear wirings, checks the
+events; the constructor adds only what is circular: events sorted by angle,
+each vertex event at its vertex's angle, and the wedges read off the sweep.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from drawkit.errors import CutBlocked, InvalidDrawing
-from drawkit.rotation import CrossingSet, _norm_crossing, _sorted_pair
-from drawkit.wiring import LinearWiring
+from drawkit.rotation import CrossingSet, _sorted_pair
+from drawkit.wiring import LinearWiring, sweep
 
 Edge = tuple[int, int]
 
@@ -106,9 +108,31 @@ class CircularWiring:
             raise InvalidDrawing("vertex angles must be distinct")
         if any(not 0 <= a < 1 for a in self.angles):
             raise InvalidDrawing("vertex angles must lie in [0, 1)")
+        stream = []
+        at = {}
+        last = 0
+        for ev in self.events:
+            if ev.angle < last:
+                raise InvalidDrawing("events must be sorted by angle")
+            last = ev.angle
+            if isinstance(ev, SwapEvent):
+                stream.append(ev.level)
+            elif isinstance(ev, VertexEvent):
+                at[ev.v] = ev.angle
+                stream.append((ev.v, ev.ending, ev.starting, ev.pos))
+            else:
+                raise InvalidDrawing(f"unknown event {ev!r}")
         # the validating sweep's results, kept outside the fields so that
         # equality, hashing and serialization see only the events
-        crossings, supports, columns, vertex_pos = _replay(self)
+        columns, vertex_pos, crossings, first = sweep(self.n, self.base_order, stream)
+        for v, a in enumerate(self.angles, 1):
+            if at[v] != a:
+                raise InvalidDrawing(f"vertex event angle mismatch for v{v}")
+        supports = {}
+        for e, v in first.items():
+            w = e[0] + e[1] - v  # where e ends
+            start = self.angles[v - 1]
+            supports[e] = Arc(start, frac1(self.angles[w - 1] - start))
         object.__setattr__(self, "_crossing_set", CrossingSet(self.n, frozenset(crossings)))
         object.__setattr__(self, "_supports", supports)
         object.__setattr__(self, "_columns", columns)
@@ -116,84 +140,6 @@ class CircularWiring:
 
     def edges(self) -> list:
         return sorted(self._supports)
-
-
-def _replay(cw: CircularWiring):
-    """Walk the events once around; validate and collect swaps and supports.
-
-    Returns (crossings, supports, columns, vertex_pos): the ordered list of
-    swapped pairs, a map edge -> Arc of its angular wedge, and per vertex v
-    the near-to-far order of the edges passing v's ray at columns[v-1] and
-    v's position in it at vertex_pos[v-1].
-    """
-    last = None
-    seen_vertices = set()
-    starts = {}
-    ends = {}
-    order = list(cw.base_order)
-    crossings = []
-    swapped = set()
-    columns = [()] * cw.n
-    vertex_pos = [0] * cw.n
-    for ev in cw.events:
-        if last is not None and ev.angle < last:
-            raise InvalidDrawing("events must be sorted by angle")
-        last = ev.angle
-        if isinstance(ev, VertexEvent):
-            v = ev.v
-            if v in seen_vertices or not 1 <= v <= cw.n:
-                raise InvalidDrawing(f"bad or repeated vertex event for v{v}")
-            seen_vertices.add(v)
-            if ev.angle != cw.angles[v - 1]:
-                raise InvalidDrawing(f"vertex event angle mismatch for v{v}")
-            for e in ev.ending + ev.starting:
-                if v not in e:
-                    raise InvalidDrawing(f"edge {e} not incident to v{v}")
-            if ev.ending:
-                if any(e not in order for e in ev.ending):
-                    raise InvalidDrawing(f"ending edge missing from the radial order at v{v}")
-                k = order.index(ev.ending[0])
-                if tuple(order[k : k + len(ev.ending)]) != ev.ending:
-                    raise InvalidDrawing(f"edges ending at v{v} are not a contiguous block")
-                if k != ev.pos:
-                    raise InvalidDrawing(f"pos of v{v} inconsistent with its ending block")
-                del order[k : k + len(ev.ending)]
-            if not 0 <= ev.pos <= len(order):
-                raise InvalidDrawing(f"pos of v{v} out of range")
-            columns[v - 1] = tuple(order)
-            vertex_pos[v - 1] = ev.pos
-            for e in ev.ending:
-                ends[e] = ev.angle
-            for e in ev.starting:
-                if e in starts or e in order:
-                    raise InvalidDrawing(f"edge {e} starts while already alive")
-                starts[e] = ev.angle
-            order[ev.pos : ev.pos] = list(ev.starting)
-        elif isinstance(ev, SwapEvent):
-            k = ev.level
-            if not 0 <= k < len(order) - 1:
-                raise InvalidDrawing(f"swap level {k} invalid")
-            e, f = order[k], order[k + 1]
-            if set(e) & set(f):
-                raise InvalidDrawing(f"incident edges {e}, {f} cannot swap")
-            pair = _norm_crossing(e, f)
-            if pair in swapped:
-                raise InvalidDrawing(f"pair {pair} swaps twice")
-            swapped.add(pair)
-            crossings.append(pair)
-            order[k], order[k + 1] = f, e
-        else:
-            raise InvalidDrawing(f"unknown event {ev!r}")
-    if seen_vertices != set(range(1, cw.n + 1)):
-        raise InvalidDrawing("every vertex needs exactly one event")
-    if order != list(cw.base_order):
-        raise InvalidDrawing("composing all events does not return the base order")
-    if set(starts) != set(ends):
-        raise InvalidDrawing("every edge must start and end exactly once")
-    supports = {}
-    for e, s in starts.items():
-        supports[e] = Arc(s, frac1(ends[e] - s))
-    return crossings, supports, tuple(columns), tuple(vertex_pos)
 
 
 def crossing_set(cw: CircularWiring) -> CrossingSet:

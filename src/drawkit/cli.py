@@ -312,6 +312,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "verify" and args.n is None and not args.infile:
             raise _UsageError("verify needs a size or --in file")
+        if args.command == "verify" and args.jobs < 1:
+            raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

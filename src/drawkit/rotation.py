@@ -87,18 +87,22 @@ class CrossingSet:
     pairs: frozenset
 
     def __post_init__(self):
+        n = self.n
         seen_quads = {}
         norm = set()
-        for e, f in self.pairs:
-            e = _sorted_pair(*e)
-            f = _sorted_pair(*f)
-            if set(e) & set(f):
+        for (a, b), (c, d) in self.pairs:
+            if a > b:
+                a, b = b, a
+            if c > d:
+                c, d = d, c
+            e, f = (a, b), (c, d)
+            if a == c or a == d or b == c or b == d:
                 raise InvalidDrawing(f"incident edges cannot cross: {e}, {f}")
-            for v in (*e, *f):
-                if not 1 <= v <= self.n:
-                    raise InvalidDrawing(f"vertex {v} out of range 1..{self.n}")
-            quad = frozenset(e) | frozenset(f)
-            pair = _norm_crossing(e, f)
+            if a < 1 or c < 1 or b > n or d > n:
+                v = next(v for v in (a, b, c, d) if not 1 <= v <= n)
+                raise InvalidDrawing(f"vertex {v} out of range 1..{n}")
+            quad = frozenset((a, b, c, d))
+            pair = (e, f) if e < f else (f, e)
             if seen_quads.setdefault(quad, pair) != pair:
                 raise InvalidDrawing(f"two crossings on the same 4-subset {sorted(quad)}")
             norm.add(pair)
@@ -473,7 +477,9 @@ def enumerate_realizable(n: int, jobs: int = 1, with_witness: bool = False):
 
         tasks = [(n, rot) for rot in _cyclic_orders([u for u in range(1, n + 1) if u != 2])]
         merged: dict = {}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers at the first submit: none beyond
+        # the (n-2)! prefix tasks
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             for part in pool.map(_enumerate_worker, tasks):
                 for form, rots in part.items():
                     merged.setdefault(form, rots)

@@ -3,7 +3,10 @@
 A `LinearWiring` is the combinatorial skeleton of an x-monotone drawing: the
 left-to-right vertex order plus, per strip between consecutive vertices, the
 sequence of adjacent transpositions of the vertical strand order.  Every swap
-is a crossing and vice versa.
+is a crossing and vice versa.  A linear wiring is a circular one cut open at
+an event-free ray, so one validating sweep, `sweep`, checks the steps of both
+models: `LinearWiring` feeds it its columns and strips from no strands,
+`CircularWiring` its events from the base order.
 
 An `XBoundedData` drops the strand order and keeps only what an x-bounded
 drawing pins down: for every edge and every vertex strictly between its
@@ -26,7 +29,7 @@ from drawkit.errors import (
     InconsistentInput,
     InvalidDrawing,
 )
-from drawkit.rotation import CrossingSet, _norm_crossing, _sorted_pair
+from drawkit.rotation import CrossingSet, _sorted_pair
 
 Edge = tuple[int, int]
 
@@ -37,12 +40,6 @@ class Side(Enum):
 
     def flipped(self) -> "Side":
         return Side.ABOVE if self is Side.BELOW else Side.BELOW
-
-
-class Ordering(Enum):
-    LESS = -1
-    INCOMPARABLE = 0
-    GREATER = 1
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,11 @@ class LinearWiring:
             raise InvalidDrawing("field lengths do not match n")
         # the validating sweep's results, kept outside the fields so that
         # equality, hashing and serialization see only the wiring itself
-        columns, crossings = _replay(self)
+        stream = []
+        rows = zip(self.left_order, self.right_order, self.vertex_pos, self.strips + ((),))
+        for v, (ending, starting, pos, strip) in enumerate(rows, 1):
+            stream += [(v, ending, starting, pos), *strip]
+        columns, _, crossings, _ = sweep(self.n, (), stream)
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "_crossing_set", CrossingSet(self.n, frozenset(crossings)))
 
@@ -87,58 +88,74 @@ class LinearWiring:
         return [e for block in self.right_order for e in block]
 
 
-def _replay(lw: LinearWiring):
-    """Simulate the wiring column by column.
+def sweep(n, base, stream):
+    """The validating sweep shared by the linear and circular models.
 
-    Returns (column_orders, crossings) where column_orders[v-1] is the
-    bottom-to-top passing-edge order at vertex v's column and crossings is the
-    ordered list of swapped pairs.  Raises InvalidDrawing on ill-formed data.
+    Starts from the strand order `base` and applies `stream` in sweep order.
+    A vertex step `(v, ending, starting, pos)` removes the block `ending`,
+    which must be exactly the live strands incident to v, contiguous and
+    `pos` strands from the bottom, then inserts `starting` there.  An int k
+    swaps the strands at levels k and k+1, which must be independent edges
+    that have not swapped before.  Every vertex 1..n takes one step, every
+    edge is a sorted pair that starts once, at one of its end-vertices, and
+    the sweep must end on `base` again.
+
+    Returns (columns, vertex_pos, crossings, first): columns[v-1] is the
+    order of the strands passing v, vertex_pos[v-1] is v's position in it,
+    crossings lists the swapped pairs in sweep order, and first[e] is the
+    vertex where edge e starts.  Raises InvalidDrawing on ill-formed steps.
     """
-    order: list = []
-    crossings: list = []
+    order = list(base)
+    columns = [None] * n
+    vertex_pos = [0] * n
+    crossings = []
     swapped = set()
-    started = set()
-    columns = []
-    for v in range(1, lw.n + 1):
-        ending = lw.left_order[v - 1]
-        actual_ending = [e for e in order if v in e]
-        if sorted(actual_ending) != sorted(ending):
-            raise InvalidDrawing(f"left_order of v{v} does not match the live edges")
+    first = {}
+    for step in stream:
+        if not isinstance(step, tuple):
+            if not 0 <= step < len(order) - 1:
+                raise InvalidDrawing(f"swap level {step} invalid among {len(order)} strands")
+            e, f = order[step], order[step + 1]
+            if not set(e).isdisjoint(f):
+                raise InvalidDrawing(f"incident edges {e}, {f} cannot swap")
+            pair = (e, f) if e < f else (f, e)
+            if pair in swapped:
+                raise InvalidDrawing(f"pair {pair} swaps twice")
+            swapped.add(pair)
+            crossings.append(pair)
+            order[step], order[step + 1] = f, e
+            continue
+        v, ending, starting, pos = step
+        if not 1 <= v <= n or columns[v - 1] is not None:
+            raise InvalidDrawing(f"bad or repeated vertex step for v{v}")
+        if sorted(ending) != sorted(e for e in order if v in e):
+            raise InvalidDrawing(f"edges ending at v{v} are not its live edges")
         if ending:
-            start = order.index(ending[0])
-            if tuple(order[start : start + len(ending)]) != tuple(ending):
+            k = order.index(ending[0])
+            if tuple(order[k : k + len(ending)]) != tuple(ending):
                 raise InvalidDrawing(f"edges ending at v{v} are not a contiguous block")
-            if start != lw.vertex_pos[v - 1]:
-                raise InvalidDrawing(f"vertex_pos of v{v} inconsistent with ending block")
-            del order[start : start + len(ending)]
-        pos = lw.vertex_pos[v - 1]
+            if k != pos:
+                raise InvalidDrawing(f"position of v{v} inconsistent with its ending block")
+            del order[k : k + len(ending)]
         if not 0 <= pos <= len(order):
-            raise InvalidDrawing(f"vertex_pos of v{v} out of range")
-        columns.append(tuple(order))
-        starting = lw.right_order[v - 1]
-        for a, b in starting:
-            if a != v or not (v < b <= lw.n):
-                raise InvalidDrawing(f"right_order of v{v} contains a foreign edge {(a, b)}")
-            if (a, b) in started:
-                raise InvalidDrawing(f"right_order of v{v} repeats the edge {(a, b)}")
-            started.add((a, b))
-        order[pos:pos] = list(starting)
-        if v < lw.n:
-            for k in lw.strips[v - 1]:
-                if not 0 <= k < len(order) - 1:
-                    raise InvalidDrawing(f"swap position {k} invalid in strip {v}")
-                e, f = order[k], order[k + 1]
-                if set(e) & set(f):
-                    raise InvalidDrawing(f"incident edges {e}, {f} cannot swap")
-                pair = _norm_crossing(e, f)
-                if pair in swapped:
-                    raise InvalidDrawing(f"pair {pair} swaps twice")
-                swapped.add(pair)
-                crossings.append(pair)
-                order[k], order[k + 1] = f, e
-    if order:
-        raise InvalidDrawing("edges left over after the last vertex")
-    return columns, crossings
+            raise InvalidDrawing(f"position of v{v} out of range")
+        columns[v - 1] = tuple(order)
+        vertex_pos[v - 1] = pos
+        for e in starting:
+            if not (len(e) == 2 and 1 <= e[0] < e[1] <= n and v in e):
+                raise InvalidDrawing(f"v{v} starts {e}: not a sorted pair in 1..{n} containing v{v}")
+            if e in first:
+                raise InvalidDrawing(f"v{v} repeats the edge {e}")
+            first[e] = v
+        order[pos:pos] = starting
+    if None in columns:
+        raise InvalidDrawing(f"v{columns.index(None) + 1} takes no step")
+    if order != list(base):
+        raise InvalidDrawing("the sweep does not return to the base order")
+    for e in base:
+        if e not in first:
+            raise InvalidDrawing(f"base edge {e} never starts")
+    return tuple(columns), tuple(vertex_pos), crossings, first
 
 
 def crossing_set(lw: LinearWiring) -> CrossingSet:
@@ -208,43 +225,6 @@ class XBoundedData:
         for val in self.side.values():
             if not isinstance(val, Side):
                 raise InvalidDrawing("side values must be Side members")
-
-
-def partial_order_at(xb: XBoundedData, v: int, e: Edge, f: Edge) -> Ordering:
-    """Relation of e and f in the edge order at vertex v.
-
-    Implements the four defining conditions; INCOMPARABLE exactly when none
-    applies (same-side passers, or edges not both meeting v's vertical line).
-    """
-    e = _sorted_pair(*e)
-    f = _sorted_pair(*f)
-    if e == f:
-        return Ordering.INCOMPARABLE
-
-    def status(g):
-        if v in g:
-            return "incident"
-        if g[0] < v < g[1]:
-            return xb.side[(g, v)]
-        return None
-
-    se, sf = status(e), status(f)
-    if se is None or sf is None:
-        return Ordering.INCOMPARABLE
-    if se == "incident" and sf == "incident":
-        for block in (xb.left_order[v - 1], xb.right_order[v - 1]):
-            if e in block and f in block:
-                return Ordering.LESS if block.index(e) < block.index(f) else Ordering.GREATER
-        return Ordering.INCOMPARABLE
-    if se == "incident":
-        return Ordering.LESS if sf is Side.ABOVE else Ordering.GREATER
-    if sf == "incident":
-        return Ordering.LESS if se is Side.BELOW else Ordering.GREATER
-    if se is Side.BELOW and sf is Side.ABOVE:
-        return Ordering.LESS
-    if se is Side.ABOVE and sf is Side.BELOW:
-        return Ordering.GREATER
-    return Ordering.INCOMPARABLE
 
 
 def predicted_crossings(xb: XBoundedData) -> CrossingSet:

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from drawkit.circular import (
     VertexEvent,
     arcs_cover_circle,
 )
-from drawkit.errors import CutBlocked
+from drawkit.errors import CutBlocked, InvalidDrawing
 
 F = Fraction
 
@@ -173,3 +174,113 @@ def test_composition_invariant_enforced():
                 VertexEvent(F(6, 10), 3, ((2, 3), (1, 3)), (), 0),
             ),
         )
+
+
+# the rejection table: one malformed circular wiring per check of the
+# validating sweep and of the constructor's event checks, each a small change
+# to a valid event list
+T = (F(1, 10), F(3, 10), F(6, 10))
+V1 = VertexEvent(T[0], 1, (), ((1, 2), (1, 3)), 0)
+V2 = VertexEvent(T[1], 2, ((1, 2),), ((2, 3),), 0)
+V3 = VertexEvent(T[2], 3, ((2, 3), (1, 3)), (), 0)
+# K4 on four rays with one crossing, (1, 3) x (2, 4), swapped at level 1
+Q = (F(1, 10), F(2, 10), F(3, 10), F(4, 10))
+K4_EVENTS = (
+    VertexEvent(Q[0], 1, (), ((1, 2), (1, 3), (1, 4)), 0),
+    VertexEvent(Q[1], 2, ((1, 2),), ((2, 3), (2, 4)), 0),
+    SwapEvent(F(25, 100), 1),
+    VertexEvent(Q[2], 3, ((2, 3), (1, 3)), ((3, 4),), 0),
+    VertexEvent(Q[3], 4, ((3, 4), (2, 4), (1, 4)), (), 0),
+)
+
+
+@dataclass(frozen=True)
+class StrayEvent:
+    angle: Fraction
+
+
+def _k3(*events, base=()):
+    return (3, T, base, events)
+
+
+def _k4(*events):
+    return (4, Q, (), events)
+
+
+MALFORMED_CIRCULAR = {
+    "events-out-of-angle-order": _k4(*K4_EVENTS[:2], SwapEvent(F(15, 100), 1), *K4_EVENTS[3:]),
+    "vertex-out-of-range": _k3(V1, V2, VertexEvent(T[2], 4, (), (), 0)),
+    "vertex-angle-mismatch": _k3(VertexEvent(F(2, 10), 1, (), ((1, 2), (1, 3)), 0), V2, V3),
+    "edge-not-incident": _k3(VertexEvent(T[0], 1, (), ((1, 2), (2, 3)), 0), V2, V3),
+    "ending-edge-not-alive": _k3(V1, VertexEvent(T[1], 2, ((2, 3),), (), 0), V3),
+    "ending-block-not-contiguous": _k4(*K4_EVENTS[:2], *K4_EVENTS[3:]),
+    "pos-off-the-ending-block": _k3(V1, VertexEvent(T[1], 2, ((1, 2),), ((2, 3),), 1), V3),
+    "pos-out-of-range": _k3(VertexEvent(T[0], 1, (), ((1, 2), (1, 3)), 1), V2, V3),
+    "edge-starts-while-alive": _k3(
+        VertexEvent(T[0], 1, (), ((1, 2), (1, 2), (1, 3)), 0), V2, V3
+    ),
+    "swap-level-out-of-range": _k3(V1, SwapEvent(F(2, 10), 5), V2, V3),
+    "incident-edges-swap": _k3(V1, SwapEvent(F(2, 10), 0), V2, V3),
+    "pair-swaps-twice": _k4(*K4_EVENTS[:3], SwapEvent(F(26, 100), 1), *K4_EVENTS[3:]),
+    "unknown-event": _k3(V1, StrayEvent(F(2, 10)), V2, V3),
+    "vertex-without-event": (
+        3,
+        T,
+        (),
+        (VertexEvent(T[0], 1, (), ((1, 2),), 0), VertexEvent(T[1], 2, ((1, 2),), (), 0)),
+    ),
+    "sweep-misses-the-base-order": (
+        2,
+        T[:2],
+        (),
+        (VertexEvent(T[0], 1, (), (), 0), VertexEvent(T[1], 2, (), ((1, 2),), 0)),
+    ),
+}
+
+
+def test_rejection_table_bases_are_valid():
+    assert circ.crossing_set(CircularWiring(*_k3(V1, V2, V3))).pairs == frozenset()
+    assert circ.crossing_set(CircularWiring(*_k4(*K4_EVENTS))).pairs == {((1, 3), (2, 4))}
+
+
+@pytest.mark.parametrize("fields", MALFORMED_CIRCULAR.values(), ids=MALFORMED_CIRCULAR)
+def test_malformed_circular_wiring_rejected(fields):
+    with pytest.raises(InvalidDrawing):
+        CircularWiring(*fields)
+
+
+# edge (1, 2) leaves vertex 1 and comes back to it after a full turn, passing
+# the ray of its own end-vertex 2 on the way
+FULL_TURN = (
+    3,
+    (F(0), F(1, 3), F(2, 3)),
+    ((1, 2),),
+    (
+        VertexEvent(F(0), 1, ((1, 2),), ((1, 2), (1, 3)), 0),
+        VertexEvent(F(1, 3), 2, (), ((2, 3),), 2),
+        VertexEvent(F(2, 3), 3, ((1, 3), (2, 3)), (), 1),
+    ),
+)
+
+
+def test_full_turn_edge_rejected():
+    with pytest.raises(InvalidDrawing):
+        CircularWiring(*FULL_TURN)
+
+
+def test_unsorted_edge_rejected():
+    # the short-way triangle with edge (1, 2) written as (2, 1)
+    with pytest.raises(InvalidDrawing):
+        CircularWiring(
+            *_k3(
+                VertexEvent(T[0], 1, (), ((2, 1), (1, 3)), 0),
+                VertexEvent(T[1], 2, ((2, 1),), ((2, 3),), 0),
+                V3,
+            )
+        )
+
+
+def test_base_edge_that_never_starts_rejected():
+    # (7, 9) is carried once around the circle but is no edge of the K3
+    with pytest.raises(InvalidDrawing):
+        CircularWiring(*_k3(V1, V2, V3, base=((7, 9),)))

@@ -213,6 +213,27 @@ def test_usage_errors_exit_64(capsys):
     assert run(["path"], capsys)[0] == 64
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_below_one_is_a_usage_error(jobs, monkeypatch, capsys):
+    from tests.test_rotation import inline_pools
+
+    sizes = inline_pools(monkeypatch)
+    code, out, err = run(["verify", "5", "--jobs", jobs], capsys)
+    assert code == 64 and out == ""
+    assert err.startswith("usage error:") and "--jobs" in err
+    assert sizes == []
+
+
+def test_verify_jobs_bounded_by_prefix_tasks(monkeypatch, capsys):
+    from tests.test_rotation import inline_pools
+
+    sizes = inline_pools(monkeypatch)
+    code, out, _ = run(["verify", "5", "--jobs", "32"], capsys)
+    assert code == 0
+    assert json.loads(out)["payload"]["classes"] == 5
+    assert sizes == [6]
+
+
 @pytest.mark.parametrize(
     "case, code",
     [
@@ -300,3 +321,34 @@ def test_gen_deterministic(tmp_path, capsys):
     a = run(["gen", "random-cyl", "6", "--seed", "7"], capsys)[1]
     b = run(["gen", "random-cyl", "6", "--seed", "7"], capsys)[1]
     assert a == b
+
+
+@pytest.mark.parametrize("command", ["stats", "render"])
+def test_full_turn_wiring_exits_1(command, tmp_path, capsys):
+    from tests.test_circular import FULL_TURN
+
+    n, angles, base, events = FULL_TURN
+    doc = {
+        "kind": "circular_wiring",
+        "payload": {
+            "n": n,
+            "angles": [str(a) for a in angles],
+            "base_order": [list(e) for e in base],
+            "events": [
+                {
+                    "kind": "vertex",
+                    "angle": str(ev.angle),
+                    "v": ev.v,
+                    "ending": [list(e) for e in ev.ending],
+                    "starting": [list(e) for e in ev.starting],
+                    "pos": ev.pos,
+                }
+                for ev in events
+            ],
+        },
+    }
+    f = tmp_path / "cw.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run([command, str(f)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err

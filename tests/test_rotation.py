@@ -183,6 +183,42 @@ def test_enumerate_parallel_matches_sequential():
     assert seq == par
 
 
+class InlinePool:
+    """Stand-in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def inline_pools(monkeypatch):
+    """Make every ProcessPoolExecutor an InlinePool; returns the sizes asked for."""
+    import concurrent.futures
+
+    sizes = []
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda max_workers: InlinePool(sizes, max_workers)
+    )
+    return sizes
+
+
+def test_enumerate_starts_no_more_workers_than_prefix_tasks(monkeypatch):
+    sizes = inline_pools(monkeypatch)
+    par = {c.encode() for c in rot.enumerate_realizable(5, jobs=32)}
+    assert sizes == [6]  # (5 - 2)! rotations of vertex 2
+    assert par == {c.encode() for c in rot.enumerate_realizable(5)}
+    list(rot.enumerate_realizable(5, jobs=4))
+    assert sizes == [6, 4]
+
+
 def test_enumerate_size_cap():
     with pytest.raises(TooLarge):
         list(rot.enumerate_realizable(8))

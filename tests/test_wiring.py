@@ -7,7 +7,7 @@ from drawkit import generators as gen
 from drawkit import wiring as w
 from drawkit.errors import IncomparableAtRequiredVertex, InconsistentInput, InvalidDrawing
 from drawkit.rotation import RotationSystem
-from drawkit.wiring import Ordering, Side
+from drawkit.wiring import Side
 
 
 def test_crossing_set_of_convex4_wiring():
@@ -44,25 +44,10 @@ def test_same_side_edges_never_swap():
                     assert (e, f) not in cs
 
 
-def test_partial_order_conditions():
-    _, lw = gen.convex(4)
-    xb = w.extract_xbounded(lw)
-    # both incident to v2 on the right, ordered by the right_order
-    e, f = xb.right_order[1][0], xb.right_order[1][1]
-    assert w.partial_order_at(xb, 2, e, f) is Ordering.LESS
-    assert w.partial_order_at(xb, 2, f, e) is Ordering.GREATER
-    # passing below vs incident
-    assert xb.side[((1, 4), 2)] is Side.ABOVE
-    assert w.partial_order_at(xb, 2, (2, 3), (1, 4)) is Ordering.LESS
-    # both passing the same side are incomparable
-    assert w.partial_order_at(xb, 2, (1, 3), (1, 4)) is Ordering.INCOMPARABLE
-    # edges entirely on one side of the column are unrelated
-    assert w.partial_order_at(xb, 3, (1, 2), (3, 4)) is Ordering.INCOMPARABLE
-
-
 def test_predicted_crossings_on_convex4_side_data():
     _, lw = gen.convex(4)
     xb = w.extract_xbounded(lw)
+    assert xb.side[((1, 4), 2)] is Side.ABOVE
     assert w.predicted_crossings(xb).pairs == {((1, 3), (2, 4))}
 
 
@@ -153,3 +138,52 @@ REPEATED_EDGE = (3, ((), ()), (0, 0, 0), ((), ((1, 2), (1, 2)), ()), (((1, 2), (
 def test_repeated_edge_rejected():
     with pytest.raises(InvalidDrawing, match="repeats the edge"):
         w.LinearWiring(*REPEATED_EDGE)
+
+
+# the rejection table: one malformed wiring per check of the validating sweep
+# that a linear wiring can fail, each one field changed in a valid K3 or K4
+# wiring (K4 has one crossing, (1, 3) x (2, 4), swapped at level 1 between v2
+# and v3).  The check that the sweep returns to its base order has no row:
+# every live edge ends at its right end-vertex, so none is left after vertex n.
+K3 = dict(
+    n=3,
+    strips=((), ()),
+    vertex_pos=(0, 0, 0),
+    left_order=((), ((1, 2),), ((2, 3), (1, 3))),
+    right_order=(((1, 2), (1, 3)), ((2, 3),), ()),
+)
+K4 = dict(
+    n=4,
+    strips=((), (1,), ()),
+    vertex_pos=(0, 0, 0, 0),
+    left_order=((), ((1, 2),), ((2, 3), (1, 3)), ((3, 4), (2, 4), (1, 4))),
+    right_order=(((1, 2), (1, 3), (1, 4)), ((2, 3), (2, 4)), ((3, 4),), ()),
+)
+
+
+def _with(fields, **changes):
+    return {**fields, **changes}
+
+
+MALFORMED_LINEAR = {
+    "ending-block-misses-a-live-edge": _with(K3, left_order=((), (), ((2, 3), (1, 3)))),
+    "ending-block-not-contiguous": _with(K4, strips=((), (), ())),
+    "vertex-pos-off-the-ending-block": _with(K3, vertex_pos=(0, 1, 0)),
+    "vertex-pos-out-of-range": _with(K3, vertex_pos=(1, 0, 0)),
+    "foreign-starting-edge": _with(K3, right_order=(((1, 2), (2, 3)), ((2, 3),), ())),
+    "edge-starts-twice": _with(K3, right_order=(((1, 2), (1, 2), (1, 3)), ((2, 3),), ())),
+    "swap-level-out-of-range": _with(K3, strips=((5,), ())),
+    "incident-edges-swap": _with(K3, strips=((0,), ())),
+    "pair-swaps-twice": _with(K4, strips=((), (1, 1), ())),
+}
+
+
+def test_rejection_table_bases_are_valid():
+    assert w.crossing_set(w.LinearWiring(**K3)).pairs == frozenset()
+    assert w.crossing_set(w.LinearWiring(**K4)).pairs == {((1, 3), (2, 4))}
+
+
+@pytest.mark.parametrize("fields", MALFORMED_LINEAR.values(), ids=MALFORMED_LINEAR)
+def test_malformed_linear_wiring_rejected(fields):
+    with pytest.raises(InvalidDrawing):
+        w.LinearWiring(**fields)
