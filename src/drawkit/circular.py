@@ -137,6 +137,7 @@ class CircularWiring:
         object.__setattr__(self, "_supports", supports)
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "_vertex_pos", vertex_pos)
+        object.__setattr__(self, "_strong", None)  # set by the first is_strongly_c_monotone()
 
     def edges(self) -> list:
         return sorted(self._supports)
@@ -167,15 +168,18 @@ def is_strongly_c_monotone(cw: CircularWiring) -> bool:
 
     For a wiring of the complete graph this is equivalent to the paper's two
     other characterizations: no pair of edges, and no pair of incident edges,
-    has wedges covering the circle.  Only the star test runs here, in
-    O(n * E); the test suite checks the three against each other.
+    has wedges covering the circle.  Only the star test runs here, once per
+    wiring, in O(n * E); the test suite checks the three against each other.
     """
-    _require_complete(cw)
-    stars = {v: [] for v in range(1, cw.n + 1)}
-    for (u, v), arc in cw._supports.items():
-        stars[u].append(arc)
-        stars[v].append(arc)
-    return not any(arcs_cover_circle(star) for star in stars.values())
+    if cw._strong is None:
+        _require_complete(cw)
+        stars = {v: [] for v in range(1, cw.n + 1)}
+        for (u, v), arc in cw._supports.items():
+            stars[u].append(arc)
+            stars[v].append(arc)
+        covered = any(arcs_cover_circle(star) for star in stars.values())
+        object.__setattr__(cw, "_strong", not covered)
+    return cw._strong
 
 
 def circular_vertex_order(cw: CircularWiring) -> list:

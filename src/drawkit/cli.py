@@ -210,15 +210,18 @@ def _cmd_convert(args) -> int:
 
 def _cmd_render(args) -> int:
     model = serial.read_file(args.infile)
-    highlight = ()
-    if args.highlight:
-        try:
-            highlight = tuple(int(t) for t in args.highlight.split(","))
-        except ValueError:
-            raise _UsageError(
-                f"--highlight needs comma-separated vertices, got {args.highlight!r}"
-            ) from None
+    try:
+        highlight = tuple(int(t) for t in args.highlight.split(",")) if args.highlight else ()
+    except ValueError:
+        raise _UsageError(
+            f"--highlight needs comma-separated vertices, got {args.highlight!r}"
+        ) from None
     spec = svg.RenderSpec(canvas=args.size, highlight=highlight)
+    if not isinstance(model, dict):  # path and report payloads are not drawings
+        try:
+            spec.highlight_edges(model.n)
+        except InvalidDrawing as exc:
+            raise _UsageError(str(exc)) from None
     text = svg.render(model, spec)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -1,13 +1,15 @@
 """Deterministic SVG 1.1 rendering of the drawing models.
 
-Geometry here is display only: rational angles and radii are formatted at a
-fixed 6-decimal precision and nothing is ever read back from the output.
+Geometry here is display only: rational angles and radii become floats, each
+point is formatted once at a fixed 6-decimal precision (never from a Fraction,
+which Python 3.12 rounds its own way) and nothing is read back from the output.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from drawkit import cylinder as cyl
 from drawkit.circular import CircularWiring, VertexEvent
@@ -36,15 +38,20 @@ class RenderSpec:
             raise InvalidDrawing("canvas must be at least 100 px")
         object.__setattr__(self, "highlight", tuple(self.highlight))
 
-    def highlight_edges(self):
-        return {
-            _sorted_pair(self.highlight[i], self.highlight[i + 1])
-            for i in range(len(self.highlight) - 1)
-        }
+    def highlight_edges(self, n) -> list:
+        """Sorted edges of the highlighted vertex path on n vertices; a vertex
+        outside 1..n, or one vertex twice in a row, is InvalidDrawing."""
+        path = self.highlight
+        steps = list(zip(path, path[1:]))
+        if any(not 1 <= v <= n for v in path):
+            raise InvalidDrawing(f"highlight vertices must lie in 1..{n}, got {path}")
+        if any(u == v for u, v in steps):
+            raise InvalidDrawing(f"highlight has a vertex twice in a row: {path}")
+        return sorted({_sorted_pair(u, v) for u, v in steps})
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.6f}"
+def _pt(x, y) -> str:
+    return f"{x:.6f},{y:.6f}"
 
 
 class _Canvas:
@@ -52,29 +59,27 @@ class _Canvas:
         self.size = size
         self.body = []
 
-    def line(self, pts, color, width, dash=None):
-        d = f' stroke-dasharray="{dash}"' if dash else ""
-        path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+    def line(self, points, color, width):
+        """`points` is the polyline's ready point text, "x,y x,y ..."."""
         self.body.append(
-            f'<polyline points="{path}" fill="none" stroke="{color}" '
-            f'stroke-width="{_fmt(width)}"{d}/>'
+            f'<polyline points="{points}" fill="none" stroke="{color}" '
+            f'stroke-width="{width:.6f}"/>'
         )
 
     def circle(self, x, y, r, fill):
         self.body.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" fill="{fill}"/>'
+            f'<circle cx="{x:.6f}" cy="{y:.6f}" r="{r:.6f}" fill="{fill}"/>'
         )
 
-    def ring(self, x, y, r, color, width, dash=None):
-        d = f' stroke-dasharray="{dash}"' if dash else ""
+    def ring(self, x, y, r, color, width, dash):
         self.body.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" '
-            f'fill="none" stroke="{color}" stroke-width="{_fmt(width)}"{d}/>'
+            f'<circle cx="{x:.6f}" cy="{y:.6f}" r="{r:.6f}" fill="none" '
+            f'stroke="{color}" stroke-width="{width:.6f}" stroke-dasharray="{dash}"/>'
         )
 
     def text(self, x, y, s, color):
         self.body.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y)}" fill="{color}" '
+            f'<text x="{x:.6f}" y="{y:.6f}" fill="{color}" '
             f'font-size="12" font-family="monospace">{s}</text>'
         )
 
@@ -92,6 +97,22 @@ class _Canvas:
 def _polar(cx, cy, r, angle_turns):
     a = 2 * math.pi * float(angle_turns)
     return (cx + r * math.cos(a), cy - r * math.sin(a))
+
+
+def _draw(cv, spec, n, lines, spots, width, wide, muted=()) -> str:
+    """Every edge in sorted order, the highlighted edges over them, then the
+    labelled vertices; `lines` maps each edge to its point text and `spots`
+    each vertex to its (x, y)."""
+    pal = spec.palette
+    for e in sorted(lines):
+        cv.line(lines[e], pal["muted"] if e in muted else pal["edge"], width)
+    for e in spec.highlight_edges(n):
+        if e in lines:
+            cv.line(lines[e], pal["highlight"], wide)
+    for v, (x, y) in sorted(spots.items()):
+        cv.circle(x, y, 4, pal["vertex"])
+        cv.text(x + 5, y - 6, str(v), pal["vertex"])
+    return cv.finish()
 
 
 # ============================================================
@@ -137,29 +158,22 @@ def _wiring_geometry(lw: LinearWiring):
 
 def _render_wiring(lw: LinearWiring, spec: RenderSpec) -> str:
     size = spec.canvas
-    pal = spec.palette
     paths, spots = _wiring_geometry(lw)
     levels = [p[1] for pts in paths.values() for p in pts]
-    max_level = max(levels + [s[1] for s in spots.values()] + [1])
+    top = max(levels + [s[1] for s in spots.values()] + [1])
     pad = size * 0.08
-
-    def tx(col):
-        return pad + (col - 1) * (size - 2 * pad) / max(lw.n - 1, 1)
-
-    def ty(lvl):
-        return size - pad - lvl * (size - 2 * pad) / max(max_level, 1)
-
-    cv = _Canvas(size)
-    for e in sorted(paths):
-        cv.line([(tx(x), ty(y)) for x, y in paths[e]], pal["edge"], 1.2)
-    for e in sorted(spec.highlight_edges()):
-        if e in paths:
-            cv.line([(tx(x), ty(y)) for x, y in paths[e]], pal["highlight"], 2.6)
-    for v in range(1, lw.n + 1):
-        x, y = spots[v]
-        cv.circle(tx(x), ty(y), 4, pal["vertex"])
-        cv.text(tx(x) + 5, ty(y) - 6, str(v), pal["vertex"])
-    return cv.finish()
+    span = size - 2 * pad
+    xd = max(lw.n - 1, 1)
+    # operand order kept as `pad + (col - 1) * span / xd`: dividing span
+    # first rounds differently and changes the output bytes
+    lines = {
+        e: " ".join(f"{pad + (x - 1) * span / xd:.6f},{size - pad - y * span / top:.6f}"
+                    for x, y in pts)
+        for e, pts in paths.items()
+    }
+    spots = {v: (pad + (x - 1) * span / xd, size - pad - y * span / top)
+             for v, (x, y) in spots.items()}
+    return _draw(_Canvas(size), spec, lw.n, lines, spots, 1.2, 2.6)
 
 
 # ============================================================
@@ -168,7 +182,6 @@ def _render_wiring(lw: LinearWiring, spec: RenderSpec) -> str:
 
 def _render_circular(cw: CircularWiring, spec: RenderSpec) -> str:
     size = spec.canvas
-    pal = spec.palette
     cx = cy = size / 2
     # live edges change only at vertex events: column plus starting edges
     max_live = max(
@@ -181,25 +194,28 @@ def _render_circular(cw: CircularWiring, spec: RenderSpec) -> str:
     def rad(level):
         return r_lo + (level + 1) * (r_hi - r_lo) / (max_live + 1)
 
+    radii = [rad(i) for i in range(max_live)]
+
     paths = {e: [] for e in cw.edges()}
     spots = {}
     order = list(cw.base_order)
     prev = 0.0
-    stream = list(cw.events) + [None]
-    for ev in stream:
+    for ev in (*cw.events, None):
         ang = 1.0 if ev is None else float(ev.angle)
         steps = max(2, int((ang - prev) * 96))
+        # one cosine and sine per sample angle, shared by the segment's strands
+        angs = [2 * math.pi * (prev + (ang - prev) * s / steps) for s in range(steps + 1)]
+        trig = [(math.cos(a), math.sin(a)) for a in angs]
         for i, e in enumerate(order):
-            rr = rad(i)
-            for s in range(steps + 1):
-                paths[e].append(_polar(cx, cy, rr, prev + (ang - prev) * s / steps))
+            rr = radii[i]
+            paths[e] += [f"{cx + rr * c:.6f},{cy - rr * s:.6f}" for c, s in trig]
         if ev is None:
             break
         if isinstance(ev, VertexEvent):
             if ev.ending:
                 del order[ev.pos : ev.pos + len(ev.ending)]
-            spot = _polar(cx, cy, rad(ev.pos - 0.5), ang)
-            spots[ev.v] = spot
+            spots[ev.v] = _polar(cx, cy, rad(ev.pos - 0.5), ang)
+            spot = _pt(*spots[ev.v])
             for e in ev.ending:
                 paths[e].append(spot)
             order[ev.pos : ev.pos] = list(ev.starting)
@@ -210,16 +226,9 @@ def _render_circular(cw: CircularWiring, spec: RenderSpec) -> str:
             order[k], order[k + 1] = order[k + 1], order[k]
         prev = ang
     cv = _Canvas(size)
-    cv.circle(cx, cy, 3, pal["frame"])
-    for e in sorted(paths):
-        cv.line(paths[e], pal["edge"], 1.1)
-    for e in sorted(spec.highlight_edges()):
-        if e in paths:
-            cv.line(paths[e], pal["highlight"], 2.4)
-    for v, (x, y) in sorted(spots.items()):
-        cv.circle(x, y, 4, pal["vertex"])
-        cv.text(x + 5, y - 6, str(v), pal["vertex"])
-    return cv.finish()
+    cv.circle(cx, cy, 3, spec.palette["frame"])
+    lines = {e: " ".join(pts) for e, pts in paths.items()}
+    return _draw(cv, spec, cw.n, lines, spots, 1.1, 2.4)
 
 
 # ============================================================
@@ -235,10 +244,10 @@ def _render_cylindrical(cd: CylindricalDrawing, spec: RenderSpec) -> str:
     angles = {v: float(cd.angle_of(v)) for v in range(1, cd.n + 1)}
     radius = {v: (r_out if cd.circle_of(v) == "outer" else r_in) for v in angles}
 
-    def edge_polyline(points):
-        return [_polar(cx, cy, r, a) for a, r in points]
+    def edge_polyline(points):  # (angle in turns, radius) samples -> point text
+        return " ".join(_pt(*_polar(cx, cy, r, a)) for a, r in points)
 
-    paths = {}
+    lines = {}
     for le in cd.lateral:
         a0 = angles[le.u]
         pts = []
@@ -246,7 +255,7 @@ def _render_cylindrical(cd: CylindricalDrawing, spec: RenderSpec) -> str:
         for s in range(steps + 1):
             t = s / steps
             pts.append((a0 + t * float(le.omega), r_out + t * (r_in - r_out)))
-        paths[le.edge] = edge_polyline(pts)
+        lines[le.edge] = edge_polyline(pts)
     for ce in cd.circle:
         base = radius[ce.u]
         if ce.face is Face.HOME:
@@ -262,21 +271,13 @@ def _render_cylindrical(cd: CylindricalDrawing, spec: RenderSpec) -> str:
             t = s / steps
             bump = math.sin(math.pi * t)
             pts.append((float(arc.start) + t * float(arc.length), base + sign * amp * bump))
-        paths[ce.edge] = edge_polyline(pts)
+        lines[ce.edge] = edge_polyline(pts)
 
     cv = _Canvas(size)
     cv.ring(cx, cy, r_in, pal["frame"], 0.8, dash="4 4")
     cv.ring(cx, cy, r_out, pal["frame"], 0.8, dash="4 4")
-    for e in sorted(paths):
-        cv.line(paths[e], pal["edge"], 1.1)
-    for e in sorted(spec.highlight_edges()):
-        if e in paths:
-            cv.line(paths[e], pal["highlight"], 2.4)
-    for v in sorted(angles):
-        x, y = _polar(cx, cy, radius[v], angles[v])
-        cv.circle(x, y, 4, pal["vertex"])
-        cv.text(x + 5, y - 6, str(v), pal["vertex"])
-    return cv.finish()
+    spots = {v: _polar(cx, cy, radius[v], angles[v]) for v in angles}
+    return _draw(cv, spec, cd.n, lines, spots, 1.1, 2.4)
 
 
 # ============================================================
@@ -285,28 +286,20 @@ def _render_cylindrical(cd: CylindricalDrawing, spec: RenderSpec) -> str:
 
 def _render_crossing_set(cs: CrossingSet, spec: RenderSpec) -> str:
     size = spec.canvas
-    pal = spec.palette
     cx = cy = size / 2
     r = size * 0.4
-    pos = {v: _polar(cx, cy, r, (v - 1) / cs.n) for v in range(1, cs.n + 1)}
+    spots = {v: _polar(cx, cy, r, (v - 1) / cs.n) for v in range(1, cs.n + 1)}
+    text = {v: _pt(x, y) for v, (x, y) in spots.items()}
+    lines = {(u, v): f"{text[u]} {text[v]}" for u, v in combinations(range(1, cs.n + 1), 2)}
     crossed = {e for pair in cs.pairs for e in pair}
-    cv = _Canvas(size)
-    from itertools import combinations
-
-    for e in combinations(range(1, cs.n + 1), 2):
-        color = pal["edge"] if e in crossed else pal["muted"]
-        cv.line([pos[e[0]], pos[e[1]]], color, 1.1)
-    for e in sorted(spec.highlight_edges()):
-        cv.line([pos[e[0]], pos[e[1]]], pal["highlight"], 2.4)
-    for v in range(1, cs.n + 1):
-        x, y = pos[v]
-        cv.circle(x, y, 4, pal["vertex"])
-        cv.text(x + 5, y - 6, str(v), pal["vertex"])
-    return cv.finish()
+    return _draw(_Canvas(size), spec, cs.n, lines, spots, 1.1, 2.4, set(lines) - crossed)
 
 
 def render(obj, spec: RenderSpec = None) -> str:
-    """Model -> SVG document string; byte-identical for identical inputs."""
+    """Model -> SVG document string; byte-identical for identical inputs.
+
+    A highlight vertex outside 1..n, or one vertex twice in a row, is
+    InvalidDrawing."""
     spec = spec or RenderSpec()
     if isinstance(obj, LinearWiring):
         return _render_wiring(obj, spec)

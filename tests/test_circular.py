@@ -6,6 +6,7 @@ import pytest
 from drawkit import circular as circ
 from drawkit import cylinder as cyl
 from drawkit import generators as gen
+from drawkit import serial
 from drawkit import wiring as w
 from drawkit.circular import (
     Arc,
@@ -82,6 +83,31 @@ def test_crossing_sets_of_triangles_are_empty():
 def test_strongly_c_monotone_checks():
     assert circ.is_strongly_c_monotone(short_way_triangle())
     assert not circ.is_strongly_c_monotone(covering_k4())
+
+
+def test_star_test_is_derived_once(monkeypatch):
+    from tests.test_hampath import K4_MINUS_23
+
+    calls = []
+    real = circ.arcs_cover_circle
+    monkeypatch.setattr(circ, "arcs_cover_circle", lambda arcs: calls.append(1) or real(arcs))
+    for make, strong in ((short_way_triangle, True), (covering_k4, False)):
+        cw = make()
+        calls.clear()
+        assert circ.is_strongly_c_monotone(cw) is strong
+        first = len(calls)
+        assert first > 0
+        assert circ.is_strongly_c_monotone(cw) is strong
+        assert circ.is_strongly_c_monotone(cw) is strong
+        assert len(calls) == first
+        # the kept result is no part of the wiring's value
+        assert cw == make() and hash(cw) == hash(make())
+        assert serial.dump(cw) == serial.dump(make())
+    # an incomplete wiring keeps nothing and raises on every call
+    incomplete = circ.linear_to_circular(K4_MINUS_23)
+    for _ in range(3):
+        with pytest.raises(InvalidDrawing, match="complete graph"):
+            circ.is_strongly_c_monotone(incomplete)
 
 
 def test_covering_k4_has_one_crossing():

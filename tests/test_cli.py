@@ -234,10 +234,26 @@ def test_verify_jobs_bounded_by_prefix_tasks(monkeypatch, capsys):
     assert sizes == [6]
 
 
+RENDERABLE = {
+    "lw": lambda: gen.convex(5)[1],
+    "cw": lambda: cyl.to_circular_wiring(cyl.normalize_winding(gen.hill(5))),
+    "cd": lambda: gen.hill(5),
+    "cs": lambda: gen.twisted(5),
+}
+# on each renderable kind at n = 5: a --highlight vertex outside 1..5, or
+# one vertex twice in a row
+BAD_HIGHLIGHTS = {
+    f"highlight-{h}-{kind}": (kind, h)
+    for kind in RENDERABLE
+    for h in ("1,9", "0,1", "2,2", "1,3,3")
+}
+
+
 @pytest.mark.parametrize(
     "case, code",
     [
         ("bad-highlight", 64),
+        *[(case, 64) for case in BAD_HIGHLIGHTS],
         ("missing-file", 1),
         ("not-json", 1),
         ("missing-key", 1),
@@ -251,13 +267,18 @@ def test_bad_input_exits_without_traceback(case, code, tmp_path, capsys):
     (tmp_path / "nokey.json").write_text(
         '{"kind": "linear_wiring", "payload": {"n": 3}}', encoding="utf-8"
     )
-    argv = {
-        "bad-highlight": ["render", model, "--highlight", "1,x"],
-        "missing-file": ["stats", str(tmp_path / "absent.json")],
-        "not-json": ["stats", str(tmp_path / "bad.json")],
-        "missing-key": ["path", str(tmp_path / "nokey.json"), "1", "3"],
-        "unwritable-out": ["gen", "convex", "5", "--out", str(tmp_path / "absent" / "c.json")],
-    }[case]
+    if case in BAD_HIGHLIGHTS:
+        kind, h = BAD_HIGHLIGHTS[case]
+        serial.write_file(tmp_path / "m.json", RENDERABLE[kind]())
+        argv = ["render", str(tmp_path / "m.json"), "--highlight", h]
+    else:
+        argv = {
+            "bad-highlight": ["render", model, "--highlight", "1,x"],
+            "missing-file": ["stats", str(tmp_path / "absent.json")],
+            "not-json": ["stats", str(tmp_path / "bad.json")],
+            "missing-key": ["path", str(tmp_path / "nokey.json"), "1", "3"],
+            "unwritable-out": ["gen", "convex", "5", "--out", str(tmp_path / "absent" / "c.json")],
+        }[case]
     got, out, err = run(argv, capsys)
     assert got == code
     assert out == ""
