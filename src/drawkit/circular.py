@@ -4,10 +4,13 @@ A c-monotone drawing has an origin O such that every ray from O meets every
 edge at most once.  Combinatorially that is a circular sweep: vertices sit at
 distinct rational angles, each edge occupies an angular wedge of length less
 than one turn, and the radial (near-to-far) order of the edges met by the
-sweeping ray changes only at vertex events and at swap events; every swap is
-a crossing.  `wiring.sweep`, which also validates linear wirings, checks the
-events; the constructor adds only what is circular: events sorted by angle,
-each vertex event at its vertex's angle, and the wedges read off the sweep.
+sweeping ray changes only at vertices and at swaps; every swap is a crossing.
+What fixes the drawing is the vertex order around O, the radial orders and
+the order of the swaps in each gap between consecutive vertex rays, not
+where a swap sits inside its gap, so a `CircularWiring` stores strips of swap
+levels, as a `LinearWiring` does.  `wiring.sweep`, which also validates
+linear wirings, checks them; the constructor adds only what is circular:
+the vertex angles, and the wedges read off the sweep.
 """
 
 from __future__ import annotations
@@ -67,67 +70,48 @@ def arcs_cover_circle(arcs) -> bool:
 
 
 @dataclass(frozen=True)
-class VertexEvent:
-    angle: Fraction
-    v: int
-    ending: tuple      # edges disappearing here, bottom(near origin)-to-top
-    starting: tuple    # edges appearing here, bottom-to-top
-    pos: int           # radial position among the passing edges
-
-    def __post_init__(self):
-        object.__setattr__(self, "angle", frac1(Fraction(self.angle)))
-        object.__setattr__(self, "ending", tuple(map(tuple, self.ending)))
-        object.__setattr__(self, "starting", tuple(map(tuple, self.starting)))
-
-
-@dataclass(frozen=True)
-class SwapEvent:
-    angle: Fraction
-    level: int         # swaps radial levels (level, level+1)
-
-    def __post_init__(self):
-        object.__setattr__(self, "angle", frac1(Fraction(self.angle)))
-
-
-@dataclass(frozen=True)
 class CircularWiring:
-    """Angular events around the origin plus the radial order on the 0-ray."""
+    """A label-indexed twin of `LinearWiring`, swept counter-clockwise from
+    the 0-ray.
+
+    The ring visits the vertices by increasing angle.  strips[v-1] lists the
+    swap levels in the gap that ends at vertex v, which starts at the
+    previous vertex on the ring, or at the 0-ray for the first vertex; a
+    level k exchanges the strands at radial levels k and k+1 (near to far).
+    The arc from the last vertex back to the 0-ray has no swaps, and
+    base_order is the strand order there.  vertex_pos[v-1] is the number of
+    passing edges nearer the origin than v; ending[v-1] and starting[v-1]
+    give the near-to-far order of the edges ending at / starting at v.
+    """
 
     n: int
     angles: tuple
     base_order: tuple
-    events: tuple
+    strips: tuple
+    vertex_pos: tuple
+    ending: tuple
+    starting: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "angles", tuple(Fraction(a) for a in self.angles))
         object.__setattr__(self, "base_order", tuple(map(tuple, self.base_order)))
-        object.__setattr__(self, "events", tuple(self.events))
+        object.__setattr__(self, "strips", tuple(tuple(s) for s in self.strips))
+        object.__setattr__(self, "vertex_pos", tuple(self.vertex_pos))
+        object.__setattr__(self, "ending", tuple(tuple(map(tuple, o)) for o in self.ending))
+        object.__setattr__(self, "starting", tuple(tuple(map(tuple, o)) for o in self.starting))
         if len(self.angles) != self.n:
             raise InvalidDrawing("one angle per vertex required")
         if len(set(self.angles)) != self.n:
             raise InvalidDrawing("vertex angles must be distinct")
         if any(not 0 <= a < 1 for a in self.angles):
             raise InvalidDrawing("vertex angles must lie in [0, 1)")
-        stream = []
-        at = {}
-        last = 0
-        for ev in self.events:
-            if ev.angle < last:
-                raise InvalidDrawing("events must be sorted by angle")
-            last = ev.angle
-            if isinstance(ev, SwapEvent):
-                stream.append(ev.level)
-            elif isinstance(ev, VertexEvent):
-                at[ev.v] = ev.angle
-                stream.append((ev.v, ev.ending, ev.starting, ev.pos))
-            else:
-                raise InvalidDrawing(f"unknown event {ev!r}")
+        fields = (self.strips, self.vertex_pos, self.ending, self.starting)
+        if any(len(f) != self.n for f in fields):
+            raise InvalidDrawing("field lengths do not match n")
         # the validating sweep's results, kept outside the fields so that
-        # equality, hashing and serialization see only the events
-        columns, vertex_pos, crossings, first = sweep(self.n, self.base_order, stream)
-        for v, a in enumerate(self.angles, 1):
-            if at[v] != a:
-                raise InvalidDrawing(f"vertex event angle mismatch for v{v}")
+        # equality, hashing and serialization see only the wiring itself
+        ring = circular_vertex_order(self)
+        columns, crossings, first = sweep(self.n, self.base_order, ring, *fields)
         supports = {}
         for e, v in first.items():
             w = e[0] + e[1] - v  # where e ends
@@ -136,7 +120,6 @@ class CircularWiring:
         object.__setattr__(self, "_crossing_set", CrossingSet(self.n, frozenset(crossings)))
         object.__setattr__(self, "_supports", supports)
         object.__setattr__(self, "_columns", columns)
-        object.__setattr__(self, "_vertex_pos", vertex_pos)
         object.__setattr__(self, "_strong", None)  # set by the first is_strongly_c_monotone()
 
     def edges(self) -> list:
@@ -144,7 +127,7 @@ class CircularWiring:
 
 
 def crossing_set(cw: CircularWiring) -> CrossingSet:
-    """One crossing per swap event."""
+    """One crossing per swap."""
     return cw._crossing_set
 
 
@@ -207,6 +190,8 @@ def cut_to_linear(cw: CircularWiring, angle) -> LinearWiring:
 
     Requires that no vertex sits at the cut angle and no edge's wedge spans
     it; the crossing set is preserved exactly (relabeled by the new order).
+    No strand passes the cut, so the gap that holds it has no swaps, and
+    swap levels and vertex positions carry over unchanged.
     """
     angle = frac1(Fraction(angle))
     if angle in cw.angles:
@@ -214,44 +199,19 @@ def cut_to_linear(cw: CircularWiring, angle) -> LinearWiring:
     for e, arc in cw._supports.items():
         if arc.contains(angle):
             raise CutBlocked(e)
-
-    def shifted(a: Fraction) -> Fraction:
-        return frac1(a - angle)
-
-    events = sorted(cw.events, key=lambda ev: shifted(ev.angle))
-    ring = sorted(range(1, cw.n + 1), key=lambda v: shifted(cw.angles[v - 1]))
+    ring = sorted(range(1, cw.n + 1), key=lambda v: frac1(cw.angles[v - 1] - angle))
     relabel = {v: i + 1 for i, v in enumerate(ring)}
 
-    def map_edge(e):
-        return _sorted_pair(relabel[e[0]], relabel[e[1]])
+    def map_block(block):
+        return tuple(_sorted_pair(relabel[e[0]], relabel[e[1]]) for e in block)
 
-    strips = []
-    vertex_pos = []
-    left_order = []
-    right_order = []
-    cur_swaps: list = []
-    seen = 0
-    for ev in events:
-        if isinstance(ev, VertexEvent):
-            if seen:
-                strips.append(tuple(cur_swaps))
-            cur_swaps = []
-            seen += 1
-            vertex_pos.append(ev.pos)
-            left_order.append(tuple(map_edge(e) for e in ev.ending))
-            right_order.append(tuple(map_edge(e) for e in ev.starting))
-        else:
-            cur_swaps.append(ev.level)
-    lw = LinearWiring(cw.n, tuple(strips), tuple(vertex_pos), tuple(left_order), tuple(right_order))
-    return lw
-
-
-def strip_events(lo, hi, swaps, D=1) -> list:
-    """Swap events for one strip's swap positions, evenly spaced strictly
-    between the angles lo / D and hi / D."""
-    k = len(swaps) + 1
-    return [SwapEvent(Fraction(lo * k + (hi - lo) * j, D * k), level)
-            for j, level in enumerate(swaps, 1)]
+    return LinearWiring(
+        cw.n,
+        tuple(cw.strips[v - 1] for v in ring[1:]),
+        tuple(cw.vertex_pos[v - 1] for v in ring),
+        tuple(map_block(cw.ending[v - 1]) for v in ring),
+        tuple(map_block(cw.starting[v - 1]) for v in ring),
+    )
 
 
 def linear_to_circular(lw: LinearWiring, spread=Fraction(1, 2)) -> CircularWiring:
@@ -260,39 +220,34 @@ def linear_to_circular(lw: LinearWiring, spread=Fraction(1, 2)) -> CircularWirin
     This is the combinatorial form of placing the origin far below the
     drawing: columns become angles inside an arc of the given length, the
     vertical orders become radial orders, and the crossing set carries over
-    unchanged.  The arc complement stays event-free, so cutting there
-    recovers the wiring.
+    unchanged.  Vertex 1 sits on the 0-ray and the arc complement stays
+    swap-free, so cutting there recovers the wiring.
     """
     spread = Fraction(spread)
     if not 0 < spread < 1:
         raise InvalidDrawing("spread must lie in (0, 1)")
     n = lw.n
-    events = []
-    angles = {}
-
-    def col_angle(i):
-        return Fraction(i - 1) * spread / n
-
-    for v in range(1, n + 1):
-        angles[v] = col_angle(v)
-        events.append(
-            VertexEvent(
-                angles[v], v, lw.left_order[v - 1], lw.right_order[v - 1], lw.vertex_pos[v - 1]
-            )
-        )
-        if v < n:
-            events += strip_events(col_angle(v), col_angle(v + 1), lw.strips[v - 1])
-    return CircularWiring(n, tuple(angles[v] for v in range(1, n + 1)), (), tuple(events))
+    return CircularWiring(
+        n,
+        tuple(Fraction(v - 1) * spread / n for v in range(1, n + 1)),
+        (),
+        ((),) + lw.strips,
+        lw.vertex_pos,
+        lw.left_order,
+        lw.right_order,
+    )
 
 
 def rotation_system(cw: CircularWiring):
-    """Clockwise rotation of every vertex, read off the sweep events."""
+    """Clockwise rotation of every vertex, read off its ending and starting
+    edges."""
     from drawkit.rotation import RotationSystem
 
-    rotations = {}
-    for ev in cw.events:
-        if isinstance(ev, VertexEvent):
-            arriving = [e[0] + e[1] - ev.v for e in reversed(ev.ending)]
-            leaving = [e[0] + e[1] - ev.v for e in ev.starting]
-            rotations[ev.v] = tuple(arriving) + tuple(leaving)
-    return RotationSystem(cw.n, tuple(rotations[v] for v in range(1, cw.n + 1)))
+    return RotationSystem(
+        cw.n,
+        tuple(
+            tuple(e[0] + e[1] - v for e in reversed(cw.ending[v - 1]))
+            + tuple(e[0] + e[1] - v for e in cw.starting[v - 1])
+            for v in range(1, cw.n + 1)
+        ),
+    )

@@ -216,12 +216,12 @@ def _cmd_render(args) -> int:
         raise _UsageError(
             f"--highlight needs comma-separated vertices, got {args.highlight!r}"
         ) from None
-    spec = svg.RenderSpec(canvas=args.size, highlight=highlight)
-    if not isinstance(model, dict):  # path and report payloads are not drawings
-        try:
+    try:
+        spec = svg.RenderSpec(canvas=args.size, highlight=highlight)
+        if not isinstance(model, dict):  # path and report payloads are not drawings
             spec.highlight_edges(model.n)
-        except InvalidDrawing as exc:
-            raise _UsageError(str(exc)) from None
+    except InvalidDrawing as exc:
+        raise _UsageError(str(exc)) from None
     text = svg.render(model, spec)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

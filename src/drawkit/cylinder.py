@@ -31,7 +31,7 @@ hash and serialized form.  Every decision runs on one integer grid per
 drawing: the constructor scales all angles and windings by D, the lcm of
 their denominators, so an angle is an int A in [0, D), a winding an int W,
 and x mod 1 becomes x % D.  Fractions are built only for new angles and
-windings and for the realized wiring's event angles.
+windings and for the realized wiring's vertex angles.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from itertools import combinations
 from math import lcm
 
 from drawkit import circular as circ
-from drawkit.circular import Arc, CircularWiring, VertexEvent, frac1
+from drawkit.circular import Arc, CircularWiring, frac1
 from drawkit.errors import (
     BothDirectionsForbidden,
     InvalidDrawing,
@@ -571,7 +571,8 @@ def to_circular_wiring(cd: CylindricalDrawing) -> CircularWiring:
     starts from the wrapping edges in any order.  Every pair of edges alive
     at its end got its order where the later of the two started, or after,
     so the order it ends with is the one the second sweep starts and closes
-    with.
+    with.  The second sweep's strips, one per gap that ends at a vertex, and
+    its start order are the wiring's strips and base order.
     """
     if any(abs(W) >= cd._D for W in cd._W.values()):
         raise InvalidDrawing("normalize windings before realization")
@@ -610,16 +611,18 @@ def to_circular_wiring(cd: CylindricalDrawing) -> CircularWiring:
     wrapping = [e for e, (first, last, _) in runs.items() if angle[first] > angle[last]]
     _, _, base = redraw_strips(ring, wrapping, starting, below)
     strips, positions, _ = redraw_strips(ring, base, starting, below)
-    at = {v: Fraction(a, D2) for v, a in angle.items()}
-    events = []
-    lo = 0
-    for v, swaps, pos in zip(ring, strips, positions):
-        events += circ.strip_events(lo, angle[v], swaps, D2)
-        events.append(VertexEvent(at[v], v, ending[v], starting[v], pos))
-        lo = angle[v]
+    strip_of = dict(zip(ring, strips))
+    pos_of = dict(zip(ring, positions))
+    labels = range(1, cd.n + 1)
     try:
         cw = CircularWiring(
-            cd.n, tuple(at[v] for v in range(1, cd.n + 1)), tuple(base), tuple(events)
+            cd.n,
+            tuple(Fraction(angle[v], D2) for v in labels),
+            tuple(base),
+            tuple(strip_of[v] for v in labels),
+            tuple(pos_of[v] for v in labels),
+            tuple(ending[v] for v in labels),
+            tuple(starting[v] for v in labels),
         )
     except InvalidDrawing as exc:
         raise RealizationMismatch(f"redraw does not form a wiring: {exc}") from exc

@@ -142,7 +142,7 @@ def path_strong_c_mon(cw: CircularWiring, a: int, b: int):
 
     ring = circ.circular_vertex_order(cw)
     idx = {v: i for i, v in enumerate(ring)}
-    side = w.side_reader(cw._columns, cw._vertex_pos)
+    side = w.side_reader(cw._columns, cw.vertex_pos)
 
     def sweep(vs, start):
         # vs in counter-clockwise order from the ray at angle `start`

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from drawkit.circular import CircularWiring, SwapEvent, VertexEvent
+from drawkit.circular import CircularWiring
 from drawkit.cylinder import ArcDir, CircleEdge, CylindricalDrawing, Face, LateralEdge
 from drawkit.errors import InvalidDrawing
 from drawkit.rotation import CrossingSet, RotationSystem
@@ -59,28 +59,16 @@ def dump(obj) -> dict:
             },
         }
     if isinstance(obj, CircularWiring):
-        events = []
-        for ev in obj.events:
-            if isinstance(ev, VertexEvent):
-                events.append(
-                    {
-                        "kind": "vertex",
-                        "angle": _frac(ev.angle),
-                        "v": ev.v,
-                        "ending": [list(e) for e in ev.ending],
-                        "starting": [list(e) for e in ev.starting],
-                        "pos": ev.pos,
-                    }
-                )
-            else:
-                events.append({"kind": "swap", "angle": _frac(ev.angle), "level": ev.level})
         return {
             "kind": "circular_wiring",
             "payload": {
                 "n": obj.n,
                 "angles": [_frac(a) for a in obj.angles],
                 "base_order": [list(e) for e in obj.base_order],
-                "events": events,
+                "strips": [list(s) for s in obj.strips],
+                "vertex_pos": list(obj.vertex_pos),
+                "ending": [[list(e) for e in o] for o in obj.ending],
+                "starting": [[list(e) for e in o] for o in obj.starting],
             },
         }
     if isinstance(obj, CylindricalDrawing):
@@ -148,27 +136,14 @@ def _load_payload(kind, p):
             tuple(tuple(tuple(e) for e in o) for o in p["right_order"]),
         )
     if kind == "circular_wiring":
-        events = []
-        for ev in p["events"]:
-            if ev["kind"] == "vertex":
-                events.append(
-                    VertexEvent(
-                        Fraction(ev["angle"]),
-                        ev["v"],
-                        tuple(tuple(e) for e in ev["ending"]),
-                        tuple(tuple(e) for e in ev["starting"]),
-                        ev["pos"],
-                    )
-                )
-            elif ev["kind"] == "swap":
-                events.append(SwapEvent(Fraction(ev["angle"]), ev["level"]))
-            else:
-                raise InvalidDrawing(f"unknown event kind {ev['kind']!r}")
         return CircularWiring(
             p["n"],
             tuple(Fraction(a) for a in p["angles"]),
             tuple(tuple(e) for e in p["base_order"]),
-            tuple(events),
+            tuple(tuple(s) for s in p["strips"]),
+            tuple(p["vertex_pos"]),
+            tuple(tuple(tuple(e) for e in o) for o in p["ending"]),
+            tuple(tuple(tuple(e) for e in o) for o in p["starting"]),
         )
     if kind == "cylindrical_drawing":
         return CylindricalDrawing(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from drawkit import cylinder as cyl
-from drawkit.circular import CircularWiring, VertexEvent
+from drawkit.circular import CircularWiring, circular_vertex_order
 from drawkit.cylinder import CylindricalDrawing, Face
 from drawkit.errors import InvalidDrawing, UnrenderableModel
 from drawkit.rotation import CrossingSet, _sorted_pair
@@ -183,11 +183,10 @@ def _render_wiring(lw: LinearWiring, spec: RenderSpec) -> str:
 def _render_circular(cw: CircularWiring, spec: RenderSpec) -> str:
     size = spec.canvas
     cx = cy = size / 2
-    # live edges change only at vertex events: column plus starting edges
+    ring = circular_vertex_order(cw)
+    # live edges change only at vertices: column plus starting edges
     max_live = max(
-        [len(cw.base_order)]
-        + [len(cw._columns[ev.v - 1]) + len(ev.starting)
-           for ev in cw.events if isinstance(ev, VertexEvent)]
+        [len(cw.base_order)] + [len(cw._columns[v - 1]) + len(cw.starting[v - 1]) for v in ring]
     )
     r_lo, r_hi = size * 0.10, size * 0.42
 
@@ -199,32 +198,43 @@ def _render_circular(cw: CircularWiring, spec: RenderSpec) -> str:
     paths = {e: [] for e in cw.edges()}
     spots = {}
     order = list(cw.base_order)
-    prev = 0.0
-    for ev in (*cw.events, None):
-        ang = 1.0 if ev is None else float(ev.angle)
-        steps = max(2, int((ang - prev) * 96))
+
+    def segment(a0, a1):  # every live strand from the angle a0 to a1, in turns
+        steps = max(2, int((a1 - a0) * 96))
         # one cosine and sine per sample angle, shared by the segment's strands
-        angs = [2 * math.pi * (prev + (ang - prev) * s / steps) for s in range(steps + 1)]
+        angs = [2 * math.pi * (a0 + (a1 - a0) * s / steps) for s in range(steps + 1)]
         trig = [(math.cos(a), math.sin(a)) for a in angs]
         for i, e in enumerate(order):
             rr = radii[i]
             paths[e] += [f"{cx + rr * c:.6f},{cy - rr * s:.6f}" for c, s in trig]
-        if ev is None:
-            break
-        if isinstance(ev, VertexEvent):
-            if ev.ending:
-                del order[ev.pos : ev.pos + len(ev.ending)]
-            spots[ev.v] = _polar(cx, cy, rad(ev.pos - 0.5), ang)
-            spot = _pt(*spots[ev.v])
-            for e in ev.ending:
-                paths[e].append(spot)
-            order[ev.pos : ev.pos] = list(ev.starting)
-            for e in ev.starting:
-                paths[e].append(spot)
-        else:
-            k = ev.level
-            order[k], order[k + 1] = order[k + 1], order[k]
-        prev = ang
+
+    prev = 0.0
+    lo_num, lo_den = 0, 1  # the gap's start: the previous vertex, or the 0-ray
+    for v in ring:
+        hi = cw.angles[v - 1]
+        # swap j of the k - 1 in the gap (lo, hi) sits at lo + (hi - lo) j / k;
+        # int / int division rounds exactly as float(Fraction) does
+        k = len(cw.strips[v - 1]) + 1
+        a, b = lo_num * hi.denominator, hi.numerator * lo_den
+        den = lo_den * hi.denominator * k
+        for j, level in enumerate(cw.strips[v - 1], 1):
+            ang = (a * k + (b - a) * j) / den
+            segment(prev, ang)
+            order[level], order[level + 1] = order[level + 1], order[level]
+            prev = ang
+        ang = float(hi)
+        segment(prev, ang)
+        ending, pos = cw.ending[v - 1], cw.vertex_pos[v - 1]
+        del order[pos : pos + len(ending)]
+        spots[v] = _polar(cx, cy, rad(pos - 0.5), ang)
+        spot = _pt(*spots[v])
+        for e in ending:
+            paths[e].append(spot)
+        order[pos:pos] = cw.starting[v - 1]
+        for e in cw.starting[v - 1]:
+            paths[e].append(spot)
+        prev, lo_num, lo_den = ang, hi.numerator, hi.denominator
+    segment(prev, 1.0)
     cv = _Canvas(size)
     cv.circle(cx, cy, 3, spec.palette["frame"])
     lines = {e: " ".join(pts) for e, pts in paths.items()}

@@ -4,9 +4,9 @@ A `LinearWiring` is the combinatorial skeleton of an x-monotone drawing: the
 left-to-right vertex order plus, per strip between consecutive vertices, the
 sequence of adjacent transpositions of the vertical strand order.  Every swap
 is a crossing and vice versa.  A linear wiring is a circular one cut open at
-an event-free ray, so one validating sweep, `sweep`, checks the steps of both
-models: `LinearWiring` feeds it its columns and strips from no strands,
-`CircularWiring` its events from the base order.
+a ray that no strand crosses, so one validating sweep, `sweep`, checks the
+steps of both models: `LinearWiring` hands it its vertices left to right from
+no strands, `CircularWiring` its vertices in ring order from the base order.
 
 An `XBoundedData` drops the strand order and keeps only what an x-bounded
 drawing pins down: for every edge and every vertex strictly between its
@@ -76,11 +76,15 @@ class LinearWiring:
             raise InvalidDrawing("field lengths do not match n")
         # the validating sweep's results, kept outside the fields so that
         # equality, hashing and serialization see only the wiring itself
-        stream = []
-        rows = zip(self.left_order, self.right_order, self.vertex_pos, self.strips + ((),))
-        for v, (ending, starting, pos, strip) in enumerate(rows, 1):
-            stream += [(v, ending, starting, pos), *strip]
-        columns, _, crossings, _ = sweep(self.n, (), stream)
+        columns, crossings, _ = sweep(
+            self.n,
+            (),
+            range(1, self.n + 1),
+            ((),) + self.strips,
+            self.vertex_pos,
+            self.left_order,
+            self.right_order,
+        )
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "_crossing_set", CrossingSet(self.n, frozenset(crossings)))
 
@@ -88,34 +92,33 @@ class LinearWiring:
         return [e for block in self.right_order for e in block]
 
 
-def sweep(n, base, stream):
+def sweep(n, base, ring, strips, vertex_pos, ending, starting):
     """The validating sweep shared by the linear and circular models.
 
-    Starts from the strand order `base` and applies `stream` in sweep order.
-    A vertex step `(v, ending, starting, pos)` removes the block `ending`,
-    which must be exactly the live strands incident to v, contiguous and
-    `pos` strands from the bottom, then inserts `starting` there.  An int k
-    swaps the strands at levels k and k+1, which must be independent edges
-    that have not swapped before.  Every vertex 1..n takes one step, every
-    edge is a sorted pair that starts once, at one of its end-vertices, and
-    the sweep must end on `base` again.
+    Starts from the strand order `base` and visits the vertices in the order
+    `ring`, which lists 1..n once each.  Before vertex v it applies the swaps
+    strips[v-1]: a level k swaps the strands at levels k and k+1, which must
+    be independent edges that have not swapped before.  At v it removes the
+    block ending[v-1], which must be exactly the live strands incident to v,
+    contiguous and vertex_pos[v-1] strands from the bottom, then inserts
+    starting[v-1] there.  Every edge is a sorted pair that starts once, at
+    one of its end-vertices, and the sweep must end on `base` again.
 
-    Returns (columns, vertex_pos, crossings, first): columns[v-1] is the
-    order of the strands passing v, vertex_pos[v-1] is v's position in it,
-    crossings lists the swapped pairs in sweep order, and first[e] is the
-    vertex where edge e starts.  Raises InvalidDrawing on ill-formed steps.
+    Returns (columns, crossings, first): columns[v-1] is the order of the
+    strands passing v, crossings lists the swapped pairs in sweep order, and
+    first[e] is the vertex where edge e starts.  Raises InvalidDrawing on
+    ill-formed steps.
     """
     order = list(base)
     columns = [None] * n
-    vertex_pos = [0] * n
     crossings = []
     swapped = set()
     first = {}
-    for step in stream:
-        if not isinstance(step, tuple):
-            if not 0 <= step < len(order) - 1:
-                raise InvalidDrawing(f"swap level {step} invalid among {len(order)} strands")
-            e, f = order[step], order[step + 1]
+    for v in ring:
+        for k in strips[v - 1]:
+            if not 0 <= k < len(order) - 1:
+                raise InvalidDrawing(f"swap level {k} invalid among {len(order)} strands")
+            e, f = order[k], order[k + 1]
             if not set(e).isdisjoint(f):
                 raise InvalidDrawing(f"incident edges {e}, {f} cannot swap")
             pair = (e, f) if e < f else (f, e)
@@ -123,39 +126,33 @@ def sweep(n, base, stream):
                 raise InvalidDrawing(f"pair {pair} swaps twice")
             swapped.add(pair)
             crossings.append(pair)
-            order[step], order[step + 1] = f, e
-            continue
-        v, ending, starting, pos = step
-        if not 1 <= v <= n or columns[v - 1] is not None:
-            raise InvalidDrawing(f"bad or repeated vertex step for v{v}")
-        if sorted(ending) != sorted(e for e in order if v in e):
+            order[k], order[k + 1] = f, e
+        ends, pos = ending[v - 1], vertex_pos[v - 1]
+        if sorted(ends) != sorted(e for e in order if v in e):
             raise InvalidDrawing(f"edges ending at v{v} are not its live edges")
-        if ending:
-            k = order.index(ending[0])
-            if tuple(order[k : k + len(ending)]) != tuple(ending):
+        if ends:
+            k = order.index(ends[0])
+            if tuple(order[k : k + len(ends)]) != tuple(ends):
                 raise InvalidDrawing(f"edges ending at v{v} are not a contiguous block")
             if k != pos:
                 raise InvalidDrawing(f"position of v{v} inconsistent with its ending block")
-            del order[k : k + len(ending)]
+            del order[k : k + len(ends)]
         if not 0 <= pos <= len(order):
             raise InvalidDrawing(f"position of v{v} out of range")
         columns[v - 1] = tuple(order)
-        vertex_pos[v - 1] = pos
-        for e in starting:
+        for e in starting[v - 1]:
             if not (len(e) == 2 and 1 <= e[0] < e[1] <= n and v in e):
                 raise InvalidDrawing(f"v{v} starts {e}: not a sorted pair in 1..{n} containing v{v}")
             if e in first:
                 raise InvalidDrawing(f"v{v} repeats the edge {e}")
             first[e] = v
-        order[pos:pos] = starting
-    if None in columns:
-        raise InvalidDrawing(f"v{columns.index(None) + 1} takes no step")
+        order[pos:pos] = starting[v - 1]
     if order != list(base):
         raise InvalidDrawing("the sweep does not return to the base order")
     for e in base:
         if e not in first:
             raise InvalidDrawing(f"base edge {e} never starts")
-    return tuple(columns), tuple(vertex_pos), crossings, first
+    return tuple(columns), crossings, first
 
 
 def crossing_set(lw: LinearWiring) -> CrossingSet:

@@ -1,4 +1,3 @@
-from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -8,13 +7,7 @@ from drawkit import cylinder as cyl
 from drawkit import generators as gen
 from drawkit import serial
 from drawkit import wiring as w
-from drawkit.circular import (
-    Arc,
-    CircularWiring,
-    SwapEvent,
-    VertexEvent,
-    arcs_cover_circle,
-)
+from drawkit.circular import Arc, CircularWiring, arcs_cover_circle
 from drawkit.errors import CutBlocked, InvalidDrawing
 
 F = Fraction
@@ -23,45 +16,41 @@ F = Fraction
 def short_way_triangle():
     """K_3 with all edges on their short arcs (origin outside the triangle)."""
     return CircularWiring(
-        3,
-        (F(1, 10), F(3, 10), F(6, 10)),
-        (),
-        (
-            VertexEvent(F(1, 10), 1, (), ((1, 2), (1, 3)), 0),
-            VertexEvent(F(3, 10), 2, ((1, 2),), ((2, 3),), 0),
-            VertexEvent(F(6, 10), 3, ((2, 3), (1, 3)), (), 0),
-        ),
+        n=3,
+        angles=(F(1, 10), F(3, 10), F(6, 10)),
+        base_order=(),
+        strips=((), (), ()),
+        vertex_pos=(0, 0, 0),
+        ending=((), ((1, 2),), ((2, 3), (1, 3))),
+        starting=(((1, 2), (1, 3)), ((2, 3),), ()),
     )
 
 
 def long_way_triangle():
     """K_3 where edge {1,2} takes the long way around the origin."""
     return CircularWiring(
-        3,
-        (F(1, 10), F(3, 10), F(6, 10)),
-        ((1, 2),),
-        (
-            VertexEvent(F(1, 10), 1, ((1, 2),), ((1, 3),), 0),
-            VertexEvent(F(3, 10), 2, (), ((1, 2), (2, 3)), 0),
-            VertexEvent(F(6, 10), 3, ((2, 3), (1, 3)), (), 1),
-        ),
+        n=3,
+        angles=(F(1, 10), F(3, 10), F(6, 10)),
+        base_order=((1, 2),),
+        strips=((), (), ()),
+        vertex_pos=(0, 0, 1),
+        ending=(((1, 2),), (), ((2, 3), (1, 3))),
+        starting=(((1, 3),), ((1, 2), (2, 3)), ()),
     )
 
 
 def covering_k4():
     """K_4 whose edges {1,2} and {3,4} have wedges of length >= 1/2 that
-    together cover the circle; one crossing."""
+    together cover the circle; one crossing, swapped in the gap from vertex
+    4 to vertex 2."""
     return CircularWiring(
-        4,
-        (F(10, 100), F(60, 100), F(15, 100), F(55, 100)),
-        ((3, 4),),
-        (
-            VertexEvent(F(10, 100), 1, (), ((1, 3), (1, 4), (1, 2)), 1),
-            VertexEvent(F(15, 100), 3, ((3, 4), (1, 3)), ((2, 3),), 0),
-            VertexEvent(F(55, 100), 4, ((1, 4),), ((2, 4), (3, 4)), 1),
-            SwapEvent(F(575, 1000), 2),
-            VertexEvent(F(60, 100), 2, ((2, 3), (2, 4), (1, 2)), (), 0),
-        ),
+        n=4,
+        angles=(F(10, 100), F(60, 100), F(15, 100), F(55, 100)),
+        base_order=((3, 4),),
+        strips=((), (2,), (), ()),
+        vertex_pos=(1, 0, 0, 1),
+        ending=((), ((2, 3), (2, 4), (1, 2)), ((3, 4), (1, 3)), ((1, 4),)),
+        starting=(((1, 3), (1, 4), (1, 2)), (), ((2, 3),), ((2, 4), (3, 4))),
     )
 
 
@@ -153,10 +142,7 @@ def test_cut_recovers_x_monotone_wiring():
     for seed in range(8):
         n = 4 + seed % 5
         lw = gen.random_x_monotone(n, seed)
-        cw = circ.linear_to_circular(lw)
-        back = circ.cut_to_linear(cw, F(3, 4))
-        assert w.crossing_set(back).pairs == w.crossing_set(lw).pairs
-        assert back.n == lw.n
+        assert circ.cut_to_linear(circ.linear_to_circular(lw), F(3, 4)) == lw
 
 
 def test_cut_blocked_inside_a_wedge():
@@ -188,120 +174,111 @@ def test_cut_through_empty_gap_succeeds():
 
 
 def test_composition_invariant_enforced():
-    # an event list that does not return to the base order must be rejected
-    with pytest.raises(Exception):
-        CircularWiring(
-            3,
-            (F(1, 10), F(3, 10), F(6, 10)),
-            ((1, 2),),
-            (
-                VertexEvent(F(1, 10), 1, (), ((1, 2), (1, 3)), 0),
-                VertexEvent(F(3, 10), 2, ((1, 2),), ((2, 3),), 0),
-                VertexEvent(F(6, 10), 3, ((2, 3), (1, 3)), (), 0),
-            ),
-        )
+    # a sweep that does not return to the base order must be rejected
+    with pytest.raises(InvalidDrawing):
+        CircularWiring(**_with(K3, base_order=((1, 2),)))
 
 
 # the rejection table: one malformed circular wiring per check of the
-# validating sweep and of the constructor's event checks, each a small change
-# to a valid event list
+# validating sweep and of the constructor, each one field or two changed in
+# a valid K3 or K4 wiring.  K3 is the short-way triangle; K4 has one
+# crossing, (1, 3) x (2, 4), swapped at level 1 in the gap that ends at v3.
 T = (F(1, 10), F(3, 10), F(6, 10))
-V1 = VertexEvent(T[0], 1, (), ((1, 2), (1, 3)), 0)
-V2 = VertexEvent(T[1], 2, ((1, 2),), ((2, 3),), 0)
-V3 = VertexEvent(T[2], 3, ((2, 3), (1, 3)), (), 0)
-# K4 on four rays with one crossing, (1, 3) x (2, 4), swapped at level 1
-Q = (F(1, 10), F(2, 10), F(3, 10), F(4, 10))
-K4_EVENTS = (
-    VertexEvent(Q[0], 1, (), ((1, 2), (1, 3), (1, 4)), 0),
-    VertexEvent(Q[1], 2, ((1, 2),), ((2, 3), (2, 4)), 0),
-    SwapEvent(F(25, 100), 1),
-    VertexEvent(Q[2], 3, ((2, 3), (1, 3)), ((3, 4),), 0),
-    VertexEvent(Q[3], 4, ((3, 4), (2, 4), (1, 4)), (), 0),
+K3 = dict(
+    n=3,
+    angles=T,
+    base_order=(),
+    strips=((), (), ()),
+    vertex_pos=(0, 0, 0),
+    ending=((), ((1, 2),), ((2, 3), (1, 3))),
+    starting=(((1, 2), (1, 3)), ((2, 3),), ()),
+)
+K4 = dict(
+    n=4,
+    angles=(F(1, 10), F(2, 10), F(3, 10), F(4, 10)),
+    base_order=(),
+    strips=((), (), (1,), ()),
+    vertex_pos=(0, 0, 0, 0),
+    ending=((), ((1, 2),), ((2, 3), (1, 3)), ((3, 4), (2, 4), (1, 4))),
+    starting=(((1, 2), (1, 3), (1, 4)), ((2, 3), (2, 4)), ((3, 4),), ()),
 )
 
 
-@dataclass(frozen=True)
-class StrayEvent:
-    angle: Fraction
-
-
-def _k3(*events, base=()):
-    return (3, T, base, events)
-
-
-def _k4(*events):
-    return (4, Q, (), events)
+def _with(fields, **changes):
+    return {**fields, **changes}
 
 
 MALFORMED_CIRCULAR = {
-    "events-out-of-angle-order": _k4(*K4_EVENTS[:2], SwapEvent(F(15, 100), 1), *K4_EVENTS[3:]),
-    "vertex-out-of-range": _k3(V1, V2, VertexEvent(T[2], 4, (), (), 0)),
-    "vertex-angle-mismatch": _k3(VertexEvent(F(2, 10), 1, (), ((1, 2), (1, 3)), 0), V2, V3),
-    "edge-not-incident": _k3(VertexEvent(T[0], 1, (), ((1, 2), (2, 3)), 0), V2, V3),
-    "ending-edge-not-alive": _k3(V1, VertexEvent(T[1], 2, ((2, 3),), (), 0), V3),
-    "ending-block-not-contiguous": _k4(*K4_EVENTS[:2], *K4_EVENTS[3:]),
-    "pos-off-the-ending-block": _k3(V1, VertexEvent(T[1], 2, ((1, 2),), ((2, 3),), 1), V3),
-    "pos-out-of-range": _k3(VertexEvent(T[0], 1, (), ((1, 2), (1, 3)), 1), V2, V3),
-    "edge-starts-while-alive": _k3(
-        VertexEvent(T[0], 1, (), ((1, 2), (1, 2), (1, 3)), 0), V2, V3
+    # a vertex 4 of the K3, with no angle
+    "vertex-out-of-range": _with(K3, vertex_pos=(0, 0, 0, 0)),
+    "edge-not-incident": _with(K3, starting=(((1, 2), (2, 3)), ((2, 3),), ())),
+    "ending-edge-not-alive": _with(K3, ending=((), ((2, 3),), ((2, 3), (1, 3)))),
+    "ending-block-not-contiguous": _with(K4, strips=((), (), (), ())),
+    "pos-off-the-ending-block": _with(K3, vertex_pos=(0, 1, 0)),
+    "pos-out-of-range": _with(K3, vertex_pos=(1, 0, 0)),
+    "edge-starts-while-alive": _with(K3, starting=(((1, 2), (1, 2), (1, 3)), ((2, 3),), ())),
+    "swap-level-out-of-range": _with(K3, strips=((), (5,), ())),
+    "incident-edges-swap": _with(K3, strips=((), (0,), ())),
+    "pair-swaps-twice": _with(K4, strips=((), (), (1, 1), ())),
+    # vertex 3 of the K3 has an angle and nothing else
+    "vertex-without-event": dict(
+        n=3,
+        angles=T,
+        base_order=(),
+        strips=((), ()),
+        vertex_pos=(0, 0),
+        ending=((), ((1, 2),)),
+        starting=(((1, 2),), ()),
     ),
-    "swap-level-out-of-range": _k3(V1, SwapEvent(F(2, 10), 5), V2, V3),
-    "incident-edges-swap": _k3(V1, SwapEvent(F(2, 10), 0), V2, V3),
-    "pair-swaps-twice": _k4(*K4_EVENTS[:3], SwapEvent(F(26, 100), 1), *K4_EVENTS[3:]),
-    "unknown-event": _k3(V1, StrayEvent(F(2, 10)), V2, V3),
-    "vertex-without-event": (
-        3,
-        T,
-        (),
-        (VertexEvent(T[0], 1, (), ((1, 2),), 0), VertexEvent(T[1], 2, ((1, 2),), (), 0)),
-    ),
-    "sweep-misses-the-base-order": (
-        2,
-        T[:2],
-        (),
-        (VertexEvent(T[0], 1, (), (), 0), VertexEvent(T[1], 2, (), ((1, 2),), 0)),
+    "sweep-misses-the-base-order": dict(
+        n=2,
+        angles=T[:2],
+        base_order=(),
+        strips=((), ()),
+        vertex_pos=(0, 0),
+        ending=((), ()),
+        starting=((), ((1, 2),)),
     ),
 }
 
 
 def test_rejection_table_bases_are_valid():
-    assert circ.crossing_set(CircularWiring(*_k3(V1, V2, V3))).pairs == frozenset()
-    assert circ.crossing_set(CircularWiring(*_k4(*K4_EVENTS))).pairs == {((1, 3), (2, 4))}
+    assert circ.crossing_set(CircularWiring(**K3)).pairs == frozenset()
+    assert circ.crossing_set(CircularWiring(**K4)).pairs == {((1, 3), (2, 4))}
 
 
 @pytest.mark.parametrize("fields", MALFORMED_CIRCULAR.values(), ids=MALFORMED_CIRCULAR)
 def test_malformed_circular_wiring_rejected(fields):
     with pytest.raises(InvalidDrawing):
-        CircularWiring(*fields)
+        CircularWiring(**fields)
 
 
 # edge (1, 2) leaves vertex 1 and comes back to it after a full turn, passing
 # the ray of its own end-vertex 2 on the way
-FULL_TURN = (
-    3,
-    (F(0), F(1, 3), F(2, 3)),
-    ((1, 2),),
-    (
-        VertexEvent(F(0), 1, ((1, 2),), ((1, 2), (1, 3)), 0),
-        VertexEvent(F(1, 3), 2, (), ((2, 3),), 2),
-        VertexEvent(F(2, 3), 3, ((1, 3), (2, 3)), (), 1),
-    ),
+FULL_TURN = dict(
+    n=3,
+    angles=(F(0), F(1, 3), F(2, 3)),
+    base_order=((1, 2),),
+    strips=((), (), ()),
+    vertex_pos=(0, 2, 1),
+    ending=(((1, 2),), (), ((1, 3), (2, 3))),
+    starting=(((1, 2), (1, 3)), ((2, 3),), ()),
 )
 
 
 def test_full_turn_edge_rejected():
     with pytest.raises(InvalidDrawing):
-        CircularWiring(*FULL_TURN)
+        CircularWiring(**FULL_TURN)
 
 
 def test_unsorted_edge_rejected():
     # the short-way triangle with edge (1, 2) written as (2, 1)
     with pytest.raises(InvalidDrawing):
         CircularWiring(
-            *_k3(
-                VertexEvent(T[0], 1, (), ((2, 1), (1, 3)), 0),
-                VertexEvent(T[1], 2, ((2, 1),), ((2, 3),), 0),
-                V3,
+            **_with(
+                K3,
+                ending=((), ((2, 1),), ((2, 3), (1, 3))),
+                starting=(((2, 1), (1, 3)), ((2, 3),), ()),
             )
         )
 
@@ -309,4 +286,4 @@ def test_unsorted_edge_rejected():
 def test_base_edge_that_never_starts_rejected():
     # (7, 9) is carried once around the circle but is no edge of the K3
     with pytest.raises(InvalidDrawing):
-        CircularWiring(*_k3(V1, V2, V3, base=((7, 9),)))
+        CircularWiring(**_with(K3, base_order=((7, 9),)))

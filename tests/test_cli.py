@@ -254,6 +254,8 @@ BAD_HIGHLIGHTS = {
     [
         ("bad-highlight", 64),
         *[(case, 64) for case in BAD_HIGHLIGHTS],
+        ("size-50", 64),
+        ("size-0", 64),
         ("missing-file", 1),
         ("not-json", 1),
         ("missing-key", 1),
@@ -274,6 +276,8 @@ def test_bad_input_exits_without_traceback(case, code, tmp_path, capsys):
     else:
         argv = {
             "bad-highlight": ["render", model, "--highlight", "1,x"],
+            "size-50": ["render", model, "--size", "50"],
+            "size-0": ["render", model, "--size", "0"],
             "missing-file": ["stats", str(tmp_path / "absent.json")],
             "not-json": ["stats", str(tmp_path / "bad.json")],
             "missing-key": ["path", str(tmp_path / "nokey.json"), "1", "3"],
@@ -348,28 +352,44 @@ def test_gen_deterministic(tmp_path, capsys):
 def test_full_turn_wiring_exits_1(command, tmp_path, capsys):
     from tests.test_circular import FULL_TURN
 
-    n, angles, base, events = FULL_TURN
     doc = {
         "kind": "circular_wiring",
-        "payload": {
-            "n": n,
-            "angles": [str(a) for a in angles],
-            "base_order": [list(e) for e in base],
-            "events": [
-                {
-                    "kind": "vertex",
-                    "angle": str(ev.angle),
-                    "v": ev.v,
-                    "ending": [list(e) for e in ev.ending],
-                    "starting": [list(e) for e in ev.starting],
-                    "pos": ev.pos,
-                }
-                for ev in events
-            ],
-        },
+        "payload": {**FULL_TURN, "angles": [str(a) for a in FULL_TURN["angles"]]},
     }
     f = tmp_path / "cw.json"
     f.write_text(json.dumps(doc))
     code, out, err = run([command, str(f)], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    assert "malformed" not in err  # the sweep rejects it, not the loader
+
+
+# the short-way triangle as a circular_wiring payload with an event list in
+# place of strips, a format that `serial.load` does not read
+EVENT_LIST_PAYLOAD = {
+    "n": 3,
+    "angles": ["1/10", "3/10", "3/5"],
+    "base_order": [],
+    "events": [
+        {"kind": "vertex", "angle": a, "v": v, "ending": ending, "starting": starting, "pos": 0}
+        for a, v, ending, starting in (
+            ("1/10", 1, [], [[1, 2], [1, 3]]),
+            ("3/10", 2, [[1, 2]], [[2, 3]]),
+            ("3/5", 3, [[2, 3], [1, 3]], []),
+        )
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["stats"], ["render"], ["path", "1", "3"], ["convert", "--to", "xbounded"]],
+    ids=["stats", "render", "path", "convert"],
+)
+def test_event_list_circular_wiring_exits_1(argv, tmp_path, capsys):
+    f = tmp_path / "cw.json"
+    f.write_text(json.dumps({"kind": "circular_wiring", "payload": EVENT_LIST_PAYLOAD}))
+    code, out, err = run([argv[0], str(f), *argv[1:]], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "malformed 'circular_wiring' payload" in err
+    assert "Traceback" not in err

@@ -128,7 +128,7 @@ def cuts(cw):
 def assert_side_reader_matches(cw, lw, ring):
     """The circular side reader on cw agrees with wiring.vertex_sides on lw,
     whose vertex i is ring[i - 1]."""
-    above = w.side_reader(cw._columns, cw._vertex_pos)
+    above = w.side_reader(cw._columns, cw.vertex_pos)
     for e in lw.edges():
         edge = _sorted_pair(ring[e[0] - 1], ring[e[1] - 1])
         for v, side in w.vertex_sides(lw, e).items():
@@ -157,7 +157,9 @@ def test_side_reader_on_cut_to_linear():
 
 
 def models_from(n: int, seed: int):
-    """One model of each of the five kinds."""
+    """One model of each of the five kinds, and a second circular wiring
+    from `to_circular_wiring`, whose base order can be non-empty and whose
+    first gap starts at the 0-ray."""
     lw = gen.random_x_monotone(n, seed)
     cd = gen.random_cylindrical(n, seed, strong=seed % 2 == 0)
     return [
@@ -165,6 +167,7 @@ def models_from(n: int, seed: int):
         cyl.crossing_set(cd),
         lw,
         circ.linear_to_circular(lw),
+        cyl.to_circular_wiring(cyl.normalize_winding(cd)),
         cd,
     ]
 

@@ -80,3 +80,18 @@ def test_highlight_skips_edges_the_drawing_lacks():
     marked = svg.render(K4_MINUS_23, svg.RenderSpec(highlight=(1, 2, 3, 4)))
     # (1, 2) and (3, 4) are drawn twice, the absent (2, 3) not at all
     assert marked.count("<polyline") == plain.count("<polyline") + 2
+
+
+# sha256 of the concatenated renders of hill(8) as a c-monotone and as a
+# strongly c-monotone wiring at canvas 100 and 600, computed when every swap
+# carried an exact Fraction angle; some of hill(8)'s swap angles round
+# differently in plain float arithmetic, which changes the bytes
+HILL8_CIRCULAR_DIGEST = "b32280c470008b89ec80845a73c50416cd6eaea516608a49e3ad5bfaf1d7219c"
+
+
+def test_swap_angles_round_as_exact_fractions():
+    h = hashlib.sha256()
+    for cw in (cyl.to_circular_wiring(gen.hill(8)), cyl.to_strongly_c_monotone(gen.hill(8))):
+        for canvas in (100, 600):
+            h.update(svg.render(cw, svg.RenderSpec(canvas)).encode())
+    assert h.hexdigest() == HILL8_CIRCULAR_DIGEST
