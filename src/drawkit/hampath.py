@@ -324,24 +324,29 @@ def _same_circle_path(cd: CylindricalDrawing, a, b, cs, crossed_rims):
 # ============================================================
 
 @lru_cache(maxsize=8)
-def _nested_crossings(n: int) -> CrossingSet:
-    return CrossingSet(n, nested_rule_pairs(n))
+def _nested_crossings(n: int):
+    """T_n's crossing set, its oracle tables, and the mask of its edges of
+    index distance more than two."""
+    cs = CrossingSet(n, nested_rule_pairs(n))
+    tables = oracle._tables(cs)
+    eid = tables[0]
+    long_edges = sum(1 << eid[u][v] for u, v in combinations(range(1, n + 1), 2) if v - u > 2)
+    return cs, tables, long_edges
 
 
 def path_twisted(n: int, a: int, b: int):
     """Crossing-free Hamiltonian path from a to b in the twisted drawing.
 
     Paths over edges of index distance at most two can never use the outer
-    edge of a nested pair, so they are crossing-free outright; when no such
-    path exists for the given ends, the oracle's backtracking search over the
-    nested crossings takes over.
+    edge of a nested pair, so they are crossing-free outright.  The oracle's
+    search therefore runs first with every longer edge forbidden; only when
+    that finds no path for the given ends does it search all of T_n.
     """
     _check_ends(n, a, b)
-    long_edges = [e for e in combinations(range(1, n + 1), 2) if e[1] - e[0] > 2]
-    path = oracle._search(CrossingSet(n, frozenset()), a, b, forbidden=long_edges)
-    cs = _nested_crossings(n)
+    cs, tables, long_edges = _nested_crossings(n)
+    path = oracle._search(tables, a, b, crossed=long_edges)
     if path is None:
-        path = oracle._search(cs, a, b)
+        path = oracle._search(tables, a, b)
     if path is None:
         raise InternalAssertion(f"no crossing-free path found in T_{n} for ({a}, {b})")
     _check_path(cs, path, a, b, n)

@@ -1,12 +1,13 @@
 """Brute-force search for crossing-free Hamiltonian paths and cycles, plus
 conjecture verification over enumerated drawing classes.
 
-One backtracking search serves the oracle's path and cycle queries and the
-twisted path engine's fallback: it extends a path in ascending vertex order
-with a bitmask of the edges the path crosses, pruning any partial path whose
-newest edge crosses an earlier one.  Every path engine's output is still
-validated against the crossing set by `hampath._check_path`, independently of
-this search.
+One backtracking kernel, `_search`, serves the oracle and the twisted path
+engine.  It runs on tables built once per drawing (`_tables`): edge indices
+and, per edge, the bitmask of the edges it crosses.  It walks a bitmask of
+the unvisited vertices lowest bit first, so the first crossing-free path it
+finds is the lexicographically least.  Every path engine's output is still
+validated against the crossing set by `hampath._check_path`, independently
+of this search.
 """
 
 from __future__ import annotations
@@ -14,96 +15,111 @@ from __future__ import annotations
 from itertools import combinations
 
 from drawkit.errors import InvalidDrawing, TooLarge
-from drawkit.rotation import (
-    CrossingSet,
-    _sorted_pair,
-    enumerate_realizable,
-    size_cap,
-)
+from drawkit.rotation import CrossingSet, enumerate_realizable, size_cap
 
 ABSENT = None
 
 
-def _search(cs: CrossingSet, start: int, end=None, leaf=None, forbidden=()):
-    """First crossing-free Hamiltonian path from `start`, extended in
-    ascending vertex order, that the leaf test accepts; None when none does.
-
-    `end`, when not None, may only come last.  `leaf(path, free)` decides on
-    a finished path (every one is accepted without it); `free(e)` tells
-    whether edge e crosses none of the path's edges.  The edges in
-    `forbidden` are never used.
-    """
+def _tables(cs: CrossingSet):
+    """`(eid, crosses)`: `eid[u][v]` is the index of edge {u, v} (either
+    order), and `crosses[i]` the bitmask of the edges that edge i crosses."""
     n = cs.n
-    index = {e: i for i, e in enumerate(combinations(range(1, n + 1), 2))}
-    crosses = [0] * len(index)  # per edge, the mask of the edges it crosses
-    for e, f in cs.pairs:
-        crosses[index[e]] |= 1 << index[f]
-        crosses[index[f]] |= 1 << index[e]
-    path = [start]
-    visited = {start}
+    eid = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, (u, v) in enumerate(combinations(range(1, n + 1), 2)):
+        eid[u][v] = eid[v][u] = i
+    crosses = [0] * (n * (n - 1) // 2)
+    for (a, b), (c, d) in cs.pairs:
+        i, j = eid[a][b], eid[c][d]
+        crosses[i] |= 1 << j
+        crosses[j] |= 1 << i
+    return eid, crosses
 
-    def rec(crossed):
-        if len(path) == n:
-            return leaf is None or leaf(path, lambda e: not crossed >> index[e] & 1)
-        for v in range(1, n + 1):
-            if v in visited or (v == end and len(path) != n - 1):
-                continue
-            i = index[_sorted_pair(path[-1], v)]
+
+def _oracle_tables(cs: CrossingSet):
+    """`_tables(cs)`, within the oracle's size cap."""
+    cap = size_cap(14)
+    if cs.n > cap:
+        raise TooLarge(cs.n, cap)
+    return _tables(cs)
+
+
+def _search(tables, start: int, end=None, crossed=0):
+    """Lexicographically least crossing-free Hamiltonian path from `start` to
+    `end` or, with no `end`, cycle through `start` (closing edge implied);
+    None when there is none.  `end` is held out of the unvisited mask and
+    tried last.  The edges in the starting `crossed` mask are never used."""
+    eid, crosses = tables
+    n = len(eid) - 1
+    last = start if end is None else end
+    path = [start]
+
+    def rec(u, unvisited, crossed):
+        if not unvisited:
+            if crossed >> eid[u][last] & 1:
+                return False
+            if end is not None:
+                path.append(end)
+            return True
+        row = eid[u]
+        rest = unvisited
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            i = row[v]
             if crossed >> i & 1:
                 continue
             path.append(v)
-            visited.add(v)
-            if rec(crossed | crosses[i]):
+            if rec(v, unvisited ^ low, crossed | crosses[i]):
                 return True
             path.pop()
-            visited.remove(v)
         return False
 
-    return list(path) if rec(sum(1 << index[e] for e in forbidden)) else ABSENT
+    everyone = (1 << n + 1) - 2  # bits 1..n
+    return path if rec(start, everyone & ~(1 << start | 1 << last), crossed) else ABSENT
+
+
+def _all_pairs(tables) -> bool:
+    n = len(tables[0]) - 1
+    return all(
+        _search(tables, a, b) is not ABSENT for a, b in combinations(range(1, n + 1), 2)
+    )
 
 
 def find_cf_ham_path(cs: CrossingSet, a: int, b: int):
-    """First crossing-free Hamiltonian a-b path in deterministic search order,
-    or None when none exists."""
-    cap = size_cap(14)
-    if cs.n > cap:
-        raise TooLarge(cs.n, cap)
+    """Lexicographically least crossing-free Hamiltonian a-b path, or None
+    when none exists."""
+    tables = _oracle_tables(cs)
     if not (1 <= a <= cs.n and 1 <= b <= cs.n):
         raise InvalidDrawing(f"end-vertices {a}, {b} out of range 1..{cs.n}")
-    # b may only come last, so the leaf test matters only when a == b
-    return _search(cs, a, b, lambda path, free: path[-1] == b)
+    if a == b:
+        raise InvalidDrawing(f"end-vertices {a}, {b} must be distinct")
+    return _search(tables, a, b)
 
 
 def find_cf_ham_cycle(cs: CrossingSet):
-    """First crossing-free Hamiltonian cycle (as a vertex list starting at 1,
-    the closing edge implied), or None.  Direction symmetry is broken by
-    requiring the second vertex to be smaller than the last."""
-    cap = size_cap(14)
-    if cs.n > cap:
-        raise TooLarge(cs.n, cap)
+    """Lexicographically least crossing-free Hamiltonian cycle (as a vertex
+    list starting at 1, the closing edge implied), or None.  Its second
+    vertex is smaller than its last: otherwise its reversal, which has the
+    same edges, would come first."""
+    tables = _oracle_tables(cs)
     if cs.n < 3:
         raise InvalidDrawing(f"a Hamiltonian cycle needs n >= 3, got n={cs.n}")
-
-    def closes(path, free):
-        return path[1] < path[-1] and free(_sorted_pair(path[-1], 1))
-
-    return _search(cs, 1, None, closes)
+    return _search(tables, 1)
 
 
 def verify_all_pairs(cs: CrossingSet) -> bool:
     """True iff a crossing-free Hamiltonian path exists between every vertex
     pair."""
-    return all(
-        find_cf_ham_path(cs, a, b) is not ABSENT
-        for a, b in combinations(range(1, cs.n + 1), 2)
-    )
+    return _all_pairs(_oracle_tables(cs))
 
 
 def verify_drawing(cs: CrossingSet) -> tuple[bool, bool]:
     """Both conjectures on one drawing: whether it has a crossing-free
     Hamiltonian cycle (vacuous below 3 vertices), and whether every vertex
     pair has a crossing-free Hamiltonian path."""
-    return cs.n < 3 or find_cf_ham_cycle(cs) is not ABSENT, verify_all_pairs(cs)
+    tables = _oracle_tables(cs)
+    return cs.n < 3 or _search(tables, 1) is not ABSENT, _all_pairs(tables)
 
 
 def verify_enumeration(n: int, jobs: int = 1) -> dict:

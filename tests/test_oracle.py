@@ -1,7 +1,9 @@
-from itertools import combinations
+import hashlib
+from itertools import combinations, permutations
 
 import pytest
 
+from drawkit import cylinder as cyl
 from drawkit import generators as gen
 from drawkit import hampath as hp
 from drawkit import oracle
@@ -32,8 +34,6 @@ def test_find_cycle_examples():
 def test_returned_paths_are_crossing_free():
     for seed in range(8):
         cd = gen.random_cylindrical(6, seed, strong=False)
-        from drawkit import cylinder as cyl
-
         cs = cyl.crossing_set(cd)
         for a, b in combinations(range(1, 7), 2):
             p = oracle.find_cf_ham_path(cs, a, b)
@@ -79,6 +79,33 @@ def test_cycle_below_three_vertices_is_invalid(n):
 def test_path_ends_out_of_range_are_invalid(a, b):
     with pytest.raises(InvalidDrawing, match="out of range"):
         oracle.find_cf_ham_path(gen.convex(5)[0], a, b)
+
+
+@pytest.mark.parametrize("n, a", [(5, 3), (1, 1)])
+def test_path_equal_ends_are_invalid(n, a):
+    with pytest.raises(InvalidDrawing, match="must be distinct"):
+        oracle.find_cf_ham_path(CrossingSet(n, frozenset()), a, a)
+
+
+# sha256 of repr() of find_cf_ham_cycle on every class of
+# enumerate_realizable(5), on twisted(9), on convex(9) and on the crossing set
+# of hill(10), followed by find_cf_ham_path on those drawings for every
+# ordered pair of distinct ends in permutations() order; pins the search order
+ORACLE_OUTPUTS_DIGEST = "ce7ab6c66bd0dd984dc19748a2618cdecfc59e8445d0f64f99e084fdb1a2b834"
+
+
+def test_oracle_outputs_are_pinned():
+    drawings = list(rot.enumerate_realizable(5)) + [
+        gen.twisted(9),
+        gen.convex(9)[0],
+        cyl.crossing_set(gen.hill(10)),
+    ]
+    outputs = [oracle.find_cf_ham_cycle(cs) for cs in drawings] + [
+        oracle.find_cf_ham_path(cs, a, b)
+        for cs in drawings
+        for a, b in permutations(range(1, cs.n + 1), 2)
+    ]
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == ORACLE_OUTPUTS_DIGEST
 
 
 def test_determinism():

@@ -8,7 +8,7 @@ implementations and checked against it on wirings from every producer.
 import json
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from drawkit import circular as circ
 from drawkit import cylinder as cyl
 from drawkit import generators as gen
+from drawkit import oracle
 from drawkit import serial
 from drawkit import wiring as w
 from drawkit.circular import arcs_cover_circle
@@ -492,3 +493,61 @@ def test_integer_grid_decides_as_fractions_on_hand_built_drawings(fields):
         assert_decides_as_fractions(d)
     if all(abs(le.omega) < 1 for le in cd.lateral):
         assert_decides_as_fractions(cyl._split_common_rays(cd))
+
+
+# ============================================================
+# The oracle against permutations
+# ============================================================
+
+ORACLE_SOURCES = ("xmono", "cylindrical", "strong-cylindrical", "two-page", "twisted")
+
+
+def ref_crossing_free(cs, walk) -> bool:
+    edges = list(zip(walk, walk[1:]))
+    return not any((e, f) in cs for e, f in combinations(edges, 2))
+
+
+def ref_path(cs, a, b):
+    """First crossing-free a-b order that permutations() gives over the
+    middle vertices, or None."""
+    middle = [v for v in range(1, cs.n + 1) if v not in (a, b)]
+    return next(
+        (p for m in permutations(middle) if ref_crossing_free(cs, p := [a, *m, b])), None
+    )
+
+
+def ref_cycle(cs):
+    """First crossing-free cycle from 1 with p[1] < p[-1] that permutations()
+    gives, or None."""
+    return next(
+        (
+            p
+            for m in permutations(range(2, cs.n + 1))
+            if (p := [1, *m])[1] < p[-1] and ref_crossing_free(cs, p + [1])
+        ),
+        None,
+    )
+
+
+@PROPERTY_SETTINGS
+@given(
+    source=st.sampled_from(ORACLE_SOURCES),
+    n=st.integers(3, 7),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_oracle_agrees_with_permutations(source, n, seed, data):
+    if source == "xmono":
+        cs = w.crossing_set(gen.random_x_monotone(n, seed))
+    elif source in ("cylindrical", "strong-cylindrical"):
+        cs = cyl.crossing_set(gen.random_cylindrical(n, seed, source == "strong-cylindrical"))
+    elif source == "two-page":
+        pages = {e: data.draw(st.integers(0, 1)) for e in combinations(range(1, n + 1), 2)}
+        cs, _ = gen.two_page(n, pages)
+    else:
+        cs = gen.twisted(n)
+    assert oracle.find_cf_ham_cycle(cs) == ref_cycle(cs)
+    paths = {(a, b): ref_path(cs, a, b) for a, b in permutations(range(1, n + 1), 2)}
+    for (a, b), path in paths.items():
+        assert oracle.find_cf_ham_path(cs, a, b) == path
+    assert oracle.verify_all_pairs(cs) == all(p is not None for p in paths.values())
