@@ -32,11 +32,10 @@ from drawkit.errors import (
     InternalAssertion,
     InvalidDrawing,
     NotStronglyCMonotone,
+    TooLarge,
 )
-from drawkit.rotation import CrossingSet, _norm_crossing, _sorted_pair, nested_rule_pairs
+from drawkit.rotation import CrossingSet, _norm_crossing, _sorted_pair, nested_rule_pairs, size_cap
 from drawkit.wiring import LinearWiring
-
-VertexPath = list  # ordered sequence of distinct vertices
 
 
 def is_crossing_free(cs: CrossingSet, path) -> bool:
@@ -339,13 +338,16 @@ def path_twisted(n: int, a: int, b: int):
 
     Paths over edges of index distance at most two can never use the outer
     edge of a nested pair, so they are crossing-free outright.  The oracle's
-    search therefore runs first with every longer edge forbidden; only when
-    that finds no path for the given ends does it search all of T_n.
+    search runs first with every longer edge forbidden; only when that finds
+    no path does it search all of T_n, within the oracle's size cap.
     """
     _check_ends(n, a, b)
     cs, tables, long_edges = _nested_crossings(n)
     path = oracle._search(tables, a, b, crossed=long_edges)
     if path is None:
+        cap = size_cap(14)
+        if n > cap:
+            raise TooLarge(n, cap)
         path = oracle._search(tables, a, b)
     if path is None:
         raise InternalAssertion(f"no crossing-free path found in T_{n} for ({a}, {b})")

@@ -1,5 +1,10 @@
 """Deterministic SVG 1.1 rendering of the drawing models.
 
+A wiring draws each edge as one polyline between its end-vertices, monotone
+in x (linear) or in angle around the origin (circular), and meeting another
+edge once if the two cross.  Both come from one replay of the sweep,
+`_knots`, mapped to the page by an affine or a polar map.
+
 Geometry here is display only: rational angles and radii become floats, each
 point is formatted once at a fixed 6-decimal precision (never from a Fraction,
 which Python 3.12 rounds its own way) and nothing is read back from the output.
@@ -8,7 +13,7 @@ which Python 3.12 rounds its own way) and nothing is read back from the output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from drawkit import cylinder as cyl
@@ -30,7 +35,6 @@ PALETTE = {
 @dataclass(frozen=True)
 class RenderSpec:
     canvas: int = 600
-    palette: dict = field(default_factory=lambda: dict(PALETTE))
     highlight: tuple = ()
 
     def __post_init__(self):
@@ -103,141 +107,134 @@ def _draw(cv, spec, n, lines, spots, width, wide, muted=()) -> str:
     """Every edge in sorted order, the highlighted edges over them, then the
     labelled vertices; `lines` maps each edge to its point text and `spots`
     each vertex to its (x, y)."""
-    pal = spec.palette
     for e in sorted(lines):
-        cv.line(lines[e], pal["muted"] if e in muted else pal["edge"], width)
+        cv.line(lines[e], PALETTE["muted"] if e in muted else PALETTE["edge"], width)
     for e in spec.highlight_edges(n):
         if e in lines:
-            cv.line(lines[e], pal["highlight"], wide)
+            cv.line(lines[e], PALETTE["highlight"], wide)
     for v, (x, y) in sorted(spots.items()):
-        cv.circle(x, y, 4, pal["vertex"])
-        cv.text(x + 5, y - 6, str(v), pal["vertex"])
+        cv.circle(x, y, 4, PALETTE["vertex"])
+        cv.text(x + 5, y - 6, str(v), PALETTE["vertex"])
     return cv.finish()
 
 
 # ============================================================
-# Linear wirings
+# Linear and circular wirings
 # ============================================================
 
-def _wiring_geometry(lw: LinearWiring):
-    """Per-edge polylines in (column, level) coordinates plus vertex spots."""
-    paths = {e: [] for e in lw.edges()}
+def _knots(base, ring, ts, period, strips, vertex_pos, ending, starting):
+    """Replay a wiring's sweep, as `wiring.sweep` takes its tables, into
+    (t, level) knots: t is the sweep coordinate (a column, or an angle in
+    turns) and level the strand's place from the bottom, or from the origin.
+
+    ts[v-1] is vertex v's coordinate and the sweep repeats after `period`:
+    the gap before the first vertex on the ring opens one period before the
+    last one.  A strand passes a vertex between two knots 0.18 of the
+    narrower gap beside it away, so that it stays clear of the vertex's spot,
+    and a swap between two knots on either side of the swap's place in its
+    gap.  Returns (knots, spots, top): knots[e] runs from the spot of the
+    vertex where e starts to the spot of the one where it ends, spots[v] is
+    vertex v's (t, level) and top the highest level used.
+    """
+    his = [ts[v - 1] for v in ring]
+    gaps = [hi - lo for lo, hi in zip([his[-1] - period] + his, his)]
+    near = [0.18 * min(g, h) for g, h in zip(gaps, gaps[1:] + gaps[:1])]
+    order = list(base)
+    knots = {e: [] for e in base}
+    wrapped = {}  # a base edge's knots from the sweep's start to its last vertex
     spots = {}
-    order = []
-    delta = 0.18
-    for v in range(1, lw.n + 1):
-        x = float(v)
+    lo, d = his[-1] - period, near[-1]
+    for v, hi, g, dv in zip(ring, his, gaps, near):
+        t = lo + d
         for i, e in enumerate(order):
-            paths[e].append((x - delta, i))
-        ending = lw.left_order[v - 1]
-        pos = lw.vertex_pos[v - 1]
-        if ending:
-            del order[pos : pos + len(ending)]
-        block = max(len(ending), len(lw.right_order[v - 1]), 1)
-        vy = pos + (block - 1) / 2.0
-        spots[v] = (x, vy)
-        for e in ending:
-            paths[e].append((x, vy))
-        order[pos:pos] = list(lw.right_order[v - 1])
-        for e in lw.right_order[v - 1]:
-            paths[e].append((x, vy))
+            knots[e].append((t, i))
+        swaps = strips[v - 1]
+        k = len(swaps)
+        # under half the spacing of the swaps, so that their knots never tie
+        hw = min(0.04, 0.24 / (k + 2)) * g
+        start = lo + 0.25 * g
+        for j, lv in enumerate(swaps):
+            t = start + (j + 1) / (k + 2) * 0.5 * g
+            a, b = t - hw, t + hw
+            e, f = order[lv], order[lv + 1]
+            knots[e].extend(((a, lv), (b, lv + 1)))
+            knots[f].extend(((a, lv + 1), (b, lv)))
+            order[lv], order[lv + 1] = f, e
+        t = hi - dv
         for i, e in enumerate(order):
-            paths[e].append((x + delta, i))
-        if v < lw.n:
-            swaps = lw.strips[v - 1]
-            for j, k in enumerate(swaps):
-                sx = x + 0.25 + (j + 1) / (len(swaps) + 2) * 0.5
-                e, f = order[k], order[k + 1]
-                paths[e].append((sx - 0.04, k))
-                paths[e].append((sx + 0.04, k + 1))
-                paths[f].append((sx - 0.04, k + 1))
-                paths[f].append((sx + 0.04, k))
-                order[k], order[k + 1] = f, e
-    return paths, spots
+            knots[e].append((t, i))
+        ends, pos = ending[v - 1], vertex_pos[v - 1]
+        block = max(len(ends), len(starting[v - 1]), 1)
+        spots[v] = spot = (hi, pos + (block - 1) / 2.0)
+        for e in ends:
+            knots[e].append(spot)
+        del order[pos : pos + len(ends)]
+        for e in starting[v - 1]:
+            if e in knots:
+                wrapped[e] = knots[e]
+            knots[e] = [spot]
+        order[pos:pos] = starting[v - 1]
+        lo, d = hi, dv
+    for e, head in wrapped.items():
+        knots[e] += head
+    levels = [lv for pts in knots.values() for _, lv in pts]
+    return knots, spots, max(levels + [lv for _, lv in spots.values()] + [1])
 
 
 def _render_wiring(lw: LinearWiring, spec: RenderSpec) -> str:
     size = spec.canvas
-    paths, spots = _wiring_geometry(lw)
-    levels = [p[1] for pts in paths.values() for p in pts]
-    top = max(levels + [s[1] for s in spots.values()] + [1])
+    # a circle of n unit gaps, the one from vertex n back to vertex 1 empty
+    cols = range(1, lw.n + 1)
+    knots, spots, top = _knots((), cols, cols, lw.n, ((),) + lw.strips, lw.vertex_pos,
+                               lw.left_order, lw.right_order)
     pad = size * 0.08
     span = size - 2 * pad
     xd = max(lw.n - 1, 1)
+
     # operand order kept as `pad + (col - 1) * span / xd`: dividing span
     # first rounds differently and changes the output bytes
     lines = {
         e: " ".join(f"{pad + (x - 1) * span / xd:.6f},{size - pad - y * span / top:.6f}"
                     for x, y in pts)
-        for e, pts in paths.items()
+        for e, pts in knots.items()
     }
     spots = {v: (pad + (x - 1) * span / xd, size - pad - y * span / top)
              for v, (x, y) in spots.items()}
     return _draw(_Canvas(size), spec, lw.n, lines, spots, 1.2, 2.6)
 
 
-# ============================================================
-# Circular wirings
-# ============================================================
-
 def _render_circular(cw: CircularWiring, spec: RenderSpec) -> str:
     size = spec.canvas
     cx = cy = size / 2
-    ring = circular_vertex_order(cw)
-    # live edges change only at vertices: column plus starting edges
-    max_live = max(
-        [len(cw.base_order)] + [len(cw._columns[v - 1]) + len(cw.starting[v - 1]) for v in ring]
-    )
+    ts = [float(a) for a in cw.angles]
+    knots, spots, top = _knots(cw.base_order, circular_vertex_order(cw), ts, 1,
+                               cw.strips, cw.vertex_pos, cw.ending, cw.starting)
     r_lo, r_hi = size * 0.10, size * 0.42
+    dr = (r_hi - r_lo) / (top + 2)  # from one level to the next
+    tau, cos, sin = 2 * math.pi, math.cos, math.sin
 
-    def rad(level):
-        return r_lo + (level + 1) * (r_hi - r_lo) / (max_live + 1)
+    def at(t, level):
+        r, a = r_lo + (level + 1) * dr, tau * t
+        return cx + r * cos(a), cy - r * sin(a)
 
-    radii = [rad(i) for i in range(max_live)]
+    def line(pts):
+        # each step between knots as its polar image, in pieces of at most
+        # 1/96 turn and 2 levels, since one chord would bow inwards and meet
+        # strands it does not cross; the last knot ends a step of length 0
+        out = []
+        for (t0, l0), (t1, l1) in zip(pts, pts[1:] + pts[-1:]):
+            turn = (t1 - t0) % 1
+            m = int(turn * 96) + 1 + int(abs(l1 - l0) // 2)
+            dt, dl = turn / m, (l1 - l0) / m
+            for s in range(m):  # `at` inlined: this loop makes every point
+                r, a = r_lo + (l0 + dl * s + 1) * dr, tau * (t0 + dt * s)
+                out.append(f"{cx + r * cos(a):.6f},{cy - r * sin(a):.6f}")
+        return " ".join(out)
 
-    paths = {e: [] for e in cw.edges()}
-    spots = {}
-    order = list(cw.base_order)
-
-    def segment(a0, a1):  # every live strand from the angle a0 to a1, in turns
-        steps = max(2, int((a1 - a0) * 96))
-        # one cosine and sine per sample angle, shared by the segment's strands
-        angs = [2 * math.pi * (a0 + (a1 - a0) * s / steps) for s in range(steps + 1)]
-        trig = [(math.cos(a), math.sin(a)) for a in angs]
-        for i, e in enumerate(order):
-            rr = radii[i]
-            paths[e] += [f"{cx + rr * c:.6f},{cy - rr * s:.6f}" for c, s in trig]
-
-    prev = 0.0
-    lo_num, lo_den = 0, 1  # the gap's start: the previous vertex, or the 0-ray
-    for v in ring:
-        hi = cw.angles[v - 1]
-        # swap j of the k - 1 in the gap (lo, hi) sits at lo + (hi - lo) j / k;
-        # int / int division rounds exactly as float(Fraction) does
-        k = len(cw.strips[v - 1]) + 1
-        a, b = lo_num * hi.denominator, hi.numerator * lo_den
-        den = lo_den * hi.denominator * k
-        for j, level in enumerate(cw.strips[v - 1], 1):
-            ang = (a * k + (b - a) * j) / den
-            segment(prev, ang)
-            order[level], order[level + 1] = order[level + 1], order[level]
-            prev = ang
-        ang = float(hi)
-        segment(prev, ang)
-        ending, pos = cw.ending[v - 1], cw.vertex_pos[v - 1]
-        del order[pos : pos + len(ending)]
-        spots[v] = _polar(cx, cy, rad(pos - 0.5), ang)
-        spot = _pt(*spots[v])
-        for e in ending:
-            paths[e].append(spot)
-        order[pos:pos] = cw.starting[v - 1]
-        for e in cw.starting[v - 1]:
-            paths[e].append(spot)
-        prev, lo_num, lo_den = ang, hi.numerator, hi.denominator
-    segment(prev, 1.0)
     cv = _Canvas(size)
-    cv.circle(cx, cy, 3, spec.palette["frame"])
-    lines = {e: " ".join(pts) for e, pts in paths.items()}
+    cv.circle(cx, cy, 3, PALETTE["frame"])
+    lines = {e: line(pts) for e, pts in knots.items()}
+    spots = {v: at(*p) for v, p in spots.items()}
     return _draw(cv, spec, cw.n, lines, spots, 1.1, 2.4)
 
 
@@ -247,7 +244,6 @@ def _render_circular(cw: CircularWiring, spec: RenderSpec) -> str:
 
 def _render_cylindrical(cd: CylindricalDrawing, spec: RenderSpec) -> str:
     size = spec.canvas
-    pal = spec.palette
     cx = cy = size / 2
     r_in, r_out = size * 0.16, size * 0.32
     band = size * 0.10
@@ -284,8 +280,8 @@ def _render_cylindrical(cd: CylindricalDrawing, spec: RenderSpec) -> str:
         lines[ce.edge] = edge_polyline(pts)
 
     cv = _Canvas(size)
-    cv.ring(cx, cy, r_in, pal["frame"], 0.8, dash="4 4")
-    cv.ring(cx, cy, r_out, pal["frame"], 0.8, dash="4 4")
+    cv.ring(cx, cy, r_in, PALETTE["frame"], 0.8, dash="4 4")
+    cv.ring(cx, cy, r_out, PALETTE["frame"], 0.8, dash="4 4")
     spots = {v: _polar(cx, cy, radius[v], angles[v]) for v in angles}
     return _draw(cv, spec, cd.n, lines, spots, 1.1, 2.4)
 

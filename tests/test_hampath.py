@@ -13,7 +13,7 @@ from drawkit import oracle
 from drawkit import rotation as rot
 from drawkit import wiring as w
 from drawkit.cylinder import ArcDir, CircleEdge, CylindricalDrawing, Face
-from drawkit.errors import BadRotation, EdgeIsCrossed, InvalidDrawing
+from drawkit.errors import BadRotation, EdgeIsCrossed, InvalidDrawing, TooLarge
 from drawkit.rotation import CrossingSet
 from drawkit.wiring import LinearWiring
 
@@ -231,6 +231,17 @@ def test_path_twisted_fallback_example():
     expected = [2, 1, 4, 6, 8, 10, 12, 11, 9, 7, 5, 3]
     assert hp.path_twisted(12, 2, 3) == expected
     assert oracle.find_cf_ham_path(gen.twisted(12), 2, 3) == expected
+
+
+def test_path_twisted_full_search_is_size_capped(monkeypatch):
+    # the short-span pass stays uncapped; the full search has the oracle's cap
+    with pytest.raises(TooLarge):
+        hp.path_twisted(15, 2, 3)
+    assert hp.path_twisted(20, 1, 20) == list(range(1, 21))
+    monkeypatch.setenv("DRAWKIT_MAX_N", "15")
+    path = hp.path_twisted(15, 2, 3)
+    assert path[0] == 2 and path[-1] == 3
+    assert hp.is_crossing_free(CrossingSet(15, rot.nested_rule_pairs(15)), path)
 
 
 @pytest.mark.parametrize("a, b", [(0, 2), (1, 6), (3, 3)])

@@ -1,4 +1,7 @@
 import hashlib
+import math
+import re
+from itertools import combinations
 
 import pytest
 
@@ -27,12 +30,16 @@ def models(family):
     if family == "x-monotone":
         out = [gen.random_x_monotone(n, seed) for n in range(3, 10) for seed in range(3)]
         return out + [gen.convex(n)[1] for n in range(3, 10)]
+    if family == "x-monotone-small-strips":
+        return [lw for lw in models("x-monotone") if all(len(s) <= 4 for s in lw.strips)]
     if family == "c-monotone":
         cds = [gen.random_cylindrical(n, seed, False) for n in range(3, 9) for seed in range(3)]
-        return [cyl.to_circular_wiring(cyl.normalize_winding(cd)) for cd in cds + [gen.hill(7)]]
+        out = [cyl.to_circular_wiring(cyl.normalize_winding(cd)) for cd in cds + [gen.hill(7)]]
+        return out + [cyl.to_circular_wiring(gen.hill(8))]
     if family == "strongly-c-monotone":
         cds = [gen.random_cylindrical(n, seed, True) for n in range(3, 9) for seed in range(3)]
-        return [strong_chain(cd) for cd in cds + [gen.hill(7)]]
+        out = [strong_chain(cd) for cd in cds + [gen.hill(7)]]
+        return out + [cyl.to_strongly_c_monotone(gen.hill(8))]
     if family == "cylindrical":
         out = [gen.hill(n) for n in range(3, 10)]
         return out + [gen.random_cylindrical(n, seed, strong)
@@ -43,13 +50,16 @@ def models(family):
 
 
 # sha256 of the concatenated svg.render output of every model of the family at
-# canvas 100 and 600, each without and with the zigzag highlight, computed
-# with the renderers that formatted each point through _fmt and _polar; they
-# pin the output bytes of all four renderers
+# canvas 100 and 600, each without and with the zigzag highlight; they pin the
+# output bytes of all four renderers.  The wiring digests were taken when one
+# replay of the sweep first drew each edge as one polyline; the small-strip
+# x-monotone digest is older and held across that rewrite, as did the
+# cylindrical and crossing-set ones
 RENDER_DIGESTS = {
-    "x-monotone": "34764abe7a352cf3d4c4c412e6e5dadb522ebeb9a998d2374a62f8ef08bf73fd",
-    "c-monotone": "a05b8d02f8d38370f8debffc1a46986874137b712f5e74bbe8b95b5fd3b6154d",
-    "strongly-c-monotone": "5b5b772df3acbaf70076dafc7781ea95542fa5a5cebc53eb2b0744a66e215a9e",
+    "x-monotone": "3073852bd26b6388b8478c076b34b5c332f6f9545cf8e4addad6bd3762a7493c",
+    "x-monotone-small-strips": "a1ce1b8a92f4a21eda4c4d15e61a72167d3ea3c116f010c3ea6ddb6067cb6cd4",
+    "c-monotone": "e60c245d0d66447e4bac3900a493e930f6bf2c48def8beff5db5565e6c63ec34",
+    "strongly-c-monotone": "a650073e442ea2c5a912396284d1caad94dde7cbc2cab8efd3e2265230ba8a18",
     "cylindrical": "668a3f82bfb2e4266f1df3cf4b0b56464611d91eaad287f06074377d2cf3da7d",
     "crossing-set": "853629392d88625fea2f1e6f9e5090a706bb78d3d5a1249e6d32101dbc2b2880",
 }
@@ -82,16 +92,84 @@ def test_highlight_skips_edges_the_drawing_lacks():
     assert marked.count("<polyline") == plain.count("<polyline") + 2
 
 
-# sha256 of the concatenated renders of hill(8) as a c-monotone and as a
-# strongly c-monotone wiring at canvas 100 and 600, computed when every swap
-# carried an exact Fraction angle; some of hill(8)'s swap angles round
-# differently in plain float arithmetic, which changes the bytes
-HILL8_CIRCULAR_DIGEST = "b32280c470008b89ec80845a73c50416cd6eaea516608a49e3ad5bfaf1d7219c"
+# a vertex's circle and its label
+SPOT = re.compile(r'<circle cx="([^"]*)" cy="([^"]*)" r="4\.000000"[^>]*/>\n<text[^>]*>(\d+)</text>')
 
 
-def test_swap_angles_round_as_exact_fractions():
-    h = hashlib.sha256()
-    for cw in (cyl.to_circular_wiring(gen.hill(8)), cyl.to_strongly_c_monotone(gen.hill(8))):
-        for canvas in (100, 600):
-            h.update(svg.render(cw, svg.RenderSpec(canvas)).encode())
-    assert h.hexdigest() == HILL8_CIRCULAR_DIGEST
+def drawn(model):
+    """The spot of every vertex and the polyline of every edge in the
+    model's SVG, as (x, y) pairs read back from the point text."""
+    doc = svg.render(model)
+    spots = {int(v): (float(x), float(y)) for x, y, v in SPOT.findall(doc)}
+    lines = re.findall(r'<polyline points="([^"]*)"', doc)
+    assert len(lines) == len(model.edges())
+    lines = [[tuple(map(float, p.split(","))) for p in line.split()] for line in lines]
+    return spots, dict(zip(sorted(model.edges()), lines))
+
+
+@pytest.mark.parametrize("family", ["x-monotone", "c-monotone", "strongly-c-monotone"])
+def test_edges_run_monotone_from_spot_to_spot(family):
+    """Every edge is one polyline from an end-vertex's spot to the other's
+    that never steps back: in x for linear wirings, in polar angle around
+    the centre for circular ones."""
+    centre = svg.RenderSpec().canvas / 2
+    for model in models(family):
+        spots, lines = drawn(model)
+        for (u, v), xy in lines.items():
+            assert {xy[0], xy[-1]} == {spots[u], spots[v]}, (model, (u, v))
+            if family == "x-monotone":
+                steps = [b[0] - a[0] for a, b in zip(xy, xy[1:])]
+            else:
+                turns = [math.atan2(centre - y, x - centre) / (2 * math.pi) for x, y in xy]
+                steps = [(b - a + 0.5) % 1 - 0.5 for a, b in zip(turns, turns[1:])]
+            assert min(steps) >= -1e-9, (model, (u, v))
+
+
+def _orient(p, q, r):
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+def _meetings(a, b):
+    """The distinct points where polylines a and b meet: proper crossings of
+    two segments, and points of one polyline on a segment of the other."""
+    def box(p, q):
+        return min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1])
+
+    segs = [(r, t, box(r, t)) for r, t in zip(b, b[1:])]
+    hits = set()
+    for p, q in zip(a, a[1:]):
+        x0, x1, y0, y1 = box(p, q)
+        for r, t, (u0, u1, v0, v1) in segs:
+            if u1 < x0 or u0 > x1 or v1 < y0 or v0 > y1:
+                continue
+            if _orient(p, q, r) * _orient(p, q, t) < 0 and _orient(r, t, p) * _orient(r, t, q) < 0:
+                hits.add((p, q, r, t))
+            for z, (g, h) in ((p, (r, t)), (q, (r, t)), (r, (p, q)), (t, (p, q))):
+                lo_x, hi_x, lo_y, hi_y = box(g, h)
+                if _orient(g, h, z) == 0 and lo_x <= z[0] <= hi_x and lo_y <= z[1] <= hi_y:
+                    hits.add(z)
+    return hits
+
+
+@pytest.mark.parametrize("family", ["x-monotone", "c-monotone", "strongly-c-monotone"])
+def test_edges_meet_only_where_they_cross(family):
+    """Two edges' polylines meet once if the model crosses them, and
+    otherwise only at a shared end-vertex's spot."""
+    for model in models(family):
+        spots, lines = drawn(model)
+        crossed = model._crossing_set.pairs
+        for e, f in combinations(sorted(lines), 2):
+            shared = {spots[v] for v in set(e) & set(f)}
+            assert len(_meetings(lines[e], lines[f]) - shared) == ((e, f) in crossed), (model, e, f)
+
+
+def test_points_grow_with_swaps_not_swaps_times_strands():
+    """Points follow the knots (four per swap, two per vertex a strand
+    passes) and the samples along each edge's turn, not swaps times the live
+    strands, as sampling every strand in every gap between swaps did."""
+    n = 16
+    cw = strong_chain(gen.random_cylindrical(n, 0, True))
+    doc = svg.render(cw)
+    points = sum(len(line.split()) for line in re.findall(r'<polyline points="([^"]*)"', doc))
+    swaps, edges = sum(map(len, cw.strips)), len(cw.edges())
+    assert points <= 4 * swaps + 2 * n * edges + 100 * edges
