@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from drawkit.errors import CutBlocked, InvalidDrawing
-from drawkit.rotation import CrossingSet, _sorted_pair
+from drawkit.rotation import CrossingSet, RotationSystem, _sorted_pair
 from drawkit.wiring import LinearWiring, sweep
 
 Edge = tuple[int, int]
@@ -214,22 +214,19 @@ def cut_to_linear(cw: CircularWiring, angle) -> LinearWiring:
     )
 
 
-def linear_to_circular(lw: LinearWiring, spread=Fraction(1, 2)) -> CircularWiring:
+def linear_to_circular(lw: LinearWiring) -> CircularWiring:
     """Embed an x-monotone wiring as a circular wiring.
 
     This is the combinatorial form of placing the origin far below the
-    drawing: columns become angles inside an arc of the given length, the
-    vertical orders become radial orders, and the crossing set carries over
-    unchanged.  Vertex 1 sits on the 0-ray and the arc complement stays
-    swap-free, so cutting there recovers the wiring.
+    drawing: columns become angles inside a half turn, vertex v at
+    (v - 1) / (2n), the vertical orders become radial orders, and the
+    crossing set carries over unchanged.  Vertex 1 sits on the 0-ray and the
+    other half turn stays swap-free, so cutting there recovers the wiring.
     """
-    spread = Fraction(spread)
-    if not 0 < spread < 1:
-        raise InvalidDrawing("spread must lie in (0, 1)")
     n = lw.n
     return CircularWiring(
         n,
-        tuple(Fraction(v - 1) * spread / n for v in range(1, n + 1)),
+        tuple(Fraction(v - 1, 2 * n) for v in range(1, n + 1)),
         (),
         ((),) + lw.strips,
         lw.vertex_pos,
@@ -241,8 +238,6 @@ def linear_to_circular(lw: LinearWiring, spread=Fraction(1, 2)) -> CircularWirin
 def rotation_system(cw: CircularWiring):
     """Clockwise rotation of every vertex, read off its ending and starting
     edges."""
-    from drawkit.rotation import RotationSystem
-
     return RotationSystem(
         cw.n,
         tuple(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from itertools import combinations
 
@@ -80,8 +81,6 @@ def _cmd_gen(args) -> int:
         if n == 8 and args.seed is None:
             obj = gen.two_page_crossing_minimal_k8()[1 if args.as_ == "wiring" else 0]
         else:
-            import random
-
             rng = random.Random(("twopage", n, args.seed or 0).__repr__())
             pages = {e: rng.randint(0, 1) for e in combinations(range(1, n + 1), 2)}
             cs, lw = gen.two_page(n, pages)

@@ -266,8 +266,13 @@ def hill(n: int) -> CylindricalDrawing:
 # Seeded random instances
 # ============================================================
 
-def random_cylindrical(n: int, seed: int, strong: bool, attempts: int = 400) -> CylindricalDrawing:
-    """Rejection-sample a valid cylindrical drawing of K_n.
+CYLINDRICAL_ATTEMPTS = 400
+POINT_SET_ATTEMPTS = 200
+
+
+def random_cylindrical(n: int, seed: int, strong: bool) -> CylindricalDrawing:
+    """Rejection-sample a valid cylindrical drawing of K_n in at most
+    CYLINDRICAL_ATTEMPTS attempts, else raise GaveUp.
 
     Angular positions are random rationals; each lateral winding picks one of
     its two lifts in (-1, 1), preferring the short one more strongly as
@@ -279,7 +284,7 @@ def random_cylindrical(n: int, seed: int, strong: bool, attempts: int = 400) -> 
         raise InvalidDrawing("need n >= 3")
     rng = random.Random(("cylindrical", n, seed).__repr__())
     denom = 4096
-    for attempt in range(attempts):
+    for attempt in range(CYLINDRICAL_ATTEMPTS):
         p = rng.randint(max(1, n // 2 - 1), min(n - 1, n // 2 + 1))
         nums = dict(zip(range(1, n + 1), rng.sample(range(denom), n)))
         outer = tuple((v, Fraction(nums[v], denom)) for v in range(1, p + 1))
@@ -311,19 +316,20 @@ def random_cylindrical(n: int, seed: int, strong: bool, attempts: int = 400) -> 
             return cd
         except InvalidDrawing:
             continue
-    raise GaveUp(attempts)
+    raise GaveUp(CYLINDRICAL_ATTEMPTS)
 
 
-def random_point_set(n: int, seed: int, attempts: int = 200) -> PointSet:
-    """Random rational points, x-sorted, in general position."""
+def random_point_set(n: int, seed: int) -> PointSet:
+    """Random rational points, x-sorted, in general position; GaveUp after
+    POINT_SET_ATTEMPTS degenerate draws."""
     rng = random.Random(("points", n, seed).__repr__())
-    for _ in range(attempts):
+    for _ in range(POINT_SET_ATTEMPTS):
         ys = rng.sample(range(-8 * n * n, 8 * n * n + 1), n)
         try:
             return PointSet(tuple((Fraction(i), Fraction(ys[i - 1])) for i in range(1, n + 1)))
         except DegeneratePointSet:
             continue
-    raise GaveUp(attempts)
+    raise GaveUp(POINT_SET_ATTEMPTS)
 
 
 def random_x_monotone(n: int, seed: int) -> LinearWiring:

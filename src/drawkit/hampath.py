@@ -34,7 +34,14 @@ from drawkit.errors import (
     NotStronglyCMonotone,
     TooLarge,
 )
-from drawkit.rotation import CrossingSet, _norm_crossing, _sorted_pair, nested_rule_pairs, size_cap
+from drawkit.rotation import (
+    CrossingSet,
+    _norm_crossing,
+    _sorted_pair,
+    nested_rule_pairs,
+    relabel_crossing_set,
+    size_cap,
+)
 from drawkit.wiring import LinearWiring
 
 
@@ -392,8 +399,6 @@ def duplicate_apex(cs: CrossingSet, rotation_of_vn) -> CrossingSet:
         raise BadRotation(f"rotation must list 1..{n - 1}")
     perm = {v: i + 1 for i, v in enumerate(rotation)}
     perm[n] = n
-    from drawkit.rotation import relabel_crossing_set
-
     base = relabel_crossing_set(cs, perm)
     pairs = set(base.pairs)
     for i in range(1, n):

@@ -17,8 +17,6 @@ from itertools import combinations
 from drawkit.errors import InvalidDrawing, TooLarge
 from drawkit.rotation import CrossingSet, enumerate_realizable, size_cap
 
-ABSENT = None
-
 
 def _tables(cs: CrossingSet):
     """`(eid, crosses)`: `eid[u][v]` is the index of edge {u, v} (either
@@ -76,13 +74,13 @@ def _search(tables, start: int, end=None, crossed=0):
         return False
 
     everyone = (1 << n + 1) - 2  # bits 1..n
-    return path if rec(start, everyone & ~(1 << start | 1 << last), crossed) else ABSENT
+    return path if rec(start, everyone & ~(1 << start | 1 << last), crossed) else None
 
 
 def _all_pairs(tables) -> bool:
     n = len(tables[0]) - 1
     return all(
-        _search(tables, a, b) is not ABSENT for a, b in combinations(range(1, n + 1), 2)
+        _search(tables, a, b) is not None for a, b in combinations(range(1, n + 1), 2)
     )
 
 
@@ -119,7 +117,7 @@ def verify_drawing(cs: CrossingSet) -> tuple[bool, bool]:
     Hamiltonian cycle (vacuous below 3 vertices), and whether every vertex
     pair has a crossing-free Hamiltonian path."""
     tables = _oracle_tables(cs)
-    return cs.n < 3 or _search(tables, 1) is not ABSENT, _all_pairs(tables)
+    return cs.n < 3 or _search(tables, 1) is not None, _all_pairs(tables)
 
 
 def verify_enumeration(n: int, jobs: int = 1) -> dict:

@@ -11,7 +11,9 @@ interior point for the planar class), closed under relabeling and mirroring.
 
 Two crossing sets describe the same drawing class exactly when they agree up
 to a relabeling of vertices, so equality of canonical forms (lexicographic
-minimum over all relabelings) decides weak isomorphism.
+minimum over all relabelings) decides weak isomorphism.  Enumeration drops a
+duplicate rotation system by one key, its least relabeling under relabeling
+and reflection, and canonicalizes the crossing set of each new key only.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from drawkit import _geom
 from drawkit.errors import (
@@ -88,24 +90,24 @@ class CrossingSet:
 
     def __post_init__(self):
         n = self.n
-        seen_quads = {}
         norm = set()
         for (a, b), (c, d) in self.pairs:
             if a > b:
                 a, b = b, a
             if c > d:
                 c, d = d, c
-            e, f = (a, b), (c, d)
             if a == c or a == d or b == c or b == d:
-                raise InvalidDrawing(f"incident edges cannot cross: {e}, {f}")
+                raise InvalidDrawing(f"incident edges cannot cross: {(a, b)}, {(c, d)}")
             if a < 1 or c < 1 or b > n or d > n:
                 v = next(v for v in (a, b, c, d) if not 1 <= v <= n)
                 raise InvalidDrawing(f"vertex {v} out of range 1..{n}")
-            quad = frozenset((a, b, c, d))
-            pair = (e, f) if e < f else (f, e)
-            if seen_quads.setdefault(quad, pair) != pair:
-                raise InvalidDrawing(f"two crossings on the same 4-subset {sorted(quad)}")
-            norm.add(pair)
+            if a > c:
+                a, b, c, d = c, d, a, b
+            # a is the quad's smallest vertex, so it leads the first edge of
+            # each of the quad's other two pairings
+            if ((a, c), _sorted_pair(b, d)) in norm or ((a, d), _sorted_pair(b, c)) in norm:
+                raise InvalidDrawing(f"two crossings on the same 4-subset {sorted((a, b, c, d))}")
+            norm.add(((a, b), (c, d)))
         object.__setattr__(self, "pairs", frozenset(norm))
 
     def encode(self) -> tuple[Pair, ...]:
@@ -233,35 +235,10 @@ def crossings_from_rotation(rs: RotationSystem) -> CrossingSet:
 # Canonical forms (weak isomorphism)
 # ============================================================
 
-@lru_cache(maxsize=4)
-def _edge_perm_maps(n: int):
-    """Edge-index permutation tables for all vertex relabelings of K_n."""
-    edges = tuple(combinations(range(1, n + 1), 2))
-    index = {e: i for i, e in enumerate(edges)}
-    maps = []
-    for perm in permutations(range(1, n + 1)):
-        maps.append(
-            tuple(index[_sorted_pair(perm[a - 1], perm[b - 1])] for a, b in edges)
-        )
-    return edges, index, tuple(maps)
-
-
 def _canonical_encoding(n: int, pairs) -> tuple:
     pairs = tuple(pairs)
     if not pairs:
         return ()
-    if n <= 7:
-        # hot path for enumeration: walk precomputed edge permutations
-        edges, index, maps = _edge_perm_maps(n)
-        ip = [(index[e], index[f]) for e, f in pairs]
-        best = None
-        for m in maps:
-            mapped = sorted(
-                (m[i], m[j]) if m[i] < m[j] else (m[j], m[i]) for i, j in ip
-            )
-            if best is None or mapped < best:
-                best = mapped
-        return tuple((edges[i], edges[j]) for i, j in best)
     best = None
     for perm in permutations(range(1, n + 1)):
         mapped = []
@@ -274,6 +251,51 @@ def _canonical_encoding(n: int, pairs) -> tuple:
         if best is None or t < best:
             best = t
     return best
+
+
+def _rotation_key(rotations) -> tuple[tuple[int, ...], ...]:
+    """Least relabeling of a rotation system under relabeling and reflection.
+
+    A start vertex s, its first neighbour t and an orientation fix a
+    relabeling: s becomes 1, and s's rotation read from t becomes 2..n
+    (Kynčl, "Enumeration of simple complete topological graphs", 2009).  Each
+    of these 2·n·(n - 1) candidates gives vertex 1 the least rotation
+    (2, ..., n), so their least is the least over all relabelings and
+    reflections.  The other rows all start at 1 and are compared from their
+    second entry, in label order: a candidate stops at its first row above
+    the best, and is dropped before its relabeling is built when t's row
+    starts too high.
+    """
+    n = len(rotations)
+    best = [(n + 1,)]  # above every row
+    for ring in (rotations, [r[::-1] for r in rotations]):
+        doubled = [r + r for r in ring]
+        for s in range(1, n + 1):
+            # tails[u]: u's rotation after s, in the ring's orientation
+            tails = [None] * (n + 1)
+            for u in range(1, n + 1):
+                if u != s:
+                    p = ring[u - 1].index(s)
+                    tails[u] = doubled[u - 1][p + 1:p + n - 1]
+            around = doubled[s - 1]
+            for i in range(n - 1):
+                order = around[i:i + n - 1]
+                # t's row starts with the label of the vertex after s in t's rotation
+                if around.index(tails[order[0]][0], i) - i + 2 > best[0][0]:
+                    continue
+                label = [0] * (n + 1)
+                label[s] = 1
+                for j, u in enumerate(order, 2):
+                    label[u] = j
+                relabel = label.__getitem__
+                for k, u in enumerate(order):
+                    row = tuple(map(relabel, tails[u]))
+                    if row != best[k]:
+                        if row < best[k]:
+                            rest = order[k + 1:]
+                            best[k:] = [row] + [tuple(map(relabel, tails[v])) for v in rest]
+                        break
+    return (tuple(range(2, n + 1)),) + tuple((1,) + row for row in best)
 
 
 def canonical_crossing_form(cs: CrossingSet) -> CrossingSet:
@@ -325,27 +347,27 @@ def _k5_tables():
     crossing maximal (a crossing on every 4-subset), and the only crossing
     maximal drawings of K_5 are the convex and the twisted one, so candidates
     with five crossings are kept only when they match one of those two forms.
-    Exactly five classes remain.
+    Exactly five classes remain.  Candidates with one rotation key share one
+    form, which is computed once.
     """
     convex5 = _canonical_encoding(5, linked_rule_pairs(5))
     twisted5 = _canonical_encoding(5, nested_rule_pairs(5))
+    form_of = {}
     keys = set()
     forms = set()
-    for r1 in _cyclic_orders([2, 3, 4, 5]):
-        for r2 in _cyclic_orders([1, 3, 4, 5]):
-            for r3 in _cyclic_orders([1, 2, 4, 5]):
-                for r4 in _cyclic_orders([1, 2, 3, 5]):
-                    for r5 in _cyclic_orders([1, 2, 3, 4]):
-                        rotations = (r1, r2, r3, r4, r5)
-                        try:
-                            pairs = _pairs_from_rotations(5, rotations)
-                        except UnrealizableQuadruple:
-                            continue
-                        form = _canonical_encoding(5, pairs)
-                        if len(pairs) == 5 and form not in (convex5, twisted5):
-                            continue
-                        keys.add(rotations)
-                        forms.add(form)
+    for rotations in product(*(_cyclic_orders(set(range(1, 6)) - {v}) for v in range(1, 6))):
+        try:
+            pairs = _pairs_from_rotations(5, rotations)
+        except UnrealizableQuadruple:
+            continue
+        key = _rotation_key(rotations)
+        if key not in form_of:
+            form_of[key] = _canonical_encoding(5, pairs)
+        form = form_of[key]
+        if len(form) == 5 and form not in (convex5, twisted5):
+            continue
+        keys.add(rotations)
+        forms.add(form)
     if len(forms) != 5:
         raise InvalidDrawing(f"K5 class derivation produced {len(forms)} classes")
     return frozenset(keys), frozenset(forms)
@@ -359,6 +381,18 @@ def k5_reference_forms() -> frozenset:
     return _K5_FORMS
 
 
+def _fits_at(rotations, k: int) -> bool:
+    """Whether every 4-subset of 1..k with largest vertex k induces a K4 table
+    entry and every such 5-subset one of the K5 keys."""
+    for rest in combinations(range(1, k), 3):
+        if _restricted_key(rotations, rest + (k,)) not in _K4_TABLE:
+            return False
+    for rest in combinations(range(1, k), 4):
+        if _restricted_key(rotations, rest + (k,)) not in _K5_KEYS:
+            return False
+    return True
+
+
 def realizability_filter(rs: RotationSystem) -> bool:
     """Necessary condition for drawability: every 4-subsystem is in the K4
     table and every 5-subsystem matches one of the five K5 reference classes.
@@ -367,13 +401,7 @@ def realizability_filter(rs: RotationSystem) -> bool:
     """
     if rs.n < 5:
         raise InvalidDrawing("realizability_filter needs n >= 5")
-    for subset in combinations(range(1, rs.n + 1), 4):
-        if _restricted_key(rs.rotations, subset) not in _K4_TABLE:
-            return False
-    for subset in combinations(range(1, rs.n + 1), 5):
-        if _restricted_key(rs.rotations, subset) not in _K5_KEYS:
-            return False
-    return True
+    return all(_fits_at(rs.rotations, k) for k in range(4, rs.n + 1))
 
 
 # ============================================================
@@ -381,48 +409,21 @@ def realizability_filter(rs: RotationSystem) -> bool:
 # ============================================================
 
 def _dfs_assign(n: int, rotations: list, k: int, out: dict, seen: set):
-    """Extend rotations[0..k-2] with a rotation for vertex k, prune, recurse."""
+    """Extend rotations[0..k-2] with a rotation for vertex k, prune, recurse.
+
+    A leaf whose rotation key is already in `seen` is a relabeling or a
+    reflection of an earlier leaf, so it has that leaf's crossing form.
+    """
     if k > n:
-        pairs = _pairs_from_rotations(n, rotations)
-        enc = tuple(sorted(pairs))
-        if enc in seen:
-            return
-        form = _canonical_encoding(n, pairs)
-        out.setdefault(form, tuple(rotations))
-        if n <= 6:
-            # remember every labeling of the new class so later survivors of
-            # the same class skip the factorial canonicalization
-            edges, index, maps = _edge_perm_maps(n)
-            ip = [(index[e], index[f]) for e, f in pairs]
-            for m in maps:
-                seen.add(
-                    tuple(
-                        sorted(
-                            ((edges[min(m[i], m[j])], edges[max(m[i], m[j])]))
-                            for i, j in ip
-                        )
-                    )
-                )
-        else:
-            seen.add(enc)
+        key = _rotation_key(rotations)
+        if key not in seen:
+            seen.add(key)
+            form = _canonical_encoding(n, _pairs_from_rotations(n, rotations))
+            out.setdefault(form, tuple(rotations))
         return
-    others = [u for u in range(1, n + 1) if u != k]
-    for rot in _cyclic_orders(others):
+    for rot in _cyclic_orders([u for u in range(1, n + 1) if u != k]):
         rotations.append(rot)
-        ok = True
-        if k >= 4:
-            for rest in combinations(range(1, k), 3):
-                subset = tuple(sorted(rest + (k,)))
-                if _restricted_key(rotations, subset) not in _K4_TABLE:
-                    ok = False
-                    break
-        if ok and k >= 5:
-            for rest in combinations(range(1, k), 4):
-                subset = tuple(sorted(rest + (k,)))
-                if _restricted_key(rotations, subset) not in _K5_KEYS:
-                    ok = False
-                    break
-        if ok:
+        if _fits_at(rotations, k):
             _dfs_assign(n, rotations, k + 1, out, seen)
         rotations.pop()
 
@@ -435,20 +436,16 @@ def _enumerate_classes(n: int, first_rotation=None) -> dict:
     vertex 2 for prefix-partitioned parallel runs.
     """
     out: dict = {}
-    seen: set = set()
     rotations = [tuple(range(2, n + 1))]
-    if first_rotation is None:
-        _dfs_assign(n, rotations, 2, out, seen)
-    else:
+    if first_rotation is not None:
         rotations.append(tuple(first_rotation))
-        _dfs_assign(n, rotations, 3, out, seen)
+    _dfs_assign(n, rotations, len(rotations) + 1, out, set())
     return out
 
 
 def _enumerate_worker(args):
     n, rot2 = args
-    out = _enumerate_classes(n, first_rotation=rot2)
-    return {form: rots for form, rots in out.items()}
+    return _enumerate_classes(n, first_rotation=rot2)
 
 
 def enumerate_realizable(n: int, jobs: int = 1, with_witness: bool = False):
@@ -464,26 +461,17 @@ def enumerate_realizable(n: int, jobs: int = 1, with_witness: bool = False):
         raise TooLarge(n, cap)
     if n < 3:
         raise InvalidDrawing("enumeration needs n >= 3")
-    if n == 3:
-        cs = CrossingSet(3, frozenset())
-        if with_witness:
-            yield cs, RotationSystem(3, ((2, 3), (1, 3), (1, 2)))
-        else:
-            yield cs
-        return
-
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         tasks = [(n, rot) for rot in _cyclic_orders([u for u in range(1, n + 1) if u != 2])]
-        merged: dict = {}
+        classes: dict = {}
         # the pool starts all its workers at the first submit: none beyond
         # the (n-2)! prefix tasks
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             for part in pool.map(_enumerate_worker, tasks):
                 for form, rots in part.items():
-                    merged.setdefault(form, rots)
-        classes = merged
+                    classes.setdefault(form, rots)
     else:
         classes = _enumerate_classes(n)
 

@@ -1,9 +1,16 @@
+import hashlib
 import random
+import re
+from functools import cache
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drawkit import generators as gen
 from drawkit import rotation as rot
-from drawkit.errors import SubsetTooSmall, TooLarge, UnrealizableQuadruple
+from drawkit.errors import InvalidDrawing, SubsetTooSmall, TooLarge, UnrealizableQuadruple
 from drawkit.rotation import CrossingSet, RotationSystem
 
 
@@ -102,9 +109,6 @@ def test_canonical_form_is_relabeling_invariant():
 
 
 def test_canonical_encoding_matches_brute_force():
-    from itertools import permutations
-
-    rng = random.Random(21)
     for cs in rot.enumerate_realizable(5):
         best = None
         for perm in permutations(range(1, 6)):
@@ -231,3 +235,120 @@ def test_at_most_one_crossing_per_quadruple_on_enumerated():
             q = frozenset(e) | frozenset(f)
             assert q not in quads
             quads[q] = (e, f)
+
+
+# one malformed pair list per check of CrossingSet, in the order they run
+MALFORMED_CROSSINGS = {
+    "incident pair": (4, [((1, 2), (2, 3))], "incident edges cannot cross: (1, 2), (2, 3)"),
+    "vertex 0": (4, [((0, 2), (3, 4))], "vertex 0 out of range 1..4"),
+    "vertex n + 1": (4, [((1, 5), (2, 3))], "vertex 5 out of range 1..4"),
+    "two pairings of one quad": (
+        4,
+        [((1, 3), (2, 4)), ((1, 2), (3, 4))],
+        "two crossings on the same 4-subset [1, 2, 3, 4]",
+    ),
+}
+
+ACCEPTED_CROSSINGS = {
+    "unsorted edges": (4, [((3, 1), (4, 2))], {((1, 3), (2, 4))}),
+    "one pair in both orders": (4, [((1, 3), (2, 4)), ((4, 2), (3, 1))], {((1, 3), (2, 4))}),
+    "two quads sharing an edge": (
+        5,
+        [((1, 3), (2, 4)), ((2, 5), (1, 3))],
+        {((1, 3), (2, 4)), ((1, 3), (2, 5))},
+    ),
+}
+
+
+@pytest.mark.parametrize("n, pairs, message", MALFORMED_CROSSINGS.values(), ids=MALFORMED_CROSSINGS)
+def test_malformed_crossing_set_rejected(n, pairs, message):
+    with pytest.raises(InvalidDrawing, match=re.escape(message)):
+        CrossingSet(n, frozenset(pairs))
+
+
+@pytest.mark.parametrize("n, pairs, want", ACCEPTED_CROSSINGS.values(), ids=ACCEPTED_CROSSINGS)
+def test_crossing_set_normalizes_pairs(n, pairs, want):
+    assert CrossingSet(n, frozenset(pairs)).pairs == want
+
+
+# sha256 of repr([[(cs.encode(), rs.rotations) for cs, rs in
+# enumerate_realizable(n, with_witness=True)] for n in (3, 4, 5, 6)]): pins the
+# classes, their order and their witnesses
+ENUMERATION_DIGEST = "688442767e35e7728f128b19bd66f9b2abb389fdcd11ac3b0f359b3218f6a6fa"
+# sha256 of repr((sorted(_K5_KEYS), sorted(k5_reference_forms())))
+K5_TABLES_DIGEST = "2474b6ee9fece473026f59cfeccb1f81014756b7b812508870c9ff1f0af32a2a"
+
+
+@cache
+def classes_with_witnesses(n):
+    return tuple(rot.enumerate_realizable(n, with_witness=True))
+
+
+def test_enumeration_is_pinned():
+    got = [
+        [(cs.encode(), rs.rotations) for cs, rs in classes_with_witnesses(n)] for n in (3, 4, 5, 6)
+    ]
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == ENUMERATION_DIGEST
+
+
+def test_k5_tables_are_pinned():
+    got = repr((sorted(rot._K5_KEYS), sorted(rot.k5_reference_forms())))
+    assert hashlib.sha256(got.encode()).hexdigest() == K5_TABLES_DIGEST
+
+
+def test_n3_has_one_class_with_its_witness():
+    assert classes_with_witnesses(3) == (
+        (CrossingSet(3, frozenset()), RotationSystem(3, ((2, 3), (1, 3), (1, 2)))),
+    )
+
+
+def relabel_rotations(rotations, perm, reflect):
+    """Vertex v becomes perm[v - 1]; `reflect` reverses every rotation."""
+    out = [None] * len(rotations)
+    for v, r in enumerate(rotations, start=1):
+        out[perm[v - 1] - 1] = tuple(perm[u - 1] for u in (r[::-1] if reflect else r))
+    return tuple(out)
+
+
+def least_relabeling(rotations):
+    """Brute force: the least normalized relabeling over all n! relabelings
+    and both orientations."""
+    n = len(rotations)
+    return min(
+        tuple(map(rot._norm_cycle, relabel_rotations(rotations, perm, reflect)))
+        for perm in permutations(range(1, n + 1))
+        for reflect in (False, True)
+    )
+
+
+@st.composite
+def rotation_systems(draw, n):
+    others = [[u for u in range(1, n + 1) if u != v] for v in range(1, n + 1)]
+    return tuple(tuple(draw(st.permutations(row))) for row in others)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data(), n=st.integers(3, 7), reflect=st.booleans())
+def test_rotation_key_ignores_relabeling_and_reflection(data, n, reflect):
+    rotations = data.draw(rotation_systems(n))
+    perm = data.draw(st.permutations(range(1, n + 1)))
+    key = rot._rotation_key(rotations)
+    assert rot._rotation_key(relabel_rotations(rotations, perm, reflect)) == key
+    assert RotationSystem(n, key).rotations == key
+    if n <= 5:
+        assert key == least_relabeling(rotations)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data(), n=st.integers(5, 6), reflect=st.booleans())
+def test_equal_rotation_keys_give_equal_crossing_forms(data, n, reflect):
+    cs, rs = data.draw(st.sampled_from(classes_with_witnesses(n)))
+    perm = data.draw(st.permutations(range(1, n + 1)))
+    moved = RotationSystem(n, relabel_rotations(rs.rotations, perm, reflect))
+    assert rot._rotation_key(moved.rotations) == rot._rotation_key(rs.rotations)
+    assert rot.canonical_crossing_form(rot.crossings_from_rotation(moved)) == cs
+
+
+def test_n6_witnesses_have_distinct_rotation_keys():
+    keys = {rot._rotation_key(rs.rotations) for _, rs in classes_with_witnesses(6)}
+    assert len(keys) == 102
