@@ -68,8 +68,23 @@ def _crossings_of(model) -> CrossingSet:
 # Subcommands
 # ============================================================
 
+# the forms each generator can write with --as; without it each writes its first
+# form, hill and random-cyl a cylindrical drawing, points a rotation system
+_GEN_FORMS = {
+    "convex": ("cs", "wiring"),
+    "twisted": ("cs", "rotation"),
+    "hill": (),
+    "two-page": ("cs", "wiring"),
+    "points": ("rotation", "cs", "wiring"),
+    "random-cyl": (),
+    "random-xmono": ("wiring",),
+}
+
+
 def _cmd_gen(args) -> int:
     kind, n = args.kind, args.n
+    if args.as_ is not None and args.as_ not in _GEN_FORMS[kind]:
+        raise _UsageError(f"generator {kind} cannot write --as {args.as_}")
     if kind == "convex":
         cs, lw = gen.convex(n)
         obj = lw if args.as_ == "wiring" else cs
@@ -90,13 +105,11 @@ def _cmd_gen(args) -> int:
         if args.as_ == "wiring":
             obj = gen.wiring_from_points(ps)
         else:
-            obj = gen.from_points(ps)[0]
+            obj = gen.from_points(ps)[1 if args.as_ == "cs" else 0]
     elif kind == "random-cyl":
         obj = gen.random_cylindrical(n, args.seed or 0, strong=args.strong)
-    elif kind == "random-xmono":
-        obj = gen.random_x_monotone(n, args.seed or 0)
     else:
-        raise _UsageError(f"unknown generator {kind!r}")
+        obj = gen.random_x_monotone(n, args.seed or 0)
     _emit(serial.dump(obj), args.out)
     return 0
 
@@ -264,9 +277,7 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a drawing model")
-    g.add_argument("kind", choices=(
-        "convex", "twisted", "hill", "two-page", "points", "random-cyl", "random-xmono"
-    ))
+    g.add_argument("kind", choices=tuple(_GEN_FORMS))
     g.add_argument("n", type=int)
     g.add_argument("--seed", type=int, default=None)
     g.add_argument("--strong", action="store_true")

@@ -11,7 +11,8 @@ determined:
   (i)   home circle edges on the same circle cross iff linked in the circular
         vertex order,
   (ii)  a lateral-face circle edge crosses a non-incident lateral-face edge
-        iff it guards exactly one of its end-vertices,
+        iff it guards exactly one of its end-vertices; between two circle
+        edges on one circle this reduces to interleaving, as under rule (i),
   (iii) lateral edges e, f cross iff delta + omega_f - omega_e lies outside
         [0, 1], where delta is the counter-clockwise outer-circle fraction
         from e's end-vertex to f's,
@@ -131,12 +132,6 @@ class CylindricalDrawing:
     def n(self) -> int:
         return len(self.outer) + len(self.inner)
 
-    def outer_vertices(self) -> list:
-        return [v for v, _ in self.outer]
-
-    def inner_vertices(self) -> list:
-        return [v for v, _ in self.inner]
-
     def angle_of(self, v: int) -> Fraction:
         if v not in self._angle:
             raise InvalidDrawing(f"unknown vertex {v}")
@@ -224,13 +219,6 @@ def _validate(cd: CylindricalDrawing):
             raise InvalidDrawing(f"circle edges {e.edge}, {f.edge} mutually guard")
 
 
-def guarded_arc(cd: CylindricalDrawing, e: Edge) -> Arc:
-    ce = cd.circle_edge(e)
-    if ce.face is not Face.LATERAL:
-        raise WrongFace(f"edge {ce.edge} lies in its home face")
-    return home_side_arc(cd, e)
-
-
 def guards(cd: CylindricalDrawing, e: Edge) -> set:
     """Vertices of e's circle inside the closed guarded arc, endpoints included."""
     ce = cd.circle_edge(e)
@@ -294,42 +282,31 @@ def _derive_crossing_set(cd: CylindricalDrawing) -> CrossingSet:
         val = (Af - Ae) % D + Wf - We
         if val < 0 or val > D:
             pairs.add(_norm_crossing(e, f))
-    # (ii) lateral-face circle edges vs lateral-face edges
-    lat_circle = [ce for ce in cd.circle if ce.face is Face.LATERAL]
-    guarded = {ce.edge: guards(cd, ce.edge) for ce in lat_circle}
-    for ce in lat_circle:
-        g = guarded[ce.edge]
+    # (ii) lateral-face circle edges vs lateral edges
+    for ce in cd.circle:
+        if ce.face is not Face.LATERAL:
+            continue
+        g = guards(cd, ce.edge)
         for le in cd.lateral:
-            if set(ce.edge) & set(le.edge):
-                continue
-            if len(g & set(le.edge)) == 1:
+            if not set(ce.edge) & set(le.edge) and len(g & set(le.edge)) == 1:
                 pairs.add(_norm_crossing(ce.edge, le.edge))
-    for ce, cf in combinations(lat_circle, 2):
-        if set(ce.edge) & set(cf.edge):
-            continue
-        if cd._circle[ce.u] != cd._circle[cf.u]:
-            continue
-        hit_ef = len(guarded[ce.edge] & set(cf.edge)) == 1
-        hit_fe = len(guarded[cf.edge] & set(ce.edge)) == 1
-        if hit_ef != hit_fe:
-            raise InvalidDrawing(f"guard rule asymmetric for {ce.edge}, {cf.edge}")
-        if hit_ef:
-            pairs.add(_norm_crossing(ce.edge, cf.edge))
-    # (i) home circle edges on a common circle cross iff their ends
-    # interleave: with ends ranked around the circle, a < c < b < d
+    # (i), and (ii) between circle edges: circle edges of one face on a
+    # common circle cross iff their ends interleave, with ends ranked around
+    # the circle a < c < b < d
     for which in ("outer", "inner"):
         rank = {v: i for i, v in enumerate(cd.ring(which))}
-        chords = sorted(
-            (*sorted((rank[ce.u], rank[ce.v])), ce.edge)
-            for ce in cd.circle
-            if ce.face is Face.HOME and cd._circle[ce.u] == which
-        )
-        for i, (a, b, e) in enumerate(chords):
-            for c, d, f in chords[i + 1 :]:
-                if c >= b:
-                    break
-                if a < c and b < d:
-                    pairs.add(_norm_crossing(e, f))
+        for face in Face:
+            chords = sorted(
+                (*sorted((rank[ce.u], rank[ce.v])), ce.edge)
+                for ce in cd.circle
+                if ce.face is face and cd._circle[ce.u] == which
+            )
+            for i, (a, b, e) in enumerate(chords):
+                for c, d, f in chords[i + 1 :]:
+                    if c >= b:
+                        break
+                    if a < c and b < d:
+                        pairs.add(_norm_crossing(e, f))
     return CrossingSet(cd.n, frozenset(pairs))
 
 
@@ -432,10 +409,6 @@ def _mirror(cd: CylindricalDrawing) -> CylindricalDrawing:
     )
 
 
-def _cw_spirals(cd: CylindricalDrawing) -> list:
-    return [p for p in find_double_spirals(cd) if cd._W[p[0]] < 0]
-
-
 def _resolve_cw_spiral(cd: CylindricalDrawing, pair) -> CylindricalDrawing:
     """One removal step: slide the inner end-vertex of the second edge (and
     everything it passes) counter-clockwise out of the first edge's wedge into
@@ -494,7 +467,7 @@ def remove_double_spirals(cd: CylindricalDrawing) -> CylindricalDrawing:
     def run_cw_phase(d):
         nonlocal moves
         while True:
-            spirals = _cw_spirals(d)
+            spirals = [p for p in find_double_spirals(d) if d._W[p[0]] < 0]
             if not spirals:
                 return d
             if moves >= budget:

@@ -171,26 +171,18 @@ def twisted_rotation(n: int) -> RotationSystem:
     return rs
 
 
-def two_page(n: int, page_of_edge: dict, spine_order=None):
-    """Crossing set and wiring of a 2-page-book drawing.
+def two_page(n: int, page_of_edge: dict):
+    """Crossing set and wiring of a 2-page-book drawing with spine 1..n.
 
-    Crossings are the same-page linked pairs along the spine.  Outputs are in
-    spine-position labels (position i = i-th vertex on the spine); the page
-    map is given in input labels and translated internally.
+    Crossings are the same-page linked pairs along the spine.
     """
-    if spine_order is None:
-        spine_order = list(range(1, n + 1))
-    if sorted(spine_order) != list(range(1, n + 1)):
-        raise InvalidDrawing("spine_order must be a permutation of 1..n")
-    pos = {v: i + 1 for i, v in enumerate(spine_order)}
     pages = {}
     for e, page in page_of_edge.items():
         if page not in (0, 1):
             raise InvalidDrawing(f"page of {e} must be 0 or 1")
-        pages[_sorted_pair(pos[e[0]], pos[e[1]])] = page
-    for e in combinations(range(1, n + 1), 2):
-        if e not in pages:
-            raise InvalidDrawing(f"page assignment missing for positions {e}")
+        pages[_sorted_pair(*e)] = page
+    if set(pages) != set(combinations(range(1, n + 1), 2)):
+        raise InvalidDrawing(f"pages must be given for exactly the edges of K_{n}")
     pairs = set()
     for e, f in combinations(combinations(range(1, n + 1), 2), 2):
         if set(e) & set(f) or pages[e] != pages[f]:

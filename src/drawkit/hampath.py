@@ -201,23 +201,27 @@ def path_strong_c_mon(cw: CircularWiring, a: int, b: int):
 # Cylindrical drawings
 # ============================================================
 
+def _cw_ring(cd: CylindricalDrawing, which: str, start: int) -> list:
+    """Vertices of one circle in clockwise order from `start`."""
+    ring = cd.ring(which)[::-1]
+    k = ring.index(start)
+    return ring[k:] + ring[:k]
+
+
+def _first_crossed(vs, crossed_rims: set):
+    """Index j of the first crossed rim edge {vs[j], vs[j + 1]} along vs, or
+    None."""
+    return next(
+        (j for j in range(len(vs) - 1) if _sorted_pair(vs[j], vs[j + 1]) in crossed_rims), None
+    )
+
+
 def _rim_walk(cd: CylindricalDrawing, which: str, start: int, crossed_rims: set):
-    """Clockwise rim walk from `start`, detouring around a crossed rim edge."""
-    ring_cw = list(reversed(cd.ring(which)))
-    k = ring_cw.index(start)
-    c = ring_cw[k:] + ring_cw[:k]
-    p = len(c)
-    if p == 1:
-        return [start]
-    path = [c[0]]
-    for j in range(p - 1):
-        e = _sorted_pair(c[j], c[j + 1])
-        if e in crossed_rims:
-            # take the chord to the last vertex and come back counter-clockwise
-            path.extend(c[p - 1 : j : -1])
-            return path
-        path.append(c[j + 1])
-    return path
+    """Clockwise rim walk from `start`; at a crossed rim edge it takes the
+    chord to the last vertex and comes back counter-clockwise."""
+    c = _cw_ring(cd, which, start)
+    j = _first_crossed(c, crossed_rims)
+    return c if j is None else c[: j + 1] + c[:j:-1]
 
 
 def path_cylindrical(cd: CylindricalDrawing, a: int, b: int):
@@ -229,7 +233,7 @@ def path_cylindrical(cd: CylindricalDrawing, a: int, b: int):
     n = cd.n
     uncrossed = cyl.uncrossed_rim_edges(cd)
     crossed_rims = {
-        which: set(cyl.rim_edges(cd)[which]) - uncrossed[which] for which in ("outer", "inner")
+        which: set(rims) - uncrossed[which] for which, rims in cyl.rim_edges(cd).items()
     }
 
     if not cd.inner or not cd.outer:
@@ -265,28 +269,16 @@ def _same_circle_path(cd: CylindricalDrawing, a, b, cs, crossed_rims):
 
     # rim path across the whole other circle, skipping its crossed rim edge
     ring2 = cd.ring(other)
-    if len(ring2) == 1:
-        p2 = [ring2[0]]
-    else:
-        rims2 = cyl.rim_edges(cd)[other]
-        skip = sorted(crossed_rims[other])[0] if crossed_rims[other] else rims2[-1]
-        i2 = next(i for i in range(len(ring2))
-                  if _sorted_pair(ring2[i], ring2[(i + 1) % len(ring2)]) == skip)
-        p2 = [ring2[(i2 + 1 + k) % len(ring2)] for k in range(len(ring2))]
+    j = _first_crossed(ring2, crossed_rims[other])
+    p2 = ring2 if j is None else ring2[j + 1 :] + ring2[: j + 1]
 
+    crossed = crossed_rims[which]
     reversed_out = False
     for _ in range(2):
-        ring_cw = list(reversed(cd.ring(which)))
-        k = ring_cw.index(a)
-        c = ring_cw[k:] + ring_cw[:k]
-        p = len(c)
+        c = _cw_ring(cd, which, a)
         t = c.index(b)
-        f1 = None
-        for s in range(p - 1):
-            if _sorted_pair(c[s], c[s + 1]) in crossed_rims[which]:
-                f1 = s
-                break
-        wrap_crossed = _sorted_pair(c[p - 1], c[0]) in crossed_rims[which]
+        f1 = _first_crossed(c, crossed)
+        wrap_crossed = _sorted_pair(c[-1], c[0]) in crossed
         if f1 is not None and f1 >= t or wrap_crossed:
             a, b = b, a
             reversed_out = True
@@ -295,18 +287,12 @@ def _same_circle_path(cd: CylindricalDrawing, a, b, cs, crossed_rims):
     else:
         raise InternalAssertion("crossed rim edge cannot be oriented between the ends")
 
+    # p1 runs clockwise from a up to the crossed rim edge, p3 clockwise from
+    # b round to a's predecessor, then back from b's to that edge
     if f1 is None:
-        p1 = c[:t]
-        p3 = c[t:]
-        e1 = None
-    elif t == f1 + 1:
-        p1 = c[: f1 + 1]
-        p3 = c[t:]
-        e1 = None
-    else:
-        p1 = c[: f1 + 1]
-        p3 = c[t:] + c[t - 1 : f1 : -1]
-        e1 = _sorted_pair(c[p - 1], c[t - 1])
+        f1 = t - 1
+    p1 = c[: f1 + 1]
+    p3 = c[t:] + c[t - 1 : f1 : -1]
 
     u1 = p1[-1]
     u3 = p3[-1]

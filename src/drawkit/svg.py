@@ -264,12 +264,9 @@ def _render_cylindrical(cd: CylindricalDrawing, spec: RenderSpec) -> str:
         lines[le.edge] = edge_polyline(pts)
     for ce in cd.circle:
         base = radius[ce.u]
-        if ce.face is Face.HOME:
-            arc = cyl.home_side_arc(cd, ce.edge)
-            sign = 1 if base == r_out else -1
-        else:
-            arc = cyl.guarded_arc(cd, ce.edge)
-            sign = -1 if base == r_out else 1
+        arc = cyl.home_side_arc(cd, ce.edge)
+        # home arcs bulge away from the annulus, lateral-face arcs into it
+        sign = 1 if (base == r_out) == (ce.face is Face.HOME) else -1
         amp = band * (0.3 + 0.6 * float(arc.length))
         pts = []
         steps = max(12, int(float(arc.length) * 96) + 2)

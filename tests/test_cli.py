@@ -80,6 +80,40 @@ def test_gen_crossing_set_default(tmp_path, capsys):
     assert len(json.loads(out)["payload"]["crossings"]) == 1
 
 
+CS, RS, LW, CD = "crossing_set", "rotation_system", "linear_wiring", "cylindrical_drawing"
+
+# per generator, the kind written without --as and with --as cs, rotation,
+# wiring; 64 where the generator cannot write that form
+GEN_FORMS = {
+    "convex": (CS, CS, 64, LW),
+    "twisted": (CS, CS, RS, 64),
+    "hill": (CD, 64, 64, 64),
+    "two-page": (CS, CS, 64, LW),
+    "points": (RS, CS, RS, LW),
+    "random-cyl": (CD, 64, 64, 64),
+    "random-xmono": (LW, 64, 64, LW),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GEN_FORMS))
+@pytest.mark.parametrize("form", [None, "cs", "rotation", "wiring"])
+def test_gen_writes_the_forms_it_can(kind, form, capsys):
+    expected = GEN_FORMS[kind][[None, "cs", "rotation", "wiring"].index(form)]
+    code, out, err = run(["gen", kind, "6"] + (["--as", form] if form else []), capsys)
+    if expected == 64:
+        assert code == 64 and out == ""
+        assert kind in err and form in err
+    else:
+        assert code == 0
+        assert json.loads(out)["kind"] == expected
+
+
+def test_gen_points_as_cs_is_the_rotation_systems_crossing_set(capsys):
+    _, out, _ = run(["gen", "points", "6", "--seed", "1", "--as", "cs"], capsys)
+    _, cs = gen.from_points(gen.random_point_set(6, 1))
+    assert serial.load(json.loads(out)) == cs
+
+
 def test_gen_hill_is_strongly_cylindrical(tmp_path, capsys):
     f = tmp_path / "h9.json"
     code, _, _ = run(["gen", "hill", "9", "--out", str(f)], capsys)

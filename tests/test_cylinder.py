@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -38,6 +39,44 @@ def test_guards_rejects_home_edges():
     cd = five_outer([CircleEdge(1, 3, Face.HOME, ArcDir.CCW)])
     with pytest.raises(WrongFace):
         cyl.guards(cd, (1, 3))
+
+
+def interleaved(e, f):
+    (a, b), (c, d) = sorted((e, f))
+    return a < c < b < d
+
+
+FIVE_OUTER_CHORD_PAIRS = [
+    (e, f) for e, f in combinations(combinations(range(1, 6), 2), 2) if not set(e) & set(f)
+]
+
+
+def chord_id(e):
+    return f"{e[0]}{e[1]}"
+
+
+@pytest.mark.parametrize("e, f", FIVE_OUTER_CHORD_PAIRS, ids=chord_id)
+def test_lateral_face_circle_edges_cross_iff_interleaved(e, f):
+    accepted = 0
+    for de, df in product(ArcDir, repeat=2):
+        try:
+            cd = five_outer([CircleEdge(*e, Face.LATERAL, de), CircleEdge(*f, Face.LATERAL, df)])
+        except InvalidDrawing:
+            continue  # the two edges mutually guard
+        accepted += 1
+        assert cyl.crossing_set(cd).pairs == ({(e, f)} if interleaved(e, f) else set())
+    # only a non-interleaved pair can guard each other, with one arc choice
+    assert accepted == (4 if interleaved(e, f) else 3)
+
+
+@pytest.mark.parametrize(
+    "e, f", [(e, f) for e, f in FIVE_OUTER_CHORD_PAIRS if interleaved(e, f)], ids=chord_id
+)
+def test_home_and_lateral_face_circle_edges_never_cross(e, f):
+    for fe, ff in ((Face.HOME, Face.LATERAL), (Face.LATERAL, Face.HOME)):
+        for de, df in product(ArcDir, repeat=2):
+            cd = five_outer([CircleEdge(*e, fe, de), CircleEdge(*f, ff, df)])
+            assert cyl.crossing_set(cd).pairs == frozenset()
 
 
 def lateral_pair(omega_e, omega_f, theta_f=F(1, 2)):

@@ -9,7 +9,7 @@ from drawkit import generators as gen
 from drawkit import rotation as rot
 from drawkit import serial
 from drawkit import wiring as w
-from drawkit.errors import DegeneratePointSet
+from drawkit.errors import DegeneratePointSet, InvalidDrawing
 
 
 def binom4(n):
@@ -81,6 +81,22 @@ def test_two_page_separating_the_linked_pair():
     cs, lw = gen.two_page(4, pages)
     assert cs.pairs == frozenset()
     assert w.crossing_set(lw).pairs == frozenset()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [("drop", "edges of K_4"), ("extra", "edges of K_4"), ("page", "must be 0 or 1")],
+)
+def test_two_page_rejects_a_bad_page_map(change, message):
+    pages = {e: 0 for e in combinations(range(1, 5), 2)}
+    if change == "drop":
+        del pages[(2, 4)]
+    elif change == "extra":
+        pages[(1, 9)] = 1
+    else:
+        pages[(2, 4)] = 2
+    with pytest.raises(InvalidDrawing, match=message):
+        gen.two_page(4, pages)
 
 
 def test_two_page_k8_fixture_has_uncrossed_spine_cycle():

@@ -111,6 +111,7 @@ def test_path_x_monotone_all_pairs_random():
 XMONO_PATHS_DIGEST = "3ba1c71cdb36814251cc3c458a2db6f58748c2dd01bd39f55ad0ced8054ccce8"
 STRONG_PATHS_DIGEST = "bbe473e3d2690b250b560eb57f6a58e35c96c85b4770a0813752ab0bc4e34d79"
 ONE_CIRCLE_PATHS_DIGEST = "35c25f8ff47b7afaba8d27b50693c54ef4ef9ff705a3f2686c11dd9ee4694217"
+CYLINDRICAL_PATHS_DIGEST = "66ec6c34627b639832d6865bf45a928d5c0a131c1bb779eb741300d10aeb86c2"
 
 
 def test_path_x_monotone_outputs_are_pinned():
@@ -135,6 +136,16 @@ def test_path_strong_c_mon_outputs_are_pinned():
 def test_path_cylindrical_one_circle_outputs_are_pinned():
     models = [one_circle(n, seed) for n in range(3, 9) for seed in range(4)]
     assert all_pairs_digest(models, hp.path_cylindrical) == ONE_CIRCLE_PATHS_DIGEST
+
+
+def test_path_cylindrical_two_circle_outputs_are_pinned():
+    models = [
+        gen.random_cylindrical(n, seed, strong)
+        for strong in (True, False)
+        for n in range(3, 11)
+        for seed in range(4)
+    ] + [gen.hill(n) for n in range(3, 12)]
+    assert all_pairs_digest(models, hp.path_cylindrical) == CYLINDRICAL_PATHS_DIGEST
 
 
 def test_path_strong_c_mon_adjacent_ends_use_gap_edges():
