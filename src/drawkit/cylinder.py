@@ -54,7 +54,7 @@ from drawkit.errors import (
     RealizationMismatch,
     WrongFace,
 )
-from drawkit.rotation import CrossingSet, _norm_crossing, _sorted_pair
+from drawkit.rotation import CrossingSet, _norm_crossing, _sorted_pair, edge_numbering
 from drawkit.wiring import redraw_strips
 
 Edge = tuple[int, int]
@@ -330,11 +330,10 @@ def uncrossed_rim_edges(cd: CylindricalDrawing) -> dict:
     In any valid drawing at most one rim edge per circle has crossings; a
     breach means the input was not a simple cylindrical drawing.
     """
-    cs = crossing_set(cd)
-    crossed = {e for pair in cs.pairs for e in pair}
+    eid, masks = edge_numbering(cd.n)[1], crossing_set(cd).masks
     result = {}
     for which, rims in rim_edges(cd).items():
-        clean = {e for e in rims if e not in crossed}
+        clean = {(u, v) for u, v in rims if not masks[eid[u][v]]}
         if len(rims) - len(clean) > 1:
             raise InvalidDrawing(f"{which} circle has two crossed rim edges")
         result[which] = clean

@@ -18,7 +18,6 @@ failure, so a transcription bug can never return silently.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 from drawkit import circular as circ
 from drawkit import cylinder as cyl
@@ -32,23 +31,23 @@ from drawkit.errors import (
     InternalAssertion,
     InvalidDrawing,
     NotStronglyCMonotone,
-    TooLarge,
 )
 from drawkit.rotation import (
     CrossingSet,
-    _norm_crossing,
     _sorted_pair,
+    edge_numbering,
     nested_rule_pairs,
     relabel_crossing_set,
-    size_cap,
 )
 from drawkit.wiring import LinearWiring
 
 
 def is_crossing_free(cs: CrossingSet, path) -> bool:
-    """True iff no two edges of the path cross in cs."""
-    edges = [_sorted_pair(path[i], path[i + 1]) for i in range(len(path) - 1)]
-    return not any((e, f) in cs for e, f in combinations(edges, 2))
+    """True iff no two edges of the path, a walk in K_n, cross in cs."""
+    eid, masks = edge_numbering(cs.n)[1], cs.masks
+    ids = {eid[u][v] for u, v in zip(path, path[1:])}
+    used = sum(1 << i for i in ids)
+    return not any(masks[i] & used for i in ids)
 
 
 def _check_ends(n: int, a: int, b: int):
@@ -208,19 +207,18 @@ def _cw_ring(cd: CylindricalDrawing, which: str, start: int) -> list:
     return ring[k:] + ring[:k]
 
 
-def _first_crossed(vs, crossed_rims: set):
-    """Index j of the first crossed rim edge {vs[j], vs[j + 1]} along vs, or
+def _first_crossed(vs, cs: CrossingSet):
+    """Index j of the first crossed edge {vs[j], vs[j + 1]} along vs, or
     None."""
-    return next(
-        (j for j in range(len(vs) - 1) if _sorted_pair(vs[j], vs[j + 1]) in crossed_rims), None
-    )
+    eid, masks = edge_numbering(cs.n)[1], cs.masks
+    return next((j for j in range(len(vs) - 1) if masks[eid[vs[j]][vs[j + 1]]]), None)
 
 
-def _rim_walk(cd: CylindricalDrawing, which: str, start: int, crossed_rims: set):
+def _rim_walk(cd: CylindricalDrawing, which: str, start: int, cs: CrossingSet):
     """Clockwise rim walk from `start`; at a crossed rim edge it takes the
     chord to the last vertex and comes back counter-clockwise."""
     c = _cw_ring(cd, which, start)
-    j = _first_crossed(c, crossed_rims)
+    j = _first_crossed(c, cs)
     return c if j is None else c[: j + 1] + c[:j:-1]
 
 
@@ -231,10 +229,7 @@ def path_cylindrical(cd: CylindricalDrawing, a: int, b: int):
     circ._require_complete(cd)
     cs = cyl.crossing_set(cd)
     n = cd.n
-    uncrossed = cyl.uncrossed_rim_edges(cd)
-    crossed_rims = {
-        which: set(rims) - uncrossed[which] for which, rims in cyl.rim_edges(cd).items()
-    }
+    cyl.uncrossed_rim_edges(cd)  # rejects a circle with two crossed rim edges
 
     if not cd.inner or not cd.outer:
         path = _one_circle_path(cd, a, b)
@@ -243,13 +238,13 @@ def path_cylindrical(cd: CylindricalDrawing, a: int, b: int):
 
     ca, cb = cd.circle_of(a), cd.circle_of(b)
     if ca != cb:
-        p1 = _rim_walk(cd, ca, a, crossed_rims[ca])
-        p2 = _rim_walk(cd, cb, b, crossed_rims[cb])
+        p1 = _rim_walk(cd, ca, a, cs)
+        p2 = _rim_walk(cd, cb, b, cs)
         path = p1 + p2[::-1]
         _check_path(cs, path, a, b, n)
         return path
 
-    path = _same_circle_path(cd, a, b, cs, crossed_rims)
+    path = _same_circle_path(cd, a, b, cs)
     _check_path(cs, path, a, b, n)
     return path
 
@@ -263,23 +258,22 @@ def _one_circle_path(cd: CylindricalDrawing, a: int, b: int):
     return _xmono_rec(spine, a, b, lambda e, v: cd.circle_edge(e).face)
 
 
-def _same_circle_path(cd: CylindricalDrawing, a, b, cs, crossed_rims):
+def _same_circle_path(cd: CylindricalDrawing, a, b, cs):
     which = cd.circle_of(a)
     other = "inner" if which == "outer" else "outer"
 
     # rim path across the whole other circle, skipping its crossed rim edge
     ring2 = cd.ring(other)
-    j = _first_crossed(ring2, crossed_rims[other])
+    j = _first_crossed(ring2, cs)
     p2 = ring2 if j is None else ring2[j + 1 :] + ring2[: j + 1]
 
-    crossed = crossed_rims[which]
+    eid, masks = edge_numbering(cd.n)[1], cs.masks
     reversed_out = False
     for _ in range(2):
         c = _cw_ring(cd, which, a)
         t = c.index(b)
-        f1 = _first_crossed(c, crossed)
-        wrap_crossed = _sorted_pair(c[-1], c[0]) in crossed
-        if f1 is not None and f1 >= t or wrap_crossed:
+        f1 = _first_crossed(c, cs)
+        if f1 is not None and f1 >= t or masks[eid[c[-1]][c[0]]]:
             a, b = b, a
             reversed_out = True
             continue
@@ -302,7 +296,7 @@ def _same_circle_path(cd: CylindricalDrawing, a, b, cs, crossed_rims):
     for mid in (p2, p2[::-1]):
         e = _sorted_pair(u1, mid[0])
         e2 = _sorted_pair(mid[-1], u3)
-        if set(e) & set(e2) or _norm_crossing(e, e2) not in cs.pairs:
+        if not masks[eid[u1][mid[0]]] >> eid[mid[-1]][u3] & 1:
             valid.append((tuple(sorted((e, e2))), p1 + mid + p3[::-1]))
     if not valid:
         raise InternalAssertion("both lateral stitch choices cross")
@@ -317,13 +311,11 @@ def _same_circle_path(cd: CylindricalDrawing, a, b, cs, crossed_rims):
 
 @lru_cache(maxsize=8)
 def _nested_crossings(n: int):
-    """T_n's crossing set, its oracle tables, and the mask of its edges of
-    index distance more than two."""
+    """T_n's crossing set and the mask of its edges of index distance more
+    than two."""
     cs = CrossingSet(n, nested_rule_pairs(n))
-    tables = oracle._tables(cs)
-    eid = tables[0]
-    long_edges = sum(1 << eid[u][v] for u, v in combinations(range(1, n + 1), 2) if v - u > 2)
-    return cs, tables, long_edges
+    long_edges = sum(1 << i for i, (u, v) in enumerate(edge_numbering(n)[0]) if v - u > 2)
+    return cs, long_edges
 
 
 def path_twisted(n: int, a: int, b: int):
@@ -335,13 +327,11 @@ def path_twisted(n: int, a: int, b: int):
     no path does it search all of T_n, within the oracle's size cap.
     """
     _check_ends(n, a, b)
-    cs, tables, long_edges = _nested_crossings(n)
-    path = oracle._search(tables, a, b, crossed=long_edges)
+    cs, long_edges = _nested_crossings(n)
+    path = oracle._search(cs, a, b, crossed=long_edges)
     if path is None:
-        cap = size_cap(14)
-        if n > cap:
-            raise TooLarge(n, cap)
-        path = oracle._search(tables, a, b)
+        oracle._check_cap(cs)
+        path = oracle._search(cs, a, b)
     if path is None:
         raise InternalAssertion(f"no crossing-free path found in T_{n} for ({a}, {b})")
     _check_path(cs, path, a, b, n)
@@ -358,10 +348,11 @@ def cycle_via_uncrossed(cs: CrossingSet, uncrossed, path_fn):
 
     Returns the cycle as a vertex list without repeating the first vertex.
     """
-    e = _sorted_pair(*uncrossed)
-    if any(e in pair for pair in cs.pairs):
+    a, b = e = _sorted_pair(*uncrossed)
+    if not 1 <= a < b <= cs.n:
+        raise InvalidDrawing(f"{uncrossed} is not an edge of K_{cs.n}")
+    if cs.masks[edge_numbering(cs.n)[1][a][b]]:
         raise EdgeIsCrossed(f"edge {e} has crossings")
-    a, b = e
     path = path_fn(a, b)
     _check_path(cs, path, a, b, cs.n)
     if not is_crossing_free(cs, path + path[:1]):
@@ -386,14 +377,10 @@ def duplicate_apex(cs: CrossingSet, rotation_of_vn) -> CrossingSet:
     perm = {v: i + 1 for i, v in enumerate(rotation)}
     perm[n] = n
     base = relabel_crossing_set(cs, perm)
+    edges, eid = edge_numbering(n)
     pairs = set(base.pairs)
     for i in range(1, n):
-        new_edge = _sorted_pair(i, n + 1)
-        for j in range(i + 1, n):
-            pairs.add(_norm_crossing(new_edge, _sorted_pair(j, n)))
-        for e, f in base.pairs:
-            spoke = _sorted_pair(i, n)
-            other = f if e == spoke else e if f == spoke else None
-            if other is not None:
-                pairs.add(_norm_crossing(new_edge, other))
+        spoke = base.masks[eid[i][n]]
+        pairs.update(((i, n + 1), (j, n)) for j in range(i + 1, n))
+        pairs.update(((i, n + 1), f) for k, f in enumerate(edges) if spoke >> k & 1)
     return CrossingSet(n + 1, frozenset(pairs))

@@ -2,12 +2,12 @@
 conjecture verification over enumerated drawing classes.
 
 One backtracking kernel, `_search`, serves the oracle and the twisted path
-engine.  It runs on tables built once per drawing (`_tables`): edge indices
-and, per edge, the bitmask of the edges it crosses.  It walks a bitmask of
-the unvisited vertices lowest bit first, so the first crossing-free path it
-finds is the lexicographically least.  Every path engine's output is still
-validated against the crossing set by `hampath._check_path`, independently
-of this search.
+engine.  It runs on the crossing set's own view: the edge numbering and, per
+edge, the bitmask of the edges it crosses (`CrossingSet.masks`).  It walks a
+bitmask of the unvisited vertices lowest bit first, so the first
+crossing-free path it finds is the lexicographically least.  Every path
+engine's output is still validated against the crossing set by
+`hampath._check_path`, independently of this search.
 """
 
 from __future__ import annotations
@@ -15,39 +15,24 @@ from __future__ import annotations
 from itertools import combinations
 
 from drawkit.errors import InvalidDrawing, TooLarge
-from drawkit.rotation import CrossingSet, enumerate_realizable, size_cap
+from drawkit.rotation import CrossingSet, edge_numbering, enumerate_realizable, size_cap
 
 
-def _tables(cs: CrossingSet):
-    """`(eid, crosses)`: `eid[u][v]` is the index of edge {u, v} (either
-    order), and `crosses[i]` the bitmask of the edges that edge i crosses."""
-    n = cs.n
-    eid = [[0] * (n + 1) for _ in range(n + 1)]
-    for i, (u, v) in enumerate(combinations(range(1, n + 1), 2)):
-        eid[u][v] = eid[v][u] = i
-    crosses = [0] * (n * (n - 1) // 2)
-    for (a, b), (c, d) in cs.pairs:
-        i, j = eid[a][b], eid[c][d]
-        crosses[i] |= 1 << j
-        crosses[j] |= 1 << i
-    return eid, crosses
-
-
-def _oracle_tables(cs: CrossingSet):
-    """`_tables(cs)`, within the oracle's size cap."""
+def _check_cap(cs: CrossingSet):
+    """The oracle's size cap, checked before any mask is built."""
     cap = size_cap(14)
     if cs.n > cap:
         raise TooLarge(cs.n, cap)
-    return _tables(cs)
 
 
-def _search(tables, start: int, end=None, crossed=0):
+def _search(cs: CrossingSet, start: int, end=None, crossed=0):
     """Lexicographically least crossing-free Hamiltonian path from `start` to
     `end` or, with no `end`, cycle through `start` (closing edge implied);
     None when there is none.  `end` is held out of the unvisited mask and
     tried last.  The edges in the starting `crossed` mask are never used."""
-    eid, crosses = tables
-    n = len(eid) - 1
+    n = cs.n
+    eid = edge_numbering(n)[1]
+    crosses = cs.masks
     last = start if end is None else end
     path = [start]
 
@@ -77,22 +62,15 @@ def _search(tables, start: int, end=None, crossed=0):
     return path if rec(start, everyone & ~(1 << start | 1 << last), crossed) else None
 
 
-def _all_pairs(tables) -> bool:
-    n = len(tables[0]) - 1
-    return all(
-        _search(tables, a, b) is not None for a, b in combinations(range(1, n + 1), 2)
-    )
-
-
 def find_cf_ham_path(cs: CrossingSet, a: int, b: int):
     """Lexicographically least crossing-free Hamiltonian a-b path, or None
     when none exists."""
-    tables = _oracle_tables(cs)
+    _check_cap(cs)
     if not (1 <= a <= cs.n and 1 <= b <= cs.n):
         raise InvalidDrawing(f"end-vertices {a}, {b} out of range 1..{cs.n}")
     if a == b:
         raise InvalidDrawing(f"end-vertices {a}, {b} must be distinct")
-    return _search(tables, a, b)
+    return _search(cs, a, b)
 
 
 def find_cf_ham_cycle(cs: CrossingSet):
@@ -100,24 +78,27 @@ def find_cf_ham_cycle(cs: CrossingSet):
     list starting at 1, the closing edge implied), or None.  Its second
     vertex is smaller than its last: otherwise its reversal, which has the
     same edges, would come first."""
-    tables = _oracle_tables(cs)
+    _check_cap(cs)
     if cs.n < 3:
         raise InvalidDrawing(f"a Hamiltonian cycle needs n >= 3, got n={cs.n}")
-    return _search(tables, 1)
+    return _search(cs, 1)
 
 
 def verify_all_pairs(cs: CrossingSet) -> bool:
     """True iff a crossing-free Hamiltonian path exists between every vertex
     pair."""
-    return _all_pairs(_oracle_tables(cs))
+    _check_cap(cs)
+    return all(
+        _search(cs, a, b) is not None for a, b in combinations(range(1, cs.n + 1), 2)
+    )
 
 
 def verify_drawing(cs: CrossingSet) -> tuple[bool, bool]:
     """Both conjectures on one drawing: whether it has a crossing-free
     Hamiltonian cycle (vacuous below 3 vertices), and whether every vertex
     pair has a crossing-free Hamiltonian path."""
-    tables = _oracle_tables(cs)
-    return cs.n < 3 or _search(tables, 1) is not None, _all_pairs(tables)
+    _check_cap(cs)
+    return cs.n < 3 or _search(cs, 1) is not None, verify_all_pairs(cs)
 
 
 def verify_enumeration(n: int, jobs: int = 1) -> dict:

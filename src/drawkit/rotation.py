@@ -9,6 +9,10 @@ subsystems is built once from exact straight-line reference drawings (a
 convex parabola configuration for the crossing class, a triangle with an
 interior point for the planar class), closed under relabeling and mirroring.
 
+A crossing set stores its pairs.  Which edges each edge crosses is its own
+derived view, `CrossingSet.masks` over the edge numbering `edge_numbering(n)`,
+built on first use; every consumer reads that view, not the pairs.
+
 Two crossing sets describe the same drawing class exactly when they agree up
 to a relabeling of vertices, so equality of canonical forms (lexicographic
 minimum over all relabelings) decides weak isomorphism.  Enumeration drops a
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 
 from drawkit import _geom
@@ -81,6 +85,18 @@ def _norm_crossing(e: Edge, f: Edge) -> Pair:
     return (e, f) if e < f else (f, e)
 
 
+@lru_cache(maxsize=16)
+def edge_numbering(n: int):
+    """`(edges, eid)`: the edges of K_n in `combinations` order, and
+    `eid[u][v]` the index of edge {u, v} in either order.  Row 0 and the
+    diagonal read 0, so pass only edges of K_n."""
+    edges = tuple(combinations(range(1, n + 1), 2))
+    eid = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, (u, v) in enumerate(edges):
+        eid[u][v] = eid[v][u] = i
+    return edges, tuple(map(tuple, eid))
+
+
 @dataclass(frozen=True)
 class CrossingSet:
     """Set of unordered pairs of independent edges that cross."""
@@ -90,6 +106,8 @@ class CrossingSet:
 
     def __post_init__(self):
         n = self.n
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise InvalidDrawing(f"crossing set needs an integer n >= 1, got {n!r}")
         norm = set()
         for (a, b), (c, d) in self.pairs:
             if a > b:
@@ -109,6 +127,19 @@ class CrossingSet:
                 raise InvalidDrawing(f"two crossings on the same 4-subset {sorted((a, b, c, d))}")
             norm.add(((a, b), (c, d)))
         object.__setattr__(self, "pairs", frozenset(norm))
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """`masks[i]`: int mask of the edges that edge i of `edge_numbering(n)`
+        crosses, so edge i is uncrossed iff `masks[i] == 0`.  Built on first
+        use and kept on the instance, outside the fields."""
+        eid = edge_numbering(self.n)[1]
+        masks = [0] * (self.n * (self.n - 1) // 2)
+        for (a, b), (c, d) in self.pairs:
+            i, j = eid[a][b], eid[c][d]
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        return tuple(masks)
 
     def encode(self) -> tuple[Pair, ...]:
         """Fixed encoding: pairs sorted, each pair sorted, edges sorted."""

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from drawkit import cylinder as cyl
 from drawkit.circular import CircularWiring, circular_vertex_order
 from drawkit.cylinder import CylindricalDrawing, Face
 from drawkit.errors import InvalidDrawing, UnrenderableModel
-from drawkit.rotation import CrossingSet, _sorted_pair
+from drawkit.rotation import CrossingSet, _sorted_pair, edge_numbering
 from drawkit.wiring import LinearWiring
 
 PALETTE = {
@@ -293,9 +292,10 @@ def _render_crossing_set(cs: CrossingSet, spec: RenderSpec) -> str:
     r = size * 0.4
     spots = {v: _polar(cx, cy, r, (v - 1) / cs.n) for v in range(1, cs.n + 1)}
     text = {v: _pt(x, y) for v, (x, y) in spots.items()}
-    lines = {(u, v): f"{text[u]} {text[v]}" for u, v in combinations(range(1, cs.n + 1), 2)}
-    crossed = {e for pair in cs.pairs for e in pair}
-    return _draw(_Canvas(size), spec, cs.n, lines, spots, 1.1, 2.4, set(lines) - crossed)
+    edges = edge_numbering(cs.n)[0]
+    lines = {(u, v): f"{text[u]} {text[v]}" for u, v in edges}
+    clean = {e for e, mask in zip(edges, cs.masks) if not mask}
+    return _draw(_Canvas(size), spec, cs.n, lines, spots, 1.1, 2.4, clean)
 
 
 def render(obj, spec: RenderSpec = None) -> str:

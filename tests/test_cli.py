@@ -281,6 +281,13 @@ BAD_HIGHLIGHTS = {
     for kind in RENDERABLE
     for h in ("1,9", "0,1", "2,2", "1,3,3")
 }
+# crossing-set payloads whose n is not an integer >= 1, through `verify --in`
+# and `stats`
+BAD_CROSSING_SET_N = {
+    f"cs-n-{n}-{command}": (command, n)
+    for command, values in (("verify", (-3, 0, 5.0, "5", True)), ("stats", (5.0, True)))
+    for n in values
+}
 
 
 @pytest.mark.parametrize(
@@ -294,6 +301,7 @@ BAD_HIGHLIGHTS = {
         ("not-json", 1),
         ("missing-key", 1),
         ("unwritable-out", 1),
+        *[(case, 1) for case in BAD_CROSSING_SET_N],
     ],
 )
 def test_bad_input_exits_without_traceback(case, code, tmp_path, capsys):
@@ -303,7 +311,12 @@ def test_bad_input_exits_without_traceback(case, code, tmp_path, capsys):
     (tmp_path / "nokey.json").write_text(
         '{"kind": "linear_wiring", "payload": {"n": 3}}', encoding="utf-8"
     )
-    if case in BAD_HIGHLIGHTS:
+    if case in BAD_CROSSING_SET_N:
+        command, n = BAD_CROSSING_SET_N[case]
+        doc = {"kind": "crossing_set", "payload": {"n": n, "crossings": []}}
+        (tmp_path / "cs.json").write_text(json.dumps(doc), encoding="utf-8")
+        argv = [command, *(["--in"] if command == "verify" else []), str(tmp_path / "cs.json")]
+    elif case in BAD_HIGHLIGHTS:
         kind, h = BAD_HIGHLIGHTS[case]
         serial.write_file(tmp_path / "m.json", RENDERABLE[kind]())
         argv = ["render", str(tmp_path / "m.json"), "--highlight", h]

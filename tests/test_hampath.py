@@ -317,6 +317,14 @@ def test_cycle_via_uncrossed_rejects_crossed_edge():
         hp.cycle_via_uncrossed(cs, (1, 3), lambda a, b: hp.path_x_monotone(lw, a, b))
 
 
+@pytest.mark.parametrize("edge", [(3, 3), (0, 5), (1, 6)])
+def test_cycle_via_uncrossed_rejects_a_non_edge(edge):
+    # row 0 and the diagonal of the edge numbering would read as edge {1, 2}
+    cs, _ = gen.convex(5)
+    with pytest.raises(InvalidDrawing, match="is not an edge of K_5"):
+        hp.cycle_via_uncrossed(cs, edge, lambda a, b: pytest.fail("path_fn was called"))
+
+
 def test_duplicate_apex_planar_triangle():
     cs = CrossingSet(3, frozenset())
     dup = hp.duplicate_apex(cs, [1, 2])

@@ -67,6 +67,17 @@ def test_an_absent_instance_is_reported():
 def test_size_cap():
     with pytest.raises(TooLarge):
         oracle.find_cf_ham_path(CrossingSet(15, frozenset()), 1, 2)
+    # every entry point checks the cap before it builds a mask
+    huge = CrossingSet(100000, frozenset())
+    for query in (
+        lambda: oracle.find_cf_ham_path(huge, 1, 2),
+        lambda: oracle.find_cf_ham_cycle(huge),
+        lambda: oracle.verify_all_pairs(huge),
+        lambda: oracle.verify_drawing(huge),
+    ):
+        with pytest.raises(TooLarge):
+            query()
+    assert "masks" not in vars(huge)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -17,12 +17,18 @@ from hypothesis import strategies as st
 from drawkit import circular as circ
 from drawkit import cylinder as cyl
 from drawkit import generators as gen
+from drawkit import hampath as hp
 from drawkit import oracle
 from drawkit import serial
 from drawkit import wiring as w
 from drawkit.circular import arcs_cover_circle
 from drawkit.errors import BothDirectionsForbidden, CutBlocked, DegeneratePointSet, InvalidDrawing
-from drawkit.rotation import CrossingSet, _sorted_pair
+from drawkit.rotation import (
+    CrossingSet,
+    _sorted_pair,
+    crossings_from_rotation,
+    relabel_crossing_set,
+)
 from drawkit.wiring import Side
 from tests.test_circular import covering_k4
 from tests.test_cylinder import assert_realization_follows_the_drawing
@@ -551,3 +557,66 @@ def test_oracle_agrees_with_permutations(source, n, seed, data):
     for (a, b), path in paths.items():
         assert oracle.find_cf_ham_path(cs, a, b) == path
     assert oracle.verify_all_pairs(cs) == all(p is not None for p in paths.values())
+
+
+# ============================================================
+# Crossing masks against the pairs
+# ============================================================
+
+@st.composite
+def crossing_sets(draw):
+    """Crossing sets at n = 3..9 from the rotation systems of random point
+    sets, and the twisted and convex ones under a random relabeling."""
+    n = draw(st.integers(3, 9))
+    source = draw(st.sampled_from(("points", "twisted", "convex")))
+    if source == "points":
+        rs, _ = gen.from_points(gen.random_point_set(n, draw(st.integers(0, 10**6))))
+        return crossings_from_rotation(rs)
+    cs = gen.twisted(n) if source == "twisted" else gen.convex(n)[0]
+    return relabel_crossing_set(cs, draw(st.permutations(range(1, n + 1))))
+
+
+@st.composite
+def walks(draw, n):
+    """A Hamiltonian path, or a walk in K_n of up to 2n steps."""
+    if draw(st.booleans()):
+        return draw(st.permutations(range(1, n + 1)))
+    walk = [draw(st.integers(1, n))]
+    for step in draw(st.lists(st.integers(1, n - 1), max_size=2 * n)):
+        walk.append((walk[-1] - 1 + step) % n + 1)
+    return walk
+
+
+@PROPERTY_SETTINGS
+@given(cs=crossing_sets(), data=st.data())
+def test_is_crossing_free_checks_every_pair_of_walk_edges(cs, data):
+    walk = data.draw(walks(cs.n))
+    assert hp.is_crossing_free(cs, walk) == ref_crossing_free(cs, walk)
+
+
+@PROPERTY_SETTINGS
+@given(cs=crossing_sets())
+def test_masks_hold_exactly_the_pairs(cs):
+    edges = list(combinations(range(1, cs.n + 1), 2))
+    assert len(cs.masks) == len(edges)
+    for i, e in enumerate(edges):
+        for j, f in enumerate(edges):
+            bit = cs.masks[i] >> j & 1
+            assert bit == cs.masks[j] >> i & 1
+            assert bit == ((min(e, f), max(e, f)) in cs.pairs)
+
+
+@PROPERTY_SETTINGS
+@given(
+    kind=st.sampled_from(("strong", "non-strong", "hill")),
+    n=st.integers(3, 12),
+    seed=st.integers(0, 10**6),
+)
+def test_uncrossed_rim_edges_are_the_rims_in_no_pair(kind, n, seed):
+    if kind == "hill":
+        cd = gen.hill(n)
+    else:
+        cd = gen.random_cylindrical(n, seed, strong=kind == "strong")
+    crossed = {e for pair in cyl.crossing_set(cd).pairs for e in pair}
+    want = {which: set(rims) - crossed for which, rims in cyl.rim_edges(cd).items()}
+    assert cyl.uncrossed_rim_edges(cd) == want

@@ -239,6 +239,10 @@ def test_at_most_one_crossing_per_quadruple_on_enumerated():
 
 # one malformed pair list per check of CrossingSet, in the order they run
 MALFORMED_CROSSINGS = {
+    **{
+        f"n {n!r}": (n, [], f"crossing set needs an integer n >= 1, got {n!r}")
+        for n in (-3, 0, 5.0, "5", True)
+    },
     "incident pair": (4, [((1, 2), (2, 3))], "incident edges cannot cross: (1, 2), (2, 3)"),
     "vertex 0": (4, [((0, 2), (3, 4))], "vertex 0 out of range 1..4"),
     "vertex n + 1": (4, [((1, 5), (2, 3))], "vertex 5 out of range 1..4"),
