@@ -7,21 +7,20 @@ side reader (a wiring's constructor columns, or an edge's page); strongly
 c-monotone wirings either run that recursion in the sweep order from an
 escaped gap or combine an inner x-monotone piece, the vertices of one wedge,
 with a walk along gap edges; cylindrical drawings stitch rim walks with
-lateral edges, and with one circle are 2-page drawings for the recursion;
-twisted drawings search short-span paths first and fall back to the oracle's
-backtracking search over the nested crossings.  No engine builds a model
-below its entry point.
+lateral edges, and with one circle are 2-page drawings for the recursion.
+In the twisted drawing two edges cross iff they nest, so its paths are
+written down in O(n) with no search: zigzags of edges spanning at most two,
+which cannot be the outer edge of a nested pair, and for the end pairs
+(i, i + 1) a path whose right ends never decrease along its sorted edges.  No
+engine builds a model below its entry point, and none searches.
 Every construction validates its own output and raises InternalAssertion on
 failure, so a transcription bug can never return silently.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from drawkit import circular as circ
 from drawkit import cylinder as cyl
-from drawkit import oracle
 from drawkit import wiring as w
 from drawkit.circular import CircularWiring, frac1
 from drawkit.cylinder import CylindricalDrawing
@@ -36,7 +35,6 @@ from drawkit.rotation import (
     CrossingSet,
     _sorted_pair,
     edge_numbering,
-    nested_rule_pairs,
     relabel_crossing_set,
 )
 from drawkit.wiring import LinearWiring
@@ -44,6 +42,8 @@ from drawkit.wiring import LinearWiring
 
 def is_crossing_free(cs: CrossingSet, path) -> bool:
     """True iff no two edges of the path, a walk in K_n, cross in cs."""
+    if any(not 1 <= v <= cs.n for v in path) or any(u == v for u, v in zip(path, path[1:])):
+        raise InvalidDrawing(f"{path} is not a walk in K_{cs.n}")
     eid, masks = edge_numbering(cs.n)[1], cs.masks
     ids = {eid[u][v] for u, v in zip(path, path[1:])}
     used = sum(1 << i for i in ids)
@@ -55,11 +55,15 @@ def _check_ends(n: int, a: int, b: int):
         raise InvalidDrawing(f"end-vertices {a}, {b} must be distinct vertices of 1..{n}")
 
 
-def _check_path(cs: CrossingSet, path, a: int, b: int, n: int):
+def _check_walk(path, a: int, b: int, n: int):
     if sorted(path) != list(range(1, n + 1)):
         raise InternalAssertion(f"path is not Hamiltonian: {path}")
     if path[0] != a or path[-1] != b:
         raise InternalAssertion(f"path has wrong end-vertices: {path}")
+
+
+def _check_path(cs: CrossingSet, path, a: int, b: int, n: int):
+    _check_walk(path, a, b, n)
     if not is_crossing_free(cs, path):
         raise InternalAssertion(f"path has a crossing: {path}")
 
@@ -309,32 +313,50 @@ def _same_circle_path(cd: CylindricalDrawing, a, b, cs):
 # Twisted drawings
 # ============================================================
 
-@lru_cache(maxsize=8)
-def _nested_crossings(n: int):
-    """T_n's crossing set and the mask of its edges of index distance more
-    than two."""
-    cs = CrossingSet(n, nested_rule_pairs(n))
-    long_edges = sum(1 << i for i, (u, v) in enumerate(edge_numbering(n)[0]) if v - u > 2)
-    return cs, long_edges
+def _zigzag(lo: int, n: int, s: int) -> list:
+    """Vertices lo..n from s, one of lo and lo + 1: up in steps of two, then
+    down the other parity to the other one.  No step spans more than two."""
+    t = 2 * lo + 1 - s
+    return [*range(s, n + 1, 2), *range(n - (n - t) % 2, lo - 1, -2)]
+
+
+def _twisted_path(n: int, a: int, b: int) -> list:
+    if a > b:
+        return _twisted_path(n, b, a)[::-1]
+    if b > a + 1 or a == 1 or b == n:
+        left = [a + 1 - v for v in _zigzag(1, a, 1)]
+        return left + list(range(a + 1, b)) + _zigzag(b, n, min(b + 1, n))
+    if 2 * a - 1 > n:
+        return [n + 1 - v for v in _twisted_path(n, n - a, n + 1 - a)[::-1]]
+    pairs = [v for j in range(2, a) for v in (j, j + a)]
+    return [a, 1, *pairs, *_zigzag(2 * a, n, 2 * a + (a > 2)), a + 1]
 
 
 def path_twisted(n: int, a: int, b: int):
-    """Crossing-free Hamiltonian path from a to b in the twisted drawing.
+    """Crossing-free Hamiltonian path from a to b in the twisted drawing T_n,
+    where two edges cross iff they nest (a < c < d < b).  Built in O(n) for
+    a < b (the path for b < a is the reversed path for a < b):
 
-    Paths over edges of index distance at most two can never use the outer
-    edge of a nested pair, so they are crossing-free outright.  The oracle's
-    search runs first with every longer edge forbidden; only when that finds
-    no path does it search all of T_n, within the oracle's size cap.
+    - Unless a = i and b = i + 1 with 2 <= i <= n - 2: a, a - 2, ... down to
+      1 or 2, the other parity up to a - 1, then a + 1, ..., b - 1, then
+      b + 1, b + 3, ... up to n or n - 1 and the other parity down to b.  No
+      edge spans more than two, and the outer edge of a nested pair spans at
+      least three.
+    - (i, i + 1) with 2i - 1 <= n: i, 1, then j, j + i for j = 2..i - 1, the
+      rest of 2i..n zigzagged as above from 2i + 1 down to 2i (for i = 2
+      from 4 down to 5), then i + 1.  Sorted by left end, its edges' right
+      ends never decrease, so none nests inside another.
+    - (i, i + 1) with 2i - 1 > n: the path for (n - i, n + 1 - i) mirrored
+      by v -> n + 1 - v and reversed; the mirror maps T_n onto itself.
+
+    The result is checked against the nested rule, not a crossing set.
     """
     _check_ends(n, a, b)
-    cs, long_edges = _nested_crossings(n)
-    path = oracle._search(cs, a, b, crossed=long_edges)
-    if path is None:
-        oracle._check_cap(cs)
-        path = oracle._search(cs, a, b)
-    if path is None:
-        raise InternalAssertion(f"no crossing-free path found in T_{n} for ({a}, {b})")
-    _check_path(cs, path, a, b, n)
+    path = _twisted_path(n, a, b)
+    _check_walk(path, a, b, n)
+    edges = [_sorted_pair(u, v) for u, v in zip(path, path[1:])]
+    if any(p < q and r < s for p, s in edges if s - p > 2 for q, r in edges):
+        raise InternalAssertion(f"path has a nested pair of edges: {path}")
     return path
 
 

@@ -1,13 +1,12 @@
 """Brute-force search for crossing-free Hamiltonian paths and cycles, plus
 conjecture verification over enumerated drawing classes.
 
-One backtracking kernel, `_search`, serves the oracle and the twisted path
-engine.  It runs on the crossing set's own view: the edge numbering and, per
-edge, the bitmask of the edges it crosses (`CrossingSet.masks`).  It walks a
-bitmask of the unvisited vertices lowest bit first, so the first
-crossing-free path it finds is the lexicographically least.  Every path
-engine's output is still validated against the crossing set by
-`hampath._check_path`, independently of this search.
+One backtracking kernel, `_search`, serves every query.  It runs on the
+crossing set's own view: the edge numbering and, per edge, the bitmask of the
+edges it crosses (`CrossingSet.masks`).  It walks a bitmask of the unvisited
+vertices lowest bit first, so the first crossing-free path it finds is the
+lexicographically least.  The constructive engines in `hampath` never run
+this search; they validate their own output.
 """
 
 from __future__ import annotations
@@ -25,11 +24,11 @@ def _check_cap(cs: CrossingSet):
         raise TooLarge(cs.n, cap)
 
 
-def _search(cs: CrossingSet, start: int, end=None, crossed=0):
+def _search(cs: CrossingSet, start: int, end=None):
     """Lexicographically least crossing-free Hamiltonian path from `start` to
     `end` or, with no `end`, cycle through `start` (closing edge implied);
     None when there is none.  `end` is held out of the unvisited mask and
-    tried last.  The edges in the starting `crossed` mask are never used."""
+    tried last."""
     n = cs.n
     eid = edge_numbering(n)[1]
     crosses = cs.masks
@@ -59,7 +58,7 @@ def _search(cs: CrossingSet, start: int, end=None, crossed=0):
         return False
 
     everyone = (1 << n + 1) - 2  # bits 1..n
-    return path if rec(start, everyone & ~(1 << start | 1 << last), crossed) else None
+    return path if rec(start, everyone & ~(1 << start | 1 << last), 0) else None
 
 
 def find_cf_ham_path(cs: CrossingSet, a: int, b: int):

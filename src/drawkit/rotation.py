@@ -8,6 +8,8 @@ crossing or one specific crossing pair.  The lookup table for the 4-vertex
 subsystems is built once from exact straight-line reference drawings (a
 convex parabola configuration for the crossing class, a triangle with an
 interior point for the planar class), closed under relabeling and mirroring.
+A crossing set is read off it by four orientation bits per 4-subset, one per
+member's rotation on the other three.
 
 A crossing set stores its pairs.  Which edges each edge crosses is its own
 derived view, `CrossingSet.masks` over the edge numbering `edge_numbering(n)`,
@@ -109,6 +111,7 @@ class CrossingSet:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise InvalidDrawing(f"crossing set needs an integer n >= 1, got {n!r}")
         norm = set()
+        shared = {}  # one tuple per edge, shared by all its pairs
         for (a, b), (c, d) in self.pairs:
             if a > b:
                 a, b = b, a
@@ -125,7 +128,8 @@ class CrossingSet:
             # each of the quad's other two pairings
             if ((a, c), _sorted_pair(b, d)) in norm or ((a, d), _sorted_pair(b, c)) in norm:
                 raise InvalidDrawing(f"two crossings on the same 4-subset {sorted((a, b, c, d))}")
-            norm.add(((a, b), (c, d)))
+            e, f = (a, b), (c, d)
+            norm.add((shared.setdefault(e, e), shared.setdefault(f, f)))
         object.__setattr__(self, "pairs", frozenset(norm))
 
     @cached_property
@@ -242,13 +246,45 @@ def induced_subsystem(rs: RotationSystem, subset) -> RotationSystem:
     return RotationSystem(len(subset), key)
 
 
+def _k4_by_orientation() -> list:
+    """`_K4_TABLE` indexed by four orientation bits, bit k set when the k-th
+    member of a sorted 4-subset sees the other three in descending cyclic
+    order; False marks an unrealizable subsystem."""
+    others = [tuple(u for u in range(1, 5) if u != v) for v in range(1, 5)]
+    return [
+        _K4_TABLE.get(tuple((x, z, y) if bits >> k & 1 else (x, y, z)
+                            for k, (x, y, z) in enumerate(others)), False)
+        for bits in range(16)
+    ]
+
+
+_K4_BY_ORIENTATION = _k4_by_orientation()
+
+
+def _descending(a: int, b: int, c: int) -> int:
+    """1 iff positions a, b, c of three vertices run against the rotation."""
+    return (a < b) ^ (b < c) ^ (c < a)
+
+
+def _k4_class(pos, subset):
+    """The `_K4_TABLE` entry of a sorted 4-subset, read from the orientation
+    of each member's rotation on the other three; `pos[v][u]` is u's index
+    in v's rotation."""
+    p, q, r, s = subset
+    P, Q, R, S = pos[p], pos[q], pos[r], pos[s]
+    return _K4_BY_ORIENTATION[
+        _descending(P[q], P[r], P[s]) | _descending(Q[p], Q[r], Q[s]) << 1
+        | _descending(R[p], R[q], R[s]) << 2 | _descending(S[p], S[q], S[r]) << 3
+    ]
+
+
 def _pairs_from_rotations(n: int, rotations):
+    pos = [None, *({u: i for i, u in enumerate(rot)} for rot in rotations)]
     pairs = set()
     for subset in combinations(range(1, n + 1), 4):
-        key = _restricted_key(rotations, subset)
-        if key not in _K4_TABLE:
+        hit = _k4_class(pos, subset)
+        if hit is False:
             raise UnrealizableQuadruple(subset)
-        hit = _K4_TABLE[key]
         if hit is not None:
             (a, b), (c, d) = hit
             e = _sorted_pair(subset[a - 1], subset[b - 1])

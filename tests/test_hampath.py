@@ -13,7 +13,7 @@ from drawkit import oracle
 from drawkit import rotation as rot
 from drawkit import wiring as w
 from drawkit.cylinder import ArcDir, CircleEdge, CylindricalDrawing, Face
-from drawkit.errors import BadRotation, EdgeIsCrossed, InvalidDrawing, TooLarge
+from drawkit.errors import BadRotation, EdgeIsCrossed, InvalidDrawing
 from drawkit.rotation import CrossingSet
 from drawkit.wiring import LinearWiring
 
@@ -84,6 +84,13 @@ def test_is_crossing_free_examples():
     assert hp.is_crossing_free(c4, [2, 1, 3, 4])
     t4 = gen.twisted(4)
     assert not hp.is_crossing_free(t4, [1, 4, 2, 3])
+
+
+@pytest.mark.parametrize("walk", [[1, 5], [0, 1], [2, 2], [1, 2, 2, 3]])
+def test_is_crossing_free_rejects_a_walk_outside_k_n(walk):
+    c4, _ = gen.convex(4)
+    with pytest.raises(InvalidDrawing, match="not a walk"):
+        hp.is_crossing_free(c4, walk)
 
 
 def test_path_x_monotone_examples():
@@ -223,36 +230,82 @@ def test_path_twisted_all_pairs_to_n8():
             assert hp.is_crossing_free(CrossingSet(n, rot.nested_rule_pairs(n)), p)
 
 
+def nest_free_twisted_path(path, n, a, b):
+    """Whether path is a Hamiltonian a-b path in T_n with no nested pair of
+    edges (p < q < r < s for edges {p, s} and {q, r}).  With the edges
+    sorted, an edge nests inside an earlier one exactly when its right end is
+    below an earlier right end, so no pair nests iff the right ends never
+    decrease."""
+    edges = sorted(tuple(sorted(e)) for e in zip(path, path[1:]))
+    rights = [d for _, d in edges]
+    return sorted(path) == list(range(1, n + 1)) and path[0] == a and path[-1] == b \
+        and rights == sorted(rights)
+
+
+def test_path_twisted_every_pair_to_n64():
+    for n in range(2, 65):
+        for a, b in permutations(range(1, n + 1), 2):
+            assert nest_free_twisted_path(hp.path_twisted(n, a, b), n, a, b), (n, a, b)
+
+
+def test_oracle_finds_a_twisted_path_for_every_pair_to_n9():
+    for n in range(3, 10):
+        cs = gen.twisted(n)
+        for a, b in permutations(range(1, n + 1), 2):
+            assert oracle.find_cf_ham_path(cs, a, b) is not None
+
+
+def least_short_span_path(n, a, b):
+    """Lexicographically least Hamiltonian a-b path whose edges span at most
+    two, or None."""
+    def rec(path, seen):
+        if len(path) == n:
+            return path
+        u = path[-1]
+        for v in range(max(1, u - 2), min(n, u + 2) + 1):
+            if v not in seen and (v != b or len(path) == n - 1):
+                found = rec(path + [v], seen | {v})
+                if found:
+                    return found
+        return None
+
+    return rec([a], {a})
+
+
 # sha256 of repr() of the list of path_twisted(n, a, b) over n = 2..12 and
-# every ordered pair (a, b), in permutations() order; pins the search order
-# of the short-span pass and of the fallback
-TWISTED_PATHS_DIGEST = "201c126268b5680aa49853b8e4b2a281b07dc58c64aea283011729321c8bdb41"
+# every ordered pair (a, b), in permutations() order; pins the closed form
+TWISTED_PATHS_DIGEST = "6f723c549f631cb62136615da109a32cafb88a9003a02010cbbd9ab538e8ab08"
 
 
 def test_path_twisted_outputs_are_pinned():
-    paths = [
-        hp.path_twisted(n, a, b) for n in range(2, 13) for a, b in permutations(range(1, n + 1), 2)
-    ]
+    paths = []
+    for n in range(2, 13):
+        for a, b in permutations(range(1, n + 1), 2):
+            path = hp.path_twisted(n, a, b)
+            if a < b and not (b == a + 1 and 2 <= a <= n - 2):
+                # the rows kept from the search engine, whose short-span pass
+                # returned the least path over edges spanning at most two
+                assert path == least_short_span_path(n, a, b), (n, a, b)
+            else:
+                assert nest_free_twisted_path(path, n, a, b), (n, a, b)
+            paths.append(path)
     assert hashlib.sha256(repr(paths).encode()).hexdigest() == TWISTED_PATHS_DIGEST
 
 
 def test_path_twisted_fallback_example():
-    # no short-span 2..3 path exists at n = 12; the nested-crossing search
-    # returns the oracle's first path
+    # the closed form for the end pair (2, 3) is the oracle's first path
     expected = [2, 1, 4, 6, 8, 10, 12, 11, 9, 7, 5, 3]
     assert hp.path_twisted(12, 2, 3) == expected
     assert oracle.find_cf_ham_path(gen.twisted(12), 2, 3) == expected
 
 
-def test_path_twisted_full_search_is_size_capped(monkeypatch):
-    # the short-span pass stays uncapped; the full search has the oracle's cap
-    with pytest.raises(TooLarge):
-        hp.path_twisted(15, 2, 3)
+def test_path_twisted_has_no_size_cap(monkeypatch):
+    monkeypatch.delenv("DRAWKIT_MAX_N", raising=False)
+    for n, a, b in ((15, 2, 3), (64, 31, 32)):
+        path = hp.path_twisted(n, a, b)
+        assert nest_free_twisted_path(path, n, a, b)
+    assert hp.is_crossing_free(gen.twisted(15), hp.path_twisted(15, 2, 3))
     assert hp.path_twisted(20, 1, 20) == list(range(1, 21))
-    monkeypatch.setenv("DRAWKIT_MAX_N", "15")
-    path = hp.path_twisted(15, 2, 3)
-    assert path[0] == 2 and path[-1] == 3
-    assert hp.is_crossing_free(CrossingSet(15, rot.nested_rule_pairs(15)), path)
 
 
 @pytest.mark.parametrize("a, b", [(0, 2), (1, 6), (3, 3)])

@@ -2,7 +2,7 @@ import hashlib
 import random
 import re
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +50,52 @@ def test_unrealizable_quadruple_raises():
     bad = RotationSystem(5, tuple(rots))
     with pytest.raises(UnrealizableQuadruple):
         rot.crossings_from_rotation(bad)
+
+
+def restricted_key_pairs(n, rotations):
+    """Crossing pairs from each 4-subset's restricted subsystem looked up in
+    the K4 table by its key, the lookup the orientation bits replace."""
+    pairs = set()
+    for subset in combinations(range(1, n + 1), 4):
+        key = rot._restricted_key(rotations, subset)
+        if key not in rot._K4_TABLE:
+            raise UnrealizableQuadruple(subset)
+        hit = rot._K4_TABLE[key]
+        if hit is not None:
+            (a, b), (c, d) = ((subset[i - 1] for i in e) for e in hit)
+            pairs.add(tuple(sorted((tuple(sorted((a, b))), tuple(sorted((c, d)))))))
+    return pairs
+
+
+def first_unrealizable_or_pairs(read, n, rotations):
+    try:
+        return read(n, rotations)
+    except UnrealizableQuadruple as exc:
+        return exc.subset
+
+
+def test_orientation_bits_match_restricted_keys():
+    rng = random.Random(4)
+    systems = [gen.twisted_rotation(n).rotations for n in range(4, 10)]
+    systems += [gen.from_points(gen.random_point_set(n, seed))[0].rotations
+                for n in range(4, 10) for seed in range(3)]
+    for n in range(4, 10):
+        for _ in range(6):
+            rots = [[u for u in range(1, n + 1) if u != v] for v in range(1, n + 1)]
+            for r in rots:
+                rng.shuffle(r)
+            systems.append(tuple(map(tuple, rots)))
+    outcomes = set()
+    for rots in systems:
+        n = len(rots)
+        pos = [None, *({u: i for i, u in enumerate(r)} for r in rots)]
+        for subset in combinations(range(1, n + 1), 4):
+            want = rot._K4_TABLE.get(rot._restricted_key(rots, subset), False)
+            assert rot._k4_class(pos, subset) == want
+        got = first_unrealizable_or_pairs(rot._pairs_from_rotations, n, rots)
+        assert got == first_unrealizable_or_pairs(restricted_key_pairs, n, rots)
+        outcomes.add(type(got))
+    assert outcomes == {set, tuple}  # realizable and unrealizable systems both met
 
 
 def test_induced_subsystem_identity_and_small():
