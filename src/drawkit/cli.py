@@ -12,6 +12,7 @@ import json
 import random
 import sys
 from itertools import combinations
+from math import comb
 
 from drawkit import circular as circ
 from drawkit import cylinder as cyl
@@ -148,7 +149,8 @@ def _cmd_path(args) -> int:
             raise InvalidDrawing("engine cylindrical needs a cylindrical drawing")
         path = hp.path_cylindrical(model, a, b)
     elif engine == "twisted":
-        if cs.pairs != gen.twisted(cs.n).pairs:
+        # at most one pair per 4-subset: C(n, 4) nested pairs are the twisted set
+        if len(cs) != comb(cs.n, 4) or not all(p < r < s < q for (p, q), (r, s) in cs.pairs):
             raise InvalidDrawing("engine twisted needs the twisted crossing set")
         path = hp.path_twisted(cs.n, a, b)
     elif engine == "oracle":

@@ -7,6 +7,10 @@ edges it crosses (`CrossingSet.masks`).  It walks a bitmask of the unvisited
 vertices lowest bit first, so the first crossing-free path it finds is the
 lexicographically least.  The constructive engines in `hampath` never run
 this search; they validate their own output.
+
+`verify_all_pairs` searches only the end pairs that no path found so far
+reaches by end rotations; every other pair has a checked path, so its answer
+is exact.
 """
 
 from __future__ import annotations
@@ -85,11 +89,42 @@ def find_cf_ham_cycle(cs: CrossingSet):
 
 def verify_all_pairs(cs: CrossingSet) -> bool:
     """True iff a crossing-free Hamiltonian path exists between every vertex
-    pair."""
+    pair.
+
+    A found path covers its end pair and every pair its end rotations reach
+    (Pósa, 1976): for a path p_0 … p_{n-1} and k <= n - 3, if edge
+    {p_{n-1}, p_k} crosses no edge of the path (it cannot cross the dropped
+    edge {p_k, p_{k+1}}, which it meets at p_k), then p_0 … p_k, p_{n-1},
+    p_{n-2}, …, p_{k+1} is a crossing-free Hamiltonian path from p_0 to
+    p_{k+1}.  Both ends of each path that covers a new pair are rotated in
+    turn.  Only an uncovered pair is searched, so False comes only from an
+    exhausted search.
+    """
     _check_cap(cs)
-    return all(
-        _search(cs, a, b) is not None for a, b in combinations(range(1, cs.n + 1), 2)
-    )
+    n = cs.n
+    eid = edge_numbering(n)[1]
+    masks = cs.masks
+    pairs = list(combinations(range(1, n + 1), 2))
+    covered = set()
+    for a, b in pairs:
+        if (a, b) in covered:
+            continue
+        path = _search(cs, a, b)
+        if path is None:
+            return False
+        covered.add((a, b))
+        stack = [path]
+        while stack and len(covered) < len(pairs):
+            p = stack.pop()
+            used = sum(1 << eid[u][v] for u, v in zip(p, p[1:]))
+            for q in (p, p[::-1]):
+                head, row = q[0], eid[q[-1]]
+                for k in range(n - 2):
+                    pair = (head, q[k + 1]) if head < q[k + 1] else (q[k + 1], head)
+                    if pair not in covered and not masks[row[q[k]]] & used:
+                        covered.add(pair)
+                        stack.append(q[:k + 1] + q[:k:-1])
+    return True
 
 
 def verify_drawing(cs: CrossingSet) -> tuple[bool, bool]:

@@ -20,6 +20,7 @@ to a relabeling of vertices, so equality of canonical forms (lexicographic
 minimum over all relabelings) decides weak isomorphism.  Enumeration drops a
 duplicate rotation system by one key, its least relabeling under relabeling
 and reflection, and canonicalizes the crossing set of each new key only.
+Its K4 and K5 prunes read orientation bits too, building no subsystem.
 """
 
 from __future__ import annotations
@@ -218,7 +219,6 @@ def _build_k4_table() -> dict:
 _K4_TABLE = _build_k4_table()
 
 
-@lru_cache(maxsize=1 << 18)
 def _restrict_one(rotation: tuple, subset: tuple, v: int):
     """Vertex v's rotation filtered to `subset`, relabeled by subset position,
     rotated to start at the smallest remaining member."""
@@ -278,8 +278,13 @@ def _k4_class(pos, subset):
     ]
 
 
+def _positions(rotations) -> list:
+    """`pos[v][u]`: u's index in v's rotation; `pos[0]` is None."""
+    return [None, *({u: i for i, u in enumerate(rot)} for rot in rotations)]
+
+
 def _pairs_from_rotations(n: int, rotations):
-    pos = [None, *({u: i for i, u in enumerate(rot)} for rot in rotations)]
+    pos = _positions(rotations)
     pairs = set()
     for subset in combinations(range(1, n + 1), 4):
         hit = _k4_class(pos, subset)
@@ -448,14 +453,30 @@ def k5_reference_forms() -> frozenset:
     return _K5_FORMS
 
 
-def _fits_at(rotations, k: int) -> bool:
+def _k5_index(pos, subset) -> int:
+    """Fifteen orientation bits of a sorted 5-subset, three per member: one
+    for each triple of the other four that holds the smallest of them.  They
+    fix the induced subsystem; `pos` is as in `_k4_class`."""
+    index = 0
+    for v in subset:
+        P = pos[v]
+        x, a, b, c = (P[u] for u in subset if u != v)
+        index = (index << 3 | _descending(x, a, b) << 2 | _descending(x, a, c) << 1
+                 | _descending(x, b, c))
+    return index
+
+
+_K5_BY_ORIENTATION = frozenset(_k5_index(_positions(key), range(1, 6)) for key in _K5_KEYS)
+
+
+def _fits_at(pos, k: int) -> bool:
     """Whether every 4-subset of 1..k with largest vertex k induces a K4 table
-    entry and every such 5-subset one of the K5 keys."""
+    entry and every such 5-subset one of the K5 keys, read from `pos`."""
     for rest in combinations(range(1, k), 3):
-        if _restricted_key(rotations, rest + (k,)) not in _K4_TABLE:
+        if _k4_class(pos, rest + (k,)) is False:
             return False
     for rest in combinations(range(1, k), 4):
-        if _restricted_key(rotations, rest + (k,)) not in _K5_KEYS:
+        if _k5_index(pos, rest + (k,)) not in _K5_BY_ORIENTATION:
             return False
     return True
 
@@ -468,15 +489,17 @@ def realizability_filter(rs: RotationSystem) -> bool:
     """
     if rs.n < 5:
         raise InvalidDrawing("realizability_filter needs n >= 5")
-    return all(_fits_at(rs.rotations, k) for k in range(4, rs.n + 1))
+    pos = _positions(rs.rotations)
+    return all(_fits_at(pos, k) for k in range(4, rs.n + 1))
 
 
 # ============================================================
 # Enumeration of drawable classes at small n
 # ============================================================
 
-def _dfs_assign(n: int, rotations: list, k: int, out: dict, seen: set):
-    """Extend rotations[0..k-2] with a rotation for vertex k, prune, recurse.
+def _dfs_assign(n: int, rotations: list, pos: list, k: int, out: dict, seen: set):
+    """Extend rotations[0..k-2] with a rotation for vertex k, prune, recurse;
+    `pos` is `_positions(rotations)`, extended and shortened in step.
 
     A leaf whose rotation key is already in `seen` is a relabeling or a
     reflection of an earlier leaf, so it has that leaf's crossing form.
@@ -490,9 +513,11 @@ def _dfs_assign(n: int, rotations: list, k: int, out: dict, seen: set):
         return
     for rot in _cyclic_orders([u for u in range(1, n + 1) if u != k]):
         rotations.append(rot)
-        if _fits_at(rotations, k):
-            _dfs_assign(n, rotations, k + 1, out, seen)
+        pos.append({u: i for i, u in enumerate(rot)})
+        if _fits_at(pos, k):
+            _dfs_assign(n, rotations, pos, k + 1, out, seen)
         rotations.pop()
+        pos.pop()
 
 
 def _enumerate_classes(n: int, first_rotation=None) -> dict:
@@ -506,7 +531,7 @@ def _enumerate_classes(n: int, first_rotation=None) -> dict:
     rotations = [tuple(range(2, n + 1))]
     if first_rotation is not None:
         rotations.append(tuple(first_rotation))
-    _dfs_assign(n, rotations, len(rotations) + 1, out, set())
+    _dfs_assign(n, rotations, _positions(rotations), len(rotations) + 1, out, set())
     return out
 
 

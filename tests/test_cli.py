@@ -133,6 +133,20 @@ def test_path_engines(tmp_path, capsys):
     assert json.loads(out[: out.rindex("HAMILTONIAN")])["payload"]["vertices"] == [2, 1, 4, 3]
 
 
+def test_path_twisted_engine_checks_the_nested_rule(tmp_path, capsys):
+    t = gen.twisted(7)
+    f = tmp_path / "t7.json"
+    serial.write_file(f, t)
+    code, out, _ = run(["path", str(f), "3", "6", "--engine", "twisted"], capsys)
+    assert code == 0 and "OK" in out
+    # the nested pair of {2, 3, 5, 6} swapped for its linked pair, or dropped
+    dropped = t.pairs - {((2, 6), (3, 5))}
+    for pairs in (dropped | {((2, 5), (3, 6))}, dropped):
+        serial.write_file(f, CrossingSet(7, pairs))
+        code, _, err = run(["path", str(f), "3", "6", "--engine", "twisted"], capsys)
+        assert code == 1 and err.startswith("error:") and "twisted" in err
+
+
 def test_path_oracle_absent_exits_2(tmp_path, capsys):
     pairs = frozenset(
         {

@@ -49,19 +49,30 @@ def test_verify_all_pairs():
         assert oracle.verify_all_pairs(cs)
 
 
+# a hand-frozen crossing set (valid per the type, not drawable) where no
+# crossing-free Hamiltonian path from 3 to 4 exists
+ABSENT_3_4 = CrossingSet(6, frozenset(
+    {
+        ((1, 2), (3, 6)), ((1, 3), (2, 4)), ((1, 3), (4, 5)), ((1, 4), (2, 5)),
+        ((1, 5), (2, 6)), ((1, 6), (2, 4)), ((1, 6), (3, 4)), ((1, 6), (4, 5)),
+        ((2, 3), (4, 5)), ((2, 3), (4, 6)), ((2, 5), (4, 6)), ((2, 6), (3, 5)),
+    }
+))
+
+
 def test_an_absent_instance_is_reported():
-    # a hand-frozen crossing set (valid per the type, not drawable) where no
-    # crossing-free Hamiltonian path from 3 to 4 exists
-    pairs = frozenset(
-        {
-            ((1, 2), (3, 6)), ((1, 3), (2, 4)), ((1, 3), (4, 5)), ((1, 4), (2, 5)),
-            ((1, 5), (2, 6)), ((1, 6), (2, 4)), ((1, 6), (3, 4)), ((1, 6), (4, 5)),
-            ((2, 3), (4, 5)), ((2, 3), (4, 6)), ((2, 5), (4, 6)), ((2, 6), (3, 5)),
-        }
-    )
-    cs = CrossingSet(6, pairs)
-    assert oracle.find_cf_ham_path(cs, 3, 4) is None
-    assert not oracle.verify_all_pairs(cs)
+    assert oracle.find_cf_ham_path(ABSENT_3_4, 3, 4) is None
+    assert not oracle.verify_all_pairs(ABSENT_3_4)
+
+
+@pytest.mark.parametrize("cs", [gen.convex(12)[0], gen.twisted(13)], ids=["convex-12", "twisted-13"])
+def test_verify_all_pairs_searches_few_pairs(cs, monkeypatch):
+    # every other pair is reached by rotating the paths found
+    searched = []
+    search = oracle._search
+    monkeypatch.setattr(oracle, "_search", lambda *args: searched.append(args[1:]) or search(*args))
+    assert oracle.verify_all_pairs(cs)
+    assert len(searched) <= cs.n
 
 
 def test_size_cap():

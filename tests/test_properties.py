@@ -32,6 +32,7 @@ from drawkit.rotation import (
 from drawkit.wiring import Side
 from tests.test_circular import covering_k4
 from tests.test_cylinder import assert_realization_follows_the_drawing
+from tests.test_oracle import ABSENT_3_4
 from tests.test_wiring import wiring_to_rotation
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
@@ -557,6 +558,27 @@ def test_oracle_agrees_with_permutations(source, n, seed, data):
     for (a, b), path in paths.items():
         assert oracle.find_cf_ham_path(cs, a, b) == path
     assert oracle.verify_all_pairs(cs) == all(p is not None for p in paths.values())
+
+
+@st.composite
+def arbitrary_crossing_sets(draw):
+    """Crossing sets at n = 4..8 with none or one of the three pairings of
+    each 4-subset, drawn at random: drawable or not."""
+    n = draw(st.integers(4, 8))
+    pairs = set()
+    for a, b, c, d in combinations(range(1, n + 1), 4):
+        k = draw(st.integers(0, 3))
+        if k:
+            pairs.add((((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))[k - 1])
+    return CrossingSet(n, frozenset(pairs))
+
+
+@PROPERTY_SETTINGS
+@given(cs=arbitrary_crossing_sets())
+@example(cs=ABSENT_3_4)  # a pair with no path, met on every run
+def test_verify_all_pairs_agrees_with_permutations(cs):
+    want = all(ref_path(cs, a, b) is not None for a, b in combinations(range(1, cs.n + 1), 2))
+    assert oracle.verify_all_pairs(cs) == want
 
 
 # ============================================================

@@ -74,7 +74,10 @@ def first_unrealizable_or_pairs(read, n, rotations):
         return exc.subset
 
 
-def test_orientation_bits_match_restricted_keys():
+@cache
+def seeded_systems():
+    """Rotation systems at n = 4..9: twisted, from random point sets, and
+    with shuffled rotations (mostly unrealizable)."""
     rng = random.Random(4)
     systems = [gen.twisted_rotation(n).rotations for n in range(4, 10)]
     systems += [gen.from_points(gen.random_point_set(n, seed))[0].rotations
@@ -85,10 +88,14 @@ def test_orientation_bits_match_restricted_keys():
             for r in rots:
                 rng.shuffle(r)
             systems.append(tuple(map(tuple, rots)))
+    return systems
+
+
+def test_orientation_bits_match_restricted_keys():
     outcomes = set()
-    for rots in systems:
+    for rots in seeded_systems():
         n = len(rots)
-        pos = [None, *({u: i for i, u in enumerate(r)} for r in rots)]
+        pos = rot._positions(rots)
         for subset in combinations(range(1, n + 1), 4):
             want = rot._K4_TABLE.get(rot._restricted_key(rots, subset), False)
             assert rot._k4_class(pos, subset) == want
@@ -96,6 +103,17 @@ def test_orientation_bits_match_restricted_keys():
         assert got == first_unrealizable_or_pairs(restricted_key_pairs, n, rots)
         outcomes.add(type(got))
     assert outcomes == {set, tuple}  # realizable and unrealizable systems both met
+
+
+def test_k5_orientation_bits_match_restricted_keys():
+    outcomes = set()
+    for rots in seeded_systems():
+        pos = rot._positions(rots)
+        for subset in combinations(range(1, len(rots) + 1), 5):
+            want = rot._restricted_key(rots, subset) in rot._K5_KEYS
+            assert (rot._k5_index(pos, subset) in rot._K5_BY_ORIENTATION) == want
+            outcomes.add(want)
+    assert outcomes == {False, True}
 
 
 def test_induced_subsystem_identity_and_small():
