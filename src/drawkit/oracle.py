@@ -5,8 +5,9 @@ One backtracking kernel, `_search`, serves every query.  It runs on the
 crossing set's own view: the edge numbering and, per edge, the bitmask of the
 edges it crosses (`CrossingSet.masks`).  It walks a bitmask of the unvisited
 vertices lowest bit first, so the first crossing-free path it finds is the
-lexicographically least.  The constructive engines in `hampath` never run
-this search; they validate their own output.
+lexicographically least.  It cuts dead ends (see `_search`) and so keeps
+that answer.  The constructive engines in `hampath` never run this search;
+they validate their own output.
 
 `verify_all_pairs` searches only the end pairs that no path found so far
 reaches by end rotations; every other pair has a checked path, so its answer
@@ -15,6 +16,7 @@ is exact.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from drawkit.errors import InvalidDrawing, TooLarge
@@ -28,24 +30,49 @@ def _check_cap(cs: CrossingSet):
         raise TooLarge(cs.n, cap)
 
 
+@lru_cache(maxsize=16)
+def _incidence(n: int) -> tuple[int, ...]:
+    """`inc[v]`: mask of the edges of `edge_numbering(n)` at vertex v."""
+    edges = edge_numbering(n)[0]
+    return tuple(sum(1 << i for i, e in enumerate(edges) if v in e) for v in range(n + 1))
+
+
 def _search(cs: CrossingSet, start: int, end=None):
     """Lexicographically least crossing-free Hamiltonian path from `start` to
     `end` or, with no `end`, cycle through `start` (closing edge implied);
     None when there is none.  `end` is held out of the unvisited mask and
-    tried last."""
+    tried last.  Dead ends are cut: an edge is free when no path edge
+    crosses it and it meets no spent vertex (one before the current one, bar
+    a cycle's start).  A completion's edges are free, two at each unvisited
+    vertex and one at the end, so a node where one of these has fewer has no
+    completion: only subtrees without a solution are cut."""
     n = cs.n
     eid = edge_numbering(n)[1]
+    inc = _incidence(n)
     crosses = cs.masks
     last = start if end is None else end
     path = [start]
 
-    def rec(u, unvisited, crossed):
+    def rec(u, unvisited, crossed, spent):
         if not unvisited:
             if crossed >> eid[u][last] & 1:
                 return False
             if end is not None:
                 path.append(end)
             return True
+        if spent:  # none spent: every vertex keeps its edges to start and u free
+            free = ~(crossed | spent)
+            if not inc[last] & free:
+                return False
+            rest = unvisited
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                m = inc[low.bit_length() - 1] & free
+                if not m & (m - 1):
+                    return False
+        if u != last:  # a cycle's start keeps its closing edge
+            spent |= inc[u]
         row = eid[u]
         rest = unvisited
         while rest:
@@ -56,13 +83,13 @@ def _search(cs: CrossingSet, start: int, end=None):
             if crossed >> i & 1:
                 continue
             path.append(v)
-            if rec(v, unvisited ^ low, crossed | crosses[i]):
+            if rec(v, unvisited ^ low, crossed | crosses[i], spent):
                 return True
             path.pop()
         return False
 
     everyone = (1 << n + 1) - 2  # bits 1..n
-    return path if rec(start, everyone & ~(1 << start | 1 << last), 0) else None
+    return path if rec(start, everyone & ~(1 << start | 1 << last), 0, 0) else None
 
 
 def find_cf_ham_path(cs: CrossingSet, a: int, b: int):

@@ -411,8 +411,10 @@ def nested_rule_pairs(n: int) -> frozenset:
     return frozenset(out)
 
 
+@lru_cache(maxsize=None)
 def _k5_tables():
-    """Drawable labeled 5-vertex subsystem keys plus their class forms.
+    """Drawable labeled 5-vertex subsystem keys, their class forms and the
+    keys' `_k5_index` values; built on first use, not at import.
 
     Candidates are the 5-vertex rotation systems whose 4-subsystems are all in
     the K4 table.  That necessary condition leaves two impostors: both are
@@ -442,15 +444,13 @@ def _k5_tables():
         forms.add(form)
     if len(forms) != 5:
         raise InvalidDrawing(f"K5 class derivation produced {len(forms)} classes")
-    return frozenset(keys), frozenset(forms)
-
-
-_K5_KEYS, _K5_FORMS = _k5_tables()
+    by_orientation = frozenset(_k5_index(_positions(key), range(1, 6)) for key in keys)
+    return frozenset(keys), frozenset(forms), by_orientation
 
 
 def k5_reference_forms() -> frozenset:
     """Canonical encodings of the five weak-isomorphism classes of K5."""
-    return _K5_FORMS
+    return _k5_tables()[1]
 
 
 def _k5_index(pos, subset) -> int:
@@ -466,17 +466,15 @@ def _k5_index(pos, subset) -> int:
     return index
 
 
-_K5_BY_ORIENTATION = frozenset(_k5_index(_positions(key), range(1, 6)) for key in _K5_KEYS)
-
-
 def _fits_at(pos, k: int) -> bool:
     """Whether every 4-subset of 1..k with largest vertex k induces a K4 table
     entry and every such 5-subset one of the K5 keys, read from `pos`."""
     for rest in combinations(range(1, k), 3):
         if _k4_class(pos, rest + (k,)) is False:
             return False
+    k5 = _k5_tables()[2] if k > 4 else ()
     for rest in combinations(range(1, k), 4):
-        if _k5_index(pos, rest + (k,)) not in _K5_BY_ORIENTATION:
+        if _k5_index(pos, rest + (k,)) not in k5:
             return False
     return True
 

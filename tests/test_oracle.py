@@ -75,6 +75,34 @@ def test_verify_all_pairs_searches_few_pairs(cs, monkeypatch):
     assert len(searched) <= cs.n
 
 
+class CountingMasks(tuple):
+    """A `CrossingSet.masks` view that counts its reads: one per search node
+    past the root, plus the rotation checks of `verify_all_pairs`."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        CountingMasks.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize(
+    "query, cs, bound",
+    [
+        # 84 reads with dead ends cut, 21,882 without
+        (oracle.find_cf_ham_cycle, gen.twisted(12), 200),
+        # 666 reads with dead ends cut, 9,979 without
+        (oracle.verify_all_pairs, gen.convex(11)[0], 1200),
+    ],
+    ids=["cycle-twisted-12", "all-pairs-convex-11"],
+)
+def test_search_effort(query, cs, bound, monkeypatch):
+    cs.__dict__["masks"] = CountingMasks(cs.masks)
+    monkeypatch.setattr(CountingMasks, "reads", 0)
+    assert query(cs)
+    assert CountingMasks.reads <= bound
+
+
 def test_size_cap():
     with pytest.raises(TooLarge):
         oracle.find_cf_ham_path(CrossingSet(15, frozenset()), 1, 2)

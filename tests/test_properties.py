@@ -581,6 +581,29 @@ def test_verify_all_pairs_agrees_with_permutations(cs):
     assert oracle.verify_all_pairs(cs) == want
 
 
+# a hand-frozen crossing set (valid per the type, not drawable) with no
+# crossing-free Hamiltonian cycle; the strategy above rarely draws one
+NO_CYCLE = CrossingSet(6, frozenset(
+    {
+        ((1, 2), (4, 5)), ((1, 3), (2, 6)), ((1, 4), (2, 3)), ((1, 5), (2, 3)),
+        ((1, 5), (3, 6)), ((1, 6), (2, 5)), ((2, 4), (5, 6)), ((2, 5), (3, 6)),
+        ((2, 6), (3, 4)), ((3, 4), (5, 6)),
+    }
+))
+
+
+@PROPERTY_SETTINGS
+@given(cs=arbitrary_crossing_sets())
+@example(cs=ABSENT_3_4)
+@example(cs=NO_CYCLE)
+def test_oracle_answers_agree_with_permutations_on_arbitrary_sets(cs):
+    # dense, mostly undrawable sets: where dead ends are cut most and None
+    # answers occur
+    assert oracle.find_cf_ham_cycle(cs) == ref_cycle(cs)
+    for a, b in permutations(range(1, cs.n + 1), 2):
+        assert oracle.find_cf_ham_path(cs, a, b) == ref_path(cs, a, b)
+
+
 # ============================================================
 # Crossing masks against the pairs
 # ============================================================

@@ -1,6 +1,9 @@
 import hashlib
+import os
 import random
 import re
+import subprocess
+import sys
 from functools import cache
 from itertools import combinations, permutations
 
@@ -107,11 +110,12 @@ def test_orientation_bits_match_restricted_keys():
 
 def test_k5_orientation_bits_match_restricted_keys():
     outcomes = set()
+    keys, _, by_orientation = rot._k5_tables()
     for rots in seeded_systems():
         pos = rot._positions(rots)
         for subset in combinations(range(1, len(rots) + 1), 5):
-            want = rot._restricted_key(rots, subset) in rot._K5_KEYS
-            assert (rot._k5_index(pos, subset) in rot._K5_BY_ORIENTATION) == want
+            want = rot._restricted_key(rots, subset) in keys
+            assert (rot._k5_index(pos, subset) in by_orientation) == want
             outcomes.add(want)
     assert outcomes == {False, True}
 
@@ -343,7 +347,7 @@ def test_crossing_set_normalizes_pairs(n, pairs, want):
 # enumerate_realizable(n, with_witness=True)] for n in (3, 4, 5, 6)]): pins the
 # classes, their order and their witnesses
 ENUMERATION_DIGEST = "688442767e35e7728f128b19bd66f9b2abb389fdcd11ac3b0f359b3218f6a6fa"
-# sha256 of repr((sorted(_K5_KEYS), sorted(k5_reference_forms())))
+# sha256 of repr((sorted(keys), sorted(forms))) for keys, forms of _k5_tables()
 K5_TABLES_DIGEST = "2474b6ee9fece473026f59cfeccb1f81014756b7b812508870c9ff1f0af32a2a"
 
 
@@ -360,8 +364,25 @@ def test_enumeration_is_pinned():
 
 
 def test_k5_tables_are_pinned():
-    got = repr((sorted(rot._K5_KEYS), sorted(rot.k5_reference_forms())))
+    keys, forms, _ = rot._k5_tables()
+    got = repr((sorted(keys), sorted(forms)))
     assert hashlib.sha256(got.encode()).hexdigest() == K5_TABLES_DIGEST
+
+
+def test_importing_the_cli_builds_no_k5_table():
+    code = (
+        "import drawkit.cli\n"
+        "from drawkit import rotation as rot\n"
+        "print(rot._k5_tables.cache_info().currsize)\n"
+    )
+    # the child imports the same drawkit as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rot.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0 and out.stdout.split() == ["0"], out.stderr
 
 
 def test_n3_has_one_class_with_its_witness():
