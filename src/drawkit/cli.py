@@ -253,8 +253,10 @@ def _cmd_stats(args) -> int:
             rows.append((k, model[k]))
     else:
         cs = _crossings_of(model)
+        # the wirings and cylindrical drawings may draw a subgraph of K_n
+        edges = len(model.edges()) if hasattr(model, "edges") else comb(cs.n, 2)
         rows.append(("n", cs.n))
-        rows.append(("edges", cs.n * (cs.n - 1) // 2))
+        rows.append(("edges", edges))
         rows.append(("crossings", len(cs)))
         if isinstance(model, LinearWiring):
             rows.append(("swaps", sum(len(s) for s in model.strips)))
@@ -263,7 +265,7 @@ def _cmd_stats(args) -> int:
             rows.append(("inner_vertices", len(model.inner)))
             rows.append(("strongly_cylindrical", cyl.is_strongly_cylindrical(model)))
             rows.append(("double_spirals", len(cyl.find_double_spirals(model))))
-        if isinstance(model, CircularWiring):
+        if isinstance(model, CircularWiring) and edges == comb(cs.n, 2):
             rows.append(("strongly_c_monotone", circ.is_strongly_c_monotone(model)))
     for key, val in rows:
         sys.stdout.write(f"{key}\t{val}\n")

@@ -32,7 +32,7 @@ hash and serialized form.  Every decision runs on one integer grid per
 drawing: the constructor scales all angles and windings by D, the lcm of
 their denominators, so an angle is an int A in [0, D), a winding an int W,
 and x mod 1 becomes x % D.  Fractions are built only for new angles and
-windings and for the realized wiring's vertex angles.
+windings; the realized wiring keeps no angle, only the ring of vertices.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from itertools import combinations
 from math import lcm
 
 from drawkit import circular as circ
-from drawkit.circular import Arc, CircularWiring, frac1
+from drawkit.circular import CircularWiring
 from drawkit.errors import (
     BothDirectionsForbidden,
     InvalidDrawing,
@@ -58,6 +58,12 @@ from drawkit.rotation import CrossingSet, _norm_crossing, _sorted_pair, edge_num
 from drawkit.wiring import redraw_strips
 
 Edge = tuple[int, int]
+
+
+def frac1(x: Fraction) -> Fraction:
+    """x mod 1 as a Fraction in [0, 1)."""
+    whole = x.numerator // x.denominator
+    return x - whole if whole else x
 
 
 class Face(Enum):
@@ -237,12 +243,13 @@ def _arc_raw(cd: CylindricalDrawing, ce: CircleEdge, arc: ArcDir):
     return av, (au - av) % cd._D
 
 
-def home_side_arc(cd: CylindricalDrawing, e: Edge) -> Arc:
-    """The arc from u to v in the edge's arc direction: the drawn side of a
-    home edge, the guarded arc of a lateral-face edge."""
+def home_side_arc(cd: CylindricalDrawing, e: Edge) -> tuple[Fraction, Fraction]:
+    """(start, length) in turns of the arc from u to v in the edge's arc
+    direction: the drawn side of a home edge, the guarded arc of a
+    lateral-face edge."""
     ce = cd.circle_edge(e)
     start, length = _arc_raw(cd, ce, ce.arc)
-    return Arc(Fraction(start, cd._D), Fraction(length, cd._D))
+    return Fraction(start, cd._D), Fraction(length, cd._D)
 
 
 def _lateral_wedge_raw(cd: CylindricalDrawing, le: LateralEdge):
@@ -538,25 +545,19 @@ def to_circular_wiring(cd: CylindricalDrawing) -> CircularWiring:
     by |winding| ascending, lateral-face arcs by length descending, then home
     arcs by length ascending; at an inner vertex in the reverse order.
 
-    `wiring.redraw_strips` sweeps the vertices counter-clockwise from the
-    0-ray, turned off any vertex first, and sweeps twice.  The first sweep
-    starts from the wrapping edges in any order.  Every pair of edges alive
-    at its end got its order where the later of the two started, or after,
-    so the order it ends with is the one the second sweep starts and closes
-    with.  The second sweep's strips, one per gap that ends at a vertex, and
-    its start order are the wiring's strips and base order.
+    `wiring.redraw_strips` sweeps the ring, the vertices counter-clockwise
+    from the 0-ray, twice.  The first sweep starts from the wrapping edges
+    in any order.  Every pair of edges alive at its end got its order where
+    the later of the two started, or after, so the order it ends with is the
+    one the second sweep starts and closes with.  The second sweep's strips,
+    one per gap that ends at a vertex, and its start order are the wiring's
+    strips and base order.
     """
     if any(abs(W) >= cd._D for W in cd._W.values()):
         raise InvalidDrawing("normalize windings before realization")
     cd2 = _split_common_rays(cd)
     expected = crossing_set(cd)
-    # angles on the grid of 2D, turned by half the first gap if a vertex
-    # sits on the 0-ray
-    D2 = 2 * cd2._D
-    angle = {v: 2 * a for v, a in cd2._A.items()}
-    if 0 in angle.values():
-        sigma = min(-a % D2 for a in angle.values() if a) // 2
-        angle = {v: a + sigma for v, a in angle.items()}
+    angle = cd2._A
     outer = {v for v, _ in cd2.outer}
     runs = _runs(cd2)
     ring = sorted(angle, key=angle.get)
@@ -566,7 +567,7 @@ def to_circular_wiring(cd: CylindricalDrawing) -> CircularWiring:
     for e, (first, last, kind) in runs.items():
         starting[first].append(e)
         ending[last].append(e)
-        length = (angle[last] - angle[first]) % D2
+        length = (angle[last] - angle[first]) % cd2._D
         near[e] = (kind, -length if kind == _LATERAL_FACE_ARC else length)
     # edges arriving at v keep the order in which they leave it: the
     # constructor checks that the redraw delivers them so
@@ -589,7 +590,7 @@ def to_circular_wiring(cd: CylindricalDrawing) -> CircularWiring:
     try:
         cw = CircularWiring(
             cd.n,
-            tuple(Fraction(angle[v], D2) for v in labels),
+            ring,
             tuple(base),
             tuple(strip_of[v] for v in labels),
             tuple(pos_of[v] for v in labels),

@@ -16,7 +16,6 @@ from itertools import combinations
 from math import lcm
 
 from drawkit import _geom
-from drawkit.circular import frac1
 from drawkit.cylinder import (
     ArcDir,
     CircleEdge,
@@ -24,6 +23,7 @@ from drawkit.cylinder import (
     Face,
     LateralEdge,
     crossing_set as cyl_crossing_set,
+    frac1,
 )
 from drawkit.errors import DegeneratePointSet, GaveUp, InternalAssertion, InvalidDrawing
 from drawkit.rotation import (

@@ -22,7 +22,7 @@ from __future__ import annotations
 from drawkit import circular as circ
 from drawkit import cylinder as cyl
 from drawkit import wiring as w
-from drawkit.circular import CircularWiring, frac1
+from drawkit.circular import CircularWiring
 from drawkit.cylinder import CylindricalDrawing
 from drawkit.errors import (
     BadRotation,
@@ -149,20 +149,17 @@ def path_strong_c_mon(cw: CircularWiring, a: int, b: int):
     if n == 2:
         return [a, b]
 
-    ring = circ.circular_vertex_order(cw)
+    ring = list(cw.ring)
     idx = {v: i for i, v in enumerate(ring)}
     side = w.side_reader(cw._columns, cw.vertex_pos)
-
-    def sweep(vs, start):
-        # vs in counter-clockwise order from the ray at angle `start`
-        return sorted(vs, key=lambda v: frac1(cw.angles[v - 1] - start))
 
     flags = circ.gap_edges(cw)
     escaped = [e for e, inside in flags if not inside]
     if escaped:
         # some gap edge spans the rest of the circle: the whole drawing lives
         # in its wedge and is x-monotone in the sweep order from its start
-        path = _xmono_rec(sweep(ring, circ.wedge(cw, escaped[0]).start), a, b, side)
+        p, _ = circ.wedge(cw, escaped[0])
+        path = _xmono_rec(ring[p:] + ring[:p], a, b, side)
         _check_path(cs, path, a, b, n)
         return path
 
@@ -177,8 +174,8 @@ def path_strong_c_mon(cw: CircularWiring, a: int, b: int):
     for _ in range(2):
         a_next = ring[(idx[a] + 1) % n]
         b_next = ring[(idx[b] + 1) % n]
-        wedge = circ.wedge(cw, _sorted_pair(a_next, b_next))
-        if wedge.contains(cw.angles[a - 1]):
+        start, steps = circ.wedge(cw, _sorted_pair(a_next, b_next))
+        if (idx[a] - start) % n <= steps:
             break
         a, b = b, a
         swapped = True
@@ -187,8 +184,8 @@ def path_strong_c_mon(cw: CircularWiring, a: int, b: int):
 
     # the vertices inside the wedge induce an x-monotone drawing in their
     # order along the wedge
-    inside = [v for v in ring if wedge.contains(cw.angles[v - 1])]
-    path = _xmono_rec(sweep(inside, wedge.start), a, a_next, side)
+    inside = [ring[(start + k) % n] for k in range(steps + 1)]
+    path = _xmono_rec(inside, a, a_next, side)
     k = (idx[a_next] + 1) % n
     while ring[(k - 1) % n] != b:
         path.append(ring[k])

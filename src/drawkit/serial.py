@@ -1,7 +1,8 @@
 """JSON serialization for every model, wrapped in a {"kind", "payload"}
 envelope so pipelines can dispatch on file content.
 
-Rationals are encoded as "p/q" strings; vertices are 1-based everywhere.
+Rationals are encoded as "p/q" strings; vertices are 1-based everywhere.  A
+model file therefore holds no JSON float, and `read_file` rejects one.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def dump(obj) -> dict:
             "kind": "circular_wiring",
             "payload": {
                 "n": obj.n,
-                "angles": [_frac(a) for a in obj.angles],
+                "ring": list(obj.ring),
                 "base_order": [list(e) for e in obj.base_order],
                 "strips": [list(s) for s in obj.strips],
                 "vertex_pos": list(obj.vertex_pos),
@@ -138,7 +139,7 @@ def _load_payload(kind, p):
     if kind == "circular_wiring":
         return CircularWiring(
             p["n"],
-            tuple(Fraction(a) for a in p["angles"]),
+            tuple(p["ring"]),
             tuple(tuple(e) for e in p["base_order"]),
             tuple(tuple(s) for s in p["strips"]),
             tuple(p["vertex_pos"]),
@@ -173,11 +174,16 @@ def write_file(path, obj_or_doc):
         fh.write("\n")
 
 
+def _no_float(token):
+    raise ValueError(f"{token} is no integer; rationals are \"p/q\" strings")
+
+
 def read_file(path):
-    """Load a model file; unreadable or non-JSON files raise InvalidDrawing."""
+    """Load a model file; unreadable or non-JSON files, and files with a
+    float, NaN or Infinity in them, raise InvalidDrawing."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_no_float, parse_constant=_no_float)
     except (OSError, ValueError) as exc:
         raise InvalidDrawing(f"cannot read {path}: {exc}") from exc
     return load(doc)

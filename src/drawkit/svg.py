@@ -3,11 +3,13 @@
 A wiring draws each edge as one polyline between its end-vertices, monotone
 in x (linear) or in angle around the origin (circular), and meeting another
 edge once if the two cross.  Both come from one replay of the sweep,
-`_knots`, mapped to the page by an affine or a polar map.
+`_knots`, mapped to the page by an affine or a polar map; a circular
+wiring's ring position k sits at k/n turns around the origin.
 
-Geometry here is display only: rational angles and radii become floats, each
-point is formatted once at a fixed 6-decimal precision (never from a Fraction,
-which Python 3.12 rounds its own way) and nothing is read back from the output.
+Geometry here is display only: a cylindrical drawing's rational angles and
+windings become floats, each point is formatted once at a fixed 6-decimal
+precision (never from a Fraction, which Python 3.12 rounds its own way) and
+nothing is read back from the output.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from drawkit import cylinder as cyl
-from drawkit.circular import CircularWiring, circular_vertex_order
+from drawkit.circular import CircularWiring
 from drawkit.cylinder import CylindricalDrawing, Face
 from drawkit.errors import InvalidDrawing, UnrenderableModel
 from drawkit.rotation import CrossingSet, _sorted_pair, edge_numbering
@@ -205,8 +207,10 @@ def _render_wiring(lw: LinearWiring, spec: RenderSpec) -> str:
 def _render_circular(cw: CircularWiring, spec: RenderSpec) -> str:
     size = spec.canvas
     cx = cy = size / 2
-    ts = [float(a) for a in cw.angles]
-    knots, spots, top = _knots(cw.base_order, circular_vertex_order(cw), ts, 1,
+    ts = [0.0] * cw.n  # ring position k at k / n turns
+    for k, v in enumerate(cw.ring):
+        ts[v - 1] = k / cw.n
+    knots, spots, top = _knots(cw.base_order, cw.ring, ts, 1,
                                cw.strips, cw.vertex_pos, cw.ending, cw.starting)
     r_lo, r_hi = size * 0.10, size * 0.42
     dr = (r_hi - r_lo) / (top + 2)  # from one level to the next
@@ -263,16 +267,16 @@ def _render_cylindrical(cd: CylindricalDrawing, spec: RenderSpec) -> str:
         lines[le.edge] = edge_polyline(pts)
     for ce in cd.circle:
         base = radius[ce.u]
-        arc = cyl.home_side_arc(cd, ce.edge)
+        start, length = map(float, cyl.home_side_arc(cd, ce.edge))
         # home arcs bulge away from the annulus, lateral-face arcs into it
         sign = 1 if (base == r_out) == (ce.face is Face.HOME) else -1
-        amp = band * (0.3 + 0.6 * float(arc.length))
+        amp = band * (0.3 + 0.6 * length)
         pts = []
-        steps = max(12, int(float(arc.length) * 96) + 2)
+        steps = max(12, int(length * 96) + 2)
         for s in range(steps + 1):
             t = s / steps
             bump = math.sin(math.pi * t)
-            pts.append((float(arc.start) + t * float(arc.length), base + sign * amp * bump))
+            pts.append((start + t * length, base + sign * amp * bump))
         lines[ce.edge] = edge_polyline(pts)
 
     cv = _Canvas(size)

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from drawkit import circular as circ
@@ -7,17 +5,15 @@ from drawkit import cylinder as cyl
 from drawkit import generators as gen
 from drawkit import serial
 from drawkit import wiring as w
-from drawkit.circular import Arc, CircularWiring, arcs_cover_circle
+from drawkit.circular import CircularWiring
 from drawkit.errors import CutBlocked, InvalidDrawing
-
-F = Fraction
 
 
 def short_way_triangle():
     """K_3 with all edges on their short arcs (origin outside the triangle)."""
     return CircularWiring(
         n=3,
-        angles=(F(1, 10), F(3, 10), F(6, 10)),
+        ring=(1, 2, 3),
         base_order=(),
         strips=((), (), ()),
         vertex_pos=(0, 0, 0),
@@ -30,7 +26,7 @@ def long_way_triangle():
     """K_3 where edge {1,2} takes the long way around the origin."""
     return CircularWiring(
         n=3,
-        angles=(F(1, 10), F(3, 10), F(6, 10)),
+        ring=(1, 2, 3),
         base_order=((1, 2),),
         strips=((), (), ()),
         vertex_pos=(0, 0, 1),
@@ -40,12 +36,12 @@ def long_way_triangle():
 
 
 def covering_k4():
-    """K_4 whose edges {1,2} and {3,4} have wedges of length >= 1/2 that
-    together cover the circle; one crossing, swapped in the gap from vertex
-    4 to vertex 2."""
+    """K_4 whose edges {1,2} and {3,4} have wedges of three ring steps each
+    that together cover the circle; one crossing, swapped in the gap from
+    vertex 4 to vertex 2."""
     return CircularWiring(
         n=4,
-        angles=(F(10, 100), F(60, 100), F(15, 100), F(55, 100)),
+        ring=(1, 3, 4, 2),
         base_order=((3, 4),),
         strips=((), (2,), (), ()),
         vertex_pos=(1, 0, 0, 1),
@@ -56,12 +52,17 @@ def covering_k4():
 
 def test_wedges_short_and_long_way():
     cw = short_way_triangle()
-    assert circ.wedge(cw, (1, 2)) == Arc(F(1, 10), F(2, 10))
+    assert circ.wedge(cw, (1, 2)) == (0, 1)  # from vertex 1, one step
     cw2 = long_way_triangle()
-    assert circ.wedge(cw2, (1, 2)) == Arc(F(3, 10), F(8, 10))
-    for cw in (short_way_triangle(), long_way_triangle()):
+    assert circ.wedge(cw2, (1, 2)) == (1, 2)  # from vertex 2, two steps
+    for cw in (short_way_triangle(), long_way_triangle(), covering_k4()):
         for e in cw.edges():
-            assert circ.wedge(cw, e).length < 1
+            p, s = circ.wedge(cw, e)
+            assert cw.ring[p] in e and 1 <= s < cw.n
+            assert {cw.ring[p], cw.ring[(p + s) % cw.n]} == set(e)
+    # gaps 0, 1, 2 and gaps 2, 3, 0
+    assert circ.wedge(covering_k4(), (1, 2)) == (0, 3)
+    assert circ.wedge(covering_k4(), (3, 4)) == (2, 3)
 
 
 def test_crossing_sets_of_triangles_are_empty():
@@ -78,17 +79,15 @@ def test_star_test_is_derived_once(monkeypatch):
     from tests.test_hampath import K4_MINUS_23
 
     calls = []
-    real = circ.arcs_cover_circle
-    monkeypatch.setattr(circ, "arcs_cover_circle", lambda arcs: calls.append(1) or real(arcs))
+    real = circ._require_complete
+    monkeypatch.setattr(circ, "_require_complete", lambda cw: calls.append(1) or real(cw))
     for make, strong in ((short_way_triangle, True), (covering_k4, False)):
         cw = make()
         calls.clear()
         assert circ.is_strongly_c_monotone(cw) is strong
-        first = len(calls)
-        assert first > 0
         assert circ.is_strongly_c_monotone(cw) is strong
         assert circ.is_strongly_c_monotone(cw) is strong
-        assert len(calls) == first
+        assert len(calls) == 1
         # the kept result is no part of the wiring's value
         assert cw == make() and hash(cw) == hash(make())
         assert serial.dump(cw) == serial.dump(make())
@@ -101,11 +100,6 @@ def test_star_test_is_derived_once(monkeypatch):
 
 def test_covering_k4_has_one_crossing():
     assert circ.crossing_set(covering_k4()).pairs == {((1, 2), (3, 4))}
-
-
-def test_arcs_cover_circle_boundary_touching():
-    assert arcs_cover_circle((Arc(0, F(1, 2)), Arc(F(1, 2), F(1, 2))))
-    assert not arcs_cover_circle((Arc(0, F(1, 2)), Arc(F(51, 100), F(49, 100))))
 
 
 def test_conversion_is_strongly_c_monotone_for_points_far_below():
@@ -132,7 +126,7 @@ def test_gap_edges_form_crossing_free_cycle_when_inside():
     for i in range(len(gap)):
         for j in range(i + 1, len(gap)):
             assert (gap[i], gap[j]) not in cs
-    ring = circ.circular_vertex_order(cw)
+    ring = cw.ring
     assert sorted(gap) == sorted(
         tuple(sorted((ring[i], ring[(i + 1) % len(ring)]))) for i in range(len(ring))
     )
@@ -142,35 +136,15 @@ def test_cut_recovers_x_monotone_wiring():
     for seed in range(8):
         n = 4 + seed % 5
         lw = gen.random_x_monotone(n, seed)
-        assert circ.cut_to_linear(circ.linear_to_circular(lw), F(3, 4)) == lw
+        assert circ.cut_to_linear(circ.linear_to_circular(lw), n - 1) == lw
 
 
 def test_cut_blocked_inside_a_wedge():
     cw = short_way_triangle()
     with pytest.raises(CutBlocked):
-        circ.cut_to_linear(cw, F(2, 10))  # inside the wedge of {1,2}
-    lw = circ.cut_to_linear(cw, F(8, 10))
+        circ.cut_to_linear(cw, 0)  # inside the wedge of {1,2}
+    lw = circ.cut_to_linear(cw, 2)
     assert w.crossing_set(lw).pairs == frozenset()
-
-
-def test_cut_through_empty_gap_succeeds():
-    cw = cyl.to_strongly_c_monotone(gen.hill(6))
-    # find an angle in a gap not covered by any wedge, if one exists
-    flags = circ.gap_edges(cw)
-    ring = circ.circular_vertex_order(cw)
-    for i, (e, inside) in enumerate(flags):
-        u, v = ring[i], ring[(i + 1) % len(ring)]
-        mid = circ.frac1(
-            cw.angles[u - 1]
-            + circ.frac1(cw.angles[v - 1] - cw.angles[u - 1]) / 2
-        )
-        try:
-            lw = circ.cut_to_linear(cw, mid)
-        except CutBlocked:
-            continue
-        assert w.crossing_set(lw).pairs == circ.crossing_set(cw).pairs
-        return
-    pytest.skip("every gap is covered by a wedge in this drawing")
 
 
 def test_composition_invariant_enforced():
@@ -183,10 +157,9 @@ def test_composition_invariant_enforced():
 # validating sweep and of the constructor, each one field or two changed in
 # a valid K3 or K4 wiring.  K3 is the short-way triangle; K4 has one
 # crossing, (1, 3) x (2, 4), swapped at level 1 in the gap that ends at v3.
-T = (F(1, 10), F(3, 10), F(6, 10))
 K3 = dict(
     n=3,
-    angles=T,
+    ring=(1, 2, 3),
     base_order=(),
     strips=((), (), ()),
     vertex_pos=(0, 0, 0),
@@ -195,7 +168,7 @@ K3 = dict(
 )
 K4 = dict(
     n=4,
-    angles=(F(1, 10), F(2, 10), F(3, 10), F(4, 10)),
+    ring=(1, 2, 3, 4),
     base_order=(),
     strips=((), (), (1,), ()),
     vertex_pos=(0, 0, 0, 0),
@@ -209,8 +182,11 @@ def _with(fields, **changes):
 
 
 MALFORMED_CIRCULAR = {
-    # a vertex 4 of the K3, with no angle
+    # a vertex 4 of the K3, with no place on the ring
     "vertex-out-of-range": _with(K3, vertex_pos=(0, 0, 0, 0)),
+    "ring-repeats-a-vertex": _with(K3, ring=(1, 2, 2)),
+    "ring-misses-a-vertex": _with(K3, ring=(1, 3)),
+    "ring-has-a-vertex-out-of-range": _with(K3, ring=(1, 2, 4)),
     "edge-not-incident": _with(K3, starting=(((1, 2), (2, 3)), ((2, 3),), ())),
     "ending-edge-not-alive": _with(K3, ending=((), ((2, 3),), ((2, 3), (1, 3)))),
     "ending-block-not-contiguous": _with(K4, strips=((), (), (), ())),
@@ -220,10 +196,10 @@ MALFORMED_CIRCULAR = {
     "swap-level-out-of-range": _with(K3, strips=((), (5,), ())),
     "incident-edges-swap": _with(K3, strips=((), (0,), ())),
     "pair-swaps-twice": _with(K4, strips=((), (), (1, 1), ())),
-    # vertex 3 of the K3 has an angle and nothing else
+    # vertex 3 of the K3 has a place on the ring and nothing else
     "vertex-without-event": dict(
         n=3,
-        angles=T,
+        ring=(1, 2, 3),
         base_order=(),
         strips=((), ()),
         vertex_pos=(0, 0),
@@ -232,7 +208,7 @@ MALFORMED_CIRCULAR = {
     ),
     "sweep-misses-the-base-order": dict(
         n=2,
-        angles=T[:2],
+        ring=(1, 2),
         base_order=(),
         strips=((), ()),
         vertex_pos=(0, 0),
@@ -257,7 +233,7 @@ def test_malformed_circular_wiring_rejected(fields):
 # the ray of its own end-vertex 2 on the way
 FULL_TURN = dict(
     n=3,
-    angles=(F(0), F(1, 3), F(2, 3)),
+    ring=(1, 2, 3),
     base_order=((1, 2),),
     strips=((), (), ()),
     vertex_pos=(0, 2, 1),

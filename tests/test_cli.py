@@ -1,7 +1,13 @@
+import io
 import json
+import os
+import tempfile
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drawkit import circular as circ
 from drawkit import cli
@@ -415,7 +421,7 @@ def test_full_turn_wiring_exits_1(command, tmp_path, capsys):
 
     doc = {
         "kind": "circular_wiring",
-        "payload": {**FULL_TURN, "angles": [str(a) for a in FULL_TURN["angles"]]},
+        "payload": FULL_TURN,
     }
     f = tmp_path / "cw.json"
     f.write_text(json.dumps(doc))
@@ -454,3 +460,103 @@ def test_event_list_circular_wiring_exits_1(argv, tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.startswith("error:") and "malformed 'circular_wiring' payload" in err
     assert "Traceback" not in err
+
+
+def test_angles_payload_exits_1(tmp_path, capsys):
+    # a circular wiring written with vertex angles in place of the ring
+    from tests.test_circular import K3
+
+    payload = {**K3, "angles": ["1/10", "3/10", "3/5"]}
+    del payload["ring"]
+    f = tmp_path / "cw.json"
+    f.write_text(json.dumps({"kind": "circular_wiring", "payload": payload}))
+    code, out, err = run(["stats", str(f)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "malformed 'circular_wiring' payload" in err
+
+
+@pytest.mark.parametrize("form", ["linear", "circular"])
+def test_stats_counts_the_edges_of_an_incomplete_wiring(form, tmp_path, capsys):
+    from tests.test_hampath import K4_MINUS_23
+
+    model = K4_MINUS_23 if form == "linear" else circ.linear_to_circular(K4_MINUS_23)
+    f = tmp_path / "m.json"
+    serial.write_file(f, model)
+    code, out, _ = run(["stats", str(f)], capsys)
+    assert code == 0
+    rows = dict(line.split("\t") for line in out.strip().splitlines())
+    assert rows["n"] == "4" and rows["edges"] == "5"
+    assert "strongly_c_monotone" not in rows
+
+
+def test_stats_of_a_complete_circular_wiring(tmp_path, capsys):
+    f = tmp_path / "cw.json"
+    serial.write_file(f, cyl.to_circular_wiring(gen.hill(6)))
+    code, out, _ = run(["stats", str(f)], capsys)
+    rows = dict(line.split("\t") for line in out.strip().splitlines())
+    assert code == 0 and rows["edges"] == "15" and rows["strongly_c_monotone"] == "True"
+
+
+# one valid document of each model kind, at n = 4 or 5, and the places of
+# their payload leaves: a scalar, or an empty list
+MUTATED_MODELS = {
+    "rotation_system": gen.twisted_rotation(5),
+    "crossing_set": gen.convex(5)[0],
+    "linear_wiring": gen.random_x_monotone(5, 1),
+    "x_bounded": w.extract_xbounded(gen.convex(4)[1]),
+    "circular_wiring": cyl.to_circular_wiring(gen.hill(5)),
+    "cylindrical_drawing": gen.hill(5),
+}
+
+
+def _leaves(node, at=()):
+    if isinstance(node, dict) and node:
+        for key, value in node.items():
+            yield from _leaves(value, at + (key,))
+    elif isinstance(node, list) and node:
+        for i, value in enumerate(node):
+            yield from _leaves(value, at + (i,))
+    else:
+        yield at
+
+
+LEAVES = [
+    (kind, at)
+    for kind, model in MUTATED_MODELS.items()
+    for at in _leaves(serial.dump(model)["payload"])
+]
+LEAF_VALUES = (2.0, 1.5, -1, 0, None, "x", [], {}, True)
+COMMANDS = (
+    ["stats", "{}"],
+    ["render", "{}"],
+    ["path", "{}", "1", "3"],
+    ["verify", "--in", "{}"],
+    ["convert", "{}", "--to", "xmono"],
+    ["convert", "{}", "--to", "xbounded"],
+    ["convert", "{}", "--to", "strongcmon"],
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(leaf=st.sampled_from(LEAVES), value=st.sampled_from(LEAF_VALUES))
+@example(leaf=("crossing_set", ("crossings", 0, 0, 0)), value=1.5)
+@example(leaf=("linear_wiring", ("right_order", 0, 0, 0)), value=2.0)
+@example(leaf=("circular_wiring", ("base_order", 0, 0)), value=2.0)
+@example(leaf=("cylindrical_drawing", ("lateral", 0, "u")), value=2.0)
+def test_one_bad_payload_leaf_never_escapes_the_cli(leaf, value):
+    """Every command on a document with one payload leaf replaced exits with
+    one of the CLI's codes; no exception escapes `cli.main`."""
+    kind, at = leaf
+    doc = serial.dump(MUTATED_MODELS[kind])
+    node = doc["payload"]
+    for key in at[:-1]:
+        node = node[key]
+    node[at[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        f = os.path.join(tmp, "m.json")
+        with open(f, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for argv in COMMANDS:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = cli.main([a.format(f) for a in argv])
+            assert code in (0, 1, 2, 64), (argv, code)

@@ -82,7 +82,7 @@ def test_home_and_lateral_face_circle_edges_never_cross(e, f):
 def lateral_pair(omega_e, omega_f, theta_f=F(1, 2)):
     """Two outer and two inner vertices carrying just two lateral edges."""
     outer = ((1, F(0)), (2, theta_f))
-    inner = ((3, circ.frac1(F(0) + omega_e)), (4, circ.frac1(theta_f + omega_f)))
+    inner = ((3, cyl.frac1(F(0) + omega_e)), (4, cyl.frac1(theta_f + omega_f)))
     lateral = (LateralEdge(1, 3, omega_e), LateralEdge(2, 4, omega_f))
     return CylindricalDrawing(outer, inner, lateral, ())
 
@@ -111,7 +111,7 @@ def geodesic_crossing_count(cd):
     for e, f in comb(cd.lateral, 2):
         if e.u == f.u or e.w == f.w:
             continue
-        g0 = circ.frac1(angles[f.u] - angles[e.u])
+        g0 = cyl.frac1(angles[f.u] - angles[e.u])
         g1 = g0 + f.omega - e.omega
         count += abs(math.floor(g1) - math.floor(g0))
     home = [ce for ce in cd.circle if ce.face is Face.HOME]
@@ -155,7 +155,7 @@ def test_rim_edge_guarding_whole_circle_is_the_only_crossed_one():
     outer = ((1, F(0)),)
     inner = ((2, F(1, 10)), (3, F(2, 10)), (4, F(3, 10)))
     lateral = tuple(
-        LateralEdge(1, v, circ.frac1(a)) for v, a in inner
+        LateralEdge(1, v, cyl.frac1(a)) for v, a in inner
     )
     circle = (
         CircleEdge(2, 3, Face.LATERAL, ArcDir.CW),  # guards the whole circle
@@ -256,7 +256,7 @@ def both_spirals_k8():
             if (u, v) in special:
                 omega = special[(u, v)]
             else:
-                d = circ.frac1(angles[v] - angles[u])
+                d = cyl.frac1(angles[v] - angles[u])
                 omega = d if d <= F(1, 2) else d - 1
             lateral.append(LateralEdge(u, v, omega))
     circle = []
@@ -264,7 +264,7 @@ def both_spirals_k8():
 
     for ring in (range(1, 5), range(5, 9)):
         for u, v in combinations(ring, 2):
-            ccw = circ.frac1(angles[v] - angles[u])
+            ccw = cyl.frac1(angles[v] - angles[u])
             arc = ArcDir.CCW if ccw <= F(1, 2) else ArcDir.CW
             circle.append(CircleEdge(u, v, Face.HOME, arc))
     return CylindricalDrawing(outer, inner, tuple(lateral), tuple(circle))
@@ -350,15 +350,14 @@ def test_redraw_that_forms_no_wiring_is_a_realization_mismatch(monkeypatch):
 def assert_realization_follows_the_drawing(cd, cw):
     """Every wedge is the drawing's arc, every side follows the band rule,
     and the realized rotations give the drawing's crossings."""
-    cd2 = cyl._split_common_rays(cd)  # the realized angles, before the ray turn
-    turn = circ.frac1(cw.angles[0] - cd2.angle_of(1))
-    assert cw.angles == tuple(circ.frac1(cd2.angle_of(v) + turn) for v in range(1, cd.n + 1))
-    for le in cd2.lateral:
-        start, length = cyl._lateral_wedge_raw(cd2, le)  # on the drawing's grid
-        assert circ.wedge(cw, le.edge) == circ.Arc(F(start, cd2._D) + turn, F(length, cd2._D))
-    for ce in cd2.circle:
-        arc = cyl.home_side_arc(cd2, ce.edge)
-        assert circ.wedge(cw, ce.edge) == circ.Arc(arc.start + turn, arc.length)
+    cd2 = cyl._split_common_rays(cd)  # the realized angles
+    assert list(cw.ring) == sorted(range(1, cd.n + 1), key=cd2.angle_of)
+    at = {v: i for i, v in enumerate(cw.ring)}
+    arcs = [(le.edge, F(cyl._lateral_wedge_raw(cd2, le)[0], cd2._D)) for le in cd2.lateral]
+    arcs += [(ce.edge, cyl.home_side_arc(cd2, ce.edge)[0]) for ce in cd2.circle]
+    for e, start in arcs:
+        u = next(v for v in e if cd2.angle_of(v) == start)
+        assert circ.wedge(cw, e) == (at[u], (at[e[0] + e[1] - u] - at[u]) % cd.n)
     # inner home arcs pass below every vertex, outer ones above; laterals and
     # lateral-face arcs lie in the annulus, below outer and above inner vertices
     home_circle = {ce.edge: cd.circle_of(ce.u) for ce in cd.circle if ce.face is Face.HOME}
@@ -486,17 +485,16 @@ def realizations(chain):
 def side_view(cw):
     """What the drawing fixes of a realization, independent of where its
     swaps sit: the crossing pairs, rotations, ring order, each edge's wedge
-    as (start vertex, length) and every `side_reader` value."""
+    as (start vertex, ring steps) and every `side_reader` value."""
     above = w.side_reader(cw._columns, cw.vertex_pos)
     wedges = []
     for e in cw.edges():
-        arc = circ.wedge(cw, e)
-        start = next(v for v in e if cw.angles[v - 1] == arc.start)
-        wedges.append([list(e), start, str(arc.length)])
+        p, steps = circ.wedge(cw, e)
+        wedges.append([list(e), cw.ring[p], steps])
     return {
         "crossings": sorted([list(e), list(f)] for e, f in circ.crossing_set(cw).pairs),
         "rotations": [list(r) for r in circ.rotation_system(cw).rotations],
-        "ring": circ.circular_vertex_order(cw),
+        "ring": list(cw.ring),
         "wedges": wedges,
         "sides": sorted(
             [list(e), v, above(e, v)] for v in range(1, cw.n + 1) for e in cw._columns[v - 1]
@@ -513,17 +511,17 @@ def digest(docs) -> str:
 # (polyline curves intersected on an integer grid); they pin that the strip
 # redraw realizes the same drawings
 REALIZATION_SIDE_DIGESTS = {
-    "nonstrong": "43e489cf4d3ea25a7a41cde63ee72ff6ffee1c3d1763496cf27523de82adae34",
-    "strong": "67b03fc6bbbaaab7ad2d832a3828d64967be699b27ab3bb9a540d17e99b92a32",
-    "hill": "33c12e5f4f2b0f883725006e90963a9c969855aca39bf23d6ca642c31553069b",
+    "nonstrong": "2f779b5ce1bfbbf5eb8d96c4b2ec06de9593959e16d0b7f4c2b084f4b557b13b",
+    "strong": "2257a1430abb92430b2c5d19f7e9c3a795942aa4107db977c6a031117c05b26d",
+    "hill": "5b4a2af8b24be14a1c84d65f3b0b13c3257ce03f523d2f6f6d38b479b74890b7",
 }
 
 # sha256 of the JSON (sorted keys) of the list of serial.dump() of every
 # realization of the chain, computed with the strip redraw: strips included
 REALIZATION_SERIAL_DIGESTS = {
-    "nonstrong": "fa55ca799a8902542e4ac5b98f7f4c31b412cb6f9aa306d2304015a58448072e",
-    "strong": "4dd9d2d1bd30818dc5166e4452570864f09f9627886ace4495cd6a9b341bf5fc",
-    "hill": "a231acd97ef10666b051cf4f4616227b6ced44fefee0529123c3745c22a6ff57",
+    "nonstrong": "7b6c73a5a5a27968854600e67cfa25b313be264d62c1de694afcee61644d84c7",
+    "strong": "b45d41519fd86cd543596afae99d5de1b069b633c4e719c5c8422d9495af35d1",
+    "hill": "f770797a783e53e807dc9ceca14f6a7a31c60dcc6a9bc975248628c7a4651242",
 }
 
 

@@ -157,7 +157,7 @@ def test_path_cylindrical_two_circle_outputs_are_pinned():
 
 def test_path_strong_c_mon_adjacent_ends_use_gap_edges():
     cw = cyl.to_strongly_c_monotone(gen.hill(6))
-    ring = circ.circular_vertex_order(cw)
+    ring = cw.ring
     a, b = ring[0], ring[1]
     path = hp.path_strong_c_mon(cw, a, b)
     ring_set = {tuple(sorted((ring[i], ring[(i + 1) % len(ring)]))) for i in range(len(ring))}
@@ -201,7 +201,7 @@ def test_path_cylindrical_one_circle_delegates():
 
     outer = tuple((i + 1, F(i, 4)) for i in range(4))
     circle = tuple(
-        CircleEdge(u, v, Face.HOME, ArcDir.CCW if circ.frac1(F(v - u, 4)) <= F(1, 2) else ArcDir.CW)
+        CircleEdge(u, v, Face.HOME, ArcDir.CCW if cyl.frac1(F(v - u, 4)) <= F(1, 2) else ArcDir.CW)
         for u, v in combinations(range(1, 5), 2)
     )
     cd = CylindricalDrawing(outer, (), (), circle)

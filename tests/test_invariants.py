@@ -79,16 +79,12 @@ def test_escaped_gap_edge_unrolls_through_its_gap():
     flags = circ.gap_edges(cw)
     escaped = [e for e, inside in flags if not inside]
     assert escaped == [(1, 6)]
-    ring = circ.circular_vertex_order(cw)
-    i = next(
+    ring = cw.ring
+    k = next(
         k for k, v in enumerate(ring)
         if tuple(sorted((v, ring[(k + 1) % len(ring)]))) == escaped[0]
     )
-    u0, u1 = ring[i], ring[(i + 1) % len(ring)]
-    mid = circ.frac1(
-        cw.angles[u0 - 1] + circ.frac1(cw.angles[u1 - 1] - cw.angles[u0 - 1]) / 2
-    )
-    back = circ.cut_to_linear(cw, mid)
+    back = circ.cut_to_linear(cw, k)
     assert w.crossing_set(back).pairs == w.crossing_set(lw).pairs
 
 

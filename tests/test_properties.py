@@ -1,8 +1,9 @@
 """Property tests across models.
 
-`circular.is_strongly_c_monotone` runs only the star test.  The paper's two
-other characterizations of strong c-monotonicity are kept here as reference
-implementations and checked against it on wirings from every producer.
+`circular.is_strongly_c_monotone` runs only the star test, on gap masks.  The
+star test and the paper's two other characterizations of strong
+c-monotonicity are kept here as reference implementations over the 2n ring
+positions and checked against it on wirings from every producer.
 """
 
 import json
@@ -21,7 +22,6 @@ from drawkit import hampath as hp
 from drawkit import oracle
 from drawkit import serial
 from drawkit import wiring as w
-from drawkit.circular import arcs_cover_circle
 from drawkit.errors import BothDirectionsForbidden, CutBlocked, DegeneratePointSet, InvalidDrawing
 from drawkit.rotation import (
     CrossingSet,
@@ -41,19 +41,53 @@ F = Fraction
 SOURCES = ("cylindrical", "strong-cylindrical", "strongly-c-monotone", "linear", "covering-k4")
 
 
+def ring_wedges(cw) -> dict:
+    """Per edge, the closed wedge read off the fields as the set of the 2n
+    ring positions it covers, vertex ring[i] at 2i and the gap after it at
+    2i + 1: from the vertex where the edge starts counter-clockwise to its
+    other end."""
+    n, at = cw.n, {v: i for i, v in enumerate(cw.ring)}
+    wedges = {}
+    for v, block in enumerate(cw.starting, 1):
+        for e in block:
+            steps = (at[e[0] + e[1] - v] - at[v]) % n
+            wedges[e] = {(2 * at[v] + j) % (2 * n) for j in range(2 * steps + 1)}
+    return wedges
+
+
+def covers(n, wedges) -> bool:
+    return len(set().union(*wedges)) == 2 * n
+
+
 def no_pair_covers(cw) -> bool:
     """No two edges have wedges that together cover the circle."""
-    wedges = [circ.wedge(cw, e) for e in cw.edges()]
-    return not any(arcs_cover_circle(pair) for pair in combinations(wedges, 2))
+    wedges = ring_wedges(cw).values()
+    return not any(covers(cw.n, pair) for pair in combinations(wedges, 2))
 
 
 def no_incident_pair_covers(cw) -> bool:
     """No two edges sharing a vertex have wedges that cover the circle."""
+    wedges = ring_wedges(cw)
     return not any(
-        arcs_cover_circle((circ.wedge(cw, e), circ.wedge(cw, f)))
-        for e, f in combinations(cw.edges(), 2)
+        covers(cw.n, (wedges[e], wedges[f]))
+        for e, f in combinations(wedges, 2)
         if set(e) & set(f)
     )
+
+
+def covering_stars(cw) -> list:
+    """The vertices whose edges' wedges cover the circle."""
+    wedges = ring_wedges(cw)
+    stars = {v: [s for e, s in wedges.items() if v in e] for v in range(1, cw.n + 1)}
+    return [v for v, star in stars.items() if covers(cw.n, star)]
+
+
+def test_ring_cover_counts_wedges_touching_at_a_vertex():
+    # two vertices, one wedge from each to the other: the two closed wedges
+    # meet only at the vertices and still cover the circle
+    assert covers(2, ({0, 1, 2}, {2, 3, 0}))
+    # four vertices, positions 0-4 and 6-0: gap 2 (position 5) stays free
+    assert not covers(4, ({0, 1, 2, 3, 4}, {6, 7, 0}))
 
 
 def wiring_from(source: str, n: int, seed: int):
@@ -89,6 +123,7 @@ def test_cover_characterizations_agree():
     def check(source, n, seed):
         cw = wiring_from(source, n, seed)
         by_star = circ.is_strongly_c_monotone(cw)
+        assert (covering_stars(cw) == []) == by_star
         assert no_pair_covers(cw) == by_star
         assert no_incident_pair_covers(cw) == by_star
         outcomes.add(by_star)
@@ -102,14 +137,6 @@ def test_cover_characterizations_agree():
 SOLE_COVERING_STAR_SEEDS = {1: 49, 2: 1, 3: 0, 4: 21, 5: 4}
 
 
-def covering_stars(cw):
-    stars = {v: [] for v in range(1, cw.n + 1)}
-    for e in cw.edges():
-        for v in e:
-            stars[v].append(circ.wedge(cw, e))
-    return [v for v, star in stars.items() if arcs_cover_circle(star)]
-
-
 @pytest.mark.parametrize("vertex, seed", sorted(SOLE_COVERING_STAR_SEEDS.items()))
 def test_star_test_sees_a_sole_covering_star(vertex, seed):
     cw = wiring_from("cylindrical", 5, seed)
@@ -118,19 +145,39 @@ def test_star_test_sees_a_sole_covering_star(vertex, seed):
     assert not no_pair_covers(cw)
 
 
-def cuts(cw):
-    """Midpoints of the gaps between circularly consecutive vertices that no
-    wedge spans."""
-    ring = circ.circular_vertex_order(cw)
-    out = []
-    for u, v in zip(ring, ring[1:] + ring[:1]):
-        mid = circ.frac1(cw.angles[u - 1] + circ.frac1(cw.angles[v - 1] - cw.angles[u - 1]) / 2)
-        try:
-            circ.cut_to_linear(cw, mid)
-        except CutBlocked:
-            continue
-        out.append(mid)
-    return out
+def cuts(cw) -> list:
+    """The gaps that no wedge spans."""
+    wedges = ring_wedges(cw).values()
+    return [k for k in range(cw.n) if not any(2 * k + 1 in s for s in wedges)]
+
+
+def test_cut_in_every_gap():
+    outcomes = set()
+
+    @PROPERTY_SETTINGS
+    @given(
+        source=st.sampled_from(SOURCES),
+        n=st.integers(3, 8),
+        seed=st.integers(0, 10**6),
+    )
+    def check(source, n, seed):
+        cw = wiring_from(source, n, seed)
+        free = cuts(cw)
+        for k in range(cw.n):
+            if k not in free:
+                with pytest.raises(CutBlocked):
+                    circ.cut_to_linear(cw, k)
+                continue
+            ring = cw.ring[k + 1 :] + cw.ring[: k + 1]
+            relabel = {v: i + 1 for i, v in enumerate(ring)}
+            lw = circ.cut_to_linear(cw, k)
+            assert w.crossing_set(lw) == relabel_crossing_set(circ.crossing_set(cw), relabel)
+        outcomes.update(k in free for k in range(cw.n))
+        lw = gen.random_x_monotone(n, seed)
+        assert circ.cut_to_linear(circ.linear_to_circular(lw), n - 1) == lw
+
+    check()
+    assert outcomes == {True, False}
 
 
 def assert_side_reader_matches(cw, lw, ring):
@@ -157,9 +204,9 @@ def test_side_reader_on_cut_to_linear():
     for source in SOURCES[:3]:
         for seed in range(24):
             cw = wiring_from(source, 4 + seed % 2, seed)
-            for mid in cuts(cw):
-                ring = sorted(range(1, cw.n + 1), key=lambda v: circ.frac1(cw.angles[v - 1] - mid))
-                assert_side_reader_matches(cw, circ.cut_to_linear(cw, mid), ring)
+            for k in cuts(cw):
+                ring = cw.ring[k + 1 :] + cw.ring[: k + 1]
+                assert_side_reader_matches(cw, circ.cut_to_linear(cw, k), ring)
                 checked += 1
     assert checked >= 10
 
@@ -251,9 +298,9 @@ def test_two_page_sides_follow_the_pages(n, data):
 
 def ref_guarded(angle, ring, ce):
     au, av = angle[ce.u], angle[ce.v]
-    start, length = (au, circ.frac1(av - au)) if ce.arc is cyl.ArcDir.CCW else (
-        av, circ.frac1(au - av))
-    return {v for v, a in ring if circ.frac1(a - start) <= length}
+    start, length = (au, cyl.frac1(av - au)) if ce.arc is cyl.ArcDir.CCW else (
+        av, cyl.frac1(au - av))
+    return {v for v, a in ring if cyl.frac1(a - start) <= length}
 
 
 def ref_rings(outer, inner):
@@ -268,11 +315,11 @@ def ref_validate(outer, inner, lateral, circle):
             if e.u == f.u and not abs(f.omega - e.omega) < 1:
                 return f"incident laterals {e.edge}, {f.edge} forced to cross"
             if e.w == f.w:
-                val = circ.frac1(angle[f.u] - angle[e.u]) + f.omega - e.omega
+                val = cyl.frac1(angle[f.u] - angle[e.u]) + f.omega - e.omega
                 if val not in (0, 1):
                     return f"incident laterals {e.edge}, {f.edge} forced to cross"
             continue
-        val = circ.frac1(angle[f.u] - angle[e.u]) + f.omega - e.omega
+        val = cyl.frac1(angle[f.u] - angle[e.u]) + f.omega - e.omega
         if not -1 <= val <= 2:
             return f"laterals {e.edge}, {f.edge} would cross twice (window value {val})"
     lat_circle = [ce for ce in circle if ce.face is cyl.Face.LATERAL]
@@ -292,7 +339,7 @@ def ref_crossings(cd):
     for e, f in combinations(cd.lateral, 2):
         if set(e.edge) & set(f.edge):
             continue
-        val = circ.frac1(angle[f.u] - angle[e.u]) + f.omega - e.omega
+        val = cyl.frac1(angle[f.u] - angle[e.u]) + f.omega - e.omega
         if not 0 <= val <= 1:
             pairs.add(tuple(sorted((e.edge, f.edge))))
     lat_circle = [ce for ce in cd.circle if ce.face is cyl.Face.LATERAL]
@@ -321,14 +368,21 @@ def ref_crossings(cd):
 
 def ref_wedge(angle, le):
     a = angle[le.u]
-    return (a, le.omega) if le.omega >= 0 else (circ.frac1(a + le.omega), -le.omega)
+    return (a, le.omega) if le.omega >= 0 else (cyl.frac1(a + le.omega), -le.omega)
+
+
+def ref_contains(arc, angle):
+    start, length = arc
+    return cyl.frac1(angle - start) <= length
 
 
 def ref_cover(w1, w2):
-    (s1, l1), (s2, l2) = w1, w2
+    """True iff two closed arcs (start, length), in turns, cover the circle:
+    sorted by start, each begins where the ones before it reach."""
+    (s1, l1), (s2, l2) = sorted((w1, w2))
     if l1 >= 1 or l2 >= 1:
         return True
-    return l1 + l2 >= 1 and arcs_cover_circle((circ.Arc(s1, l1), circ.Arc(s2, l2)))
+    return s2 <= s1 + l1 and max(s1 + l1, s2 + l2) >= s1 + 1
 
 
 def ref_double_spirals(cd):
@@ -355,13 +409,13 @@ def ref_directions(cd):
     chosen = []
     for ce in cd.circle:
         au, av = angle[ce.u], angle[ce.v]
-        options = {cyl.ArcDir.CCW: (au, circ.frac1(av - au)),
-                   cyl.ArcDir.CW: (av, circ.frac1(au - av))}
+        options = {cyl.ArcDir.CCW: (au, cyl.frac1(av - au)),
+                   cyl.ArcDir.CW: (av, cyl.frac1(au - av))}
         allowed = [d for d, arc in options.items() if not any(ref_cover(arc, w) for w in wedges)]
         if not allowed:
             return None
         if len(allowed) > 1:
-            allowed = [d for d in allowed if not circ.Arc(*options[d]).contains(ray)]
+            allowed = [d for d in allowed if not ref_contains(options[d], ray)]
         chosen.append(allowed[0])
     return tuple(chosen)
 
@@ -401,7 +455,7 @@ def on_a_shared_ray(cd):
         return None
     return cyl.CylindricalDrawing(
         cd.outer,
-        tuple((v, circ.frac1(a - mid)) for v, a in cd.inner),
+        tuple((v, cyl.frac1(a - mid)) for v, a in cd.inner),
         tuple(replace(le, omega=le.omega - mid) for le in cd.lateral),
         cd.circle,
     )
@@ -451,7 +505,7 @@ def hand_built_fields(draw):
         for w in range(p + 1, p + q + 1):
             lift = draw(st.sampled_from((None, -2, -1, -1, 0, 0, 1)))
             if lift is not None:
-                omega = circ.frac1(angles[w - 1] - angles[u - 1]) + lift
+                omega = cyl.frac1(angles[w - 1] - angles[u - 1]) + lift
                 lateral.append(cyl.LateralEdge(u, w, omega))
     circle = []
     for ring in (range(1, p + 1), range(p + 1, p + q + 1)):

@@ -58,8 +58,8 @@ def models(family):
 RENDER_DIGESTS = {
     "x-monotone": "3073852bd26b6388b8478c076b34b5c332f6f9545cf8e4addad6bd3762a7493c",
     "x-monotone-small-strips": "a1ce1b8a92f4a21eda4c4d15e61a72167d3ea3c116f010c3ea6ddb6067cb6cd4",
-    "c-monotone": "e60c245d0d66447e4bac3900a493e930f6bf2c48def8beff5db5565e6c63ec34",
-    "strongly-c-monotone": "a650073e442ea2c5a912396284d1caad94dde7cbc2cab8efd3e2265230ba8a18",
+    "c-monotone": "47ac8d6e9a671c138eee7591bf048f06958572c028d51dfeebb038bb0c9f4d99",
+    "strongly-c-monotone": "e2637ef0ed4074a37d45c2d289a5cbb73c4fe5da2bd96e51d59ac0a87ce7f9fa",
     "cylindrical": "668a3f82bfb2e4266f1df3cf4b0b56464611d91eaad287f06074377d2cf3da7d",
     "crossing-set": "853629392d88625fea2f1e6f9e5090a706bb78d3d5a1249e6d32101dbc2b2880",
 }
