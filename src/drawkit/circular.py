@@ -18,10 +18,10 @@ the sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from drawkit.errors import CutBlocked, InvalidDrawing
-from drawkit.rotation import CrossingSet, RotationSystem, _sorted_pair
+from drawkit.rotation import CrossingSet, RotationSystem, _require_ints, _sorted_pair
 from drawkit.wiring import LinearWiring, sweep
 
 Edge = tuple[int, int]
@@ -57,6 +57,8 @@ class CircularWiring:
         object.__setattr__(self, "vertex_pos", tuple(self.vertex_pos))
         object.__setattr__(self, "ending", tuple(tuple(map(tuple, o)) for o in self.ending))
         object.__setattr__(self, "starting", tuple(tuple(map(tuple, o)) for o in self.starting))
+        _require_ints("circular wiring", (self.n,), self.ring, self.vertex_pos, *self.strips,
+                      *self.base_order, *chain(*self.ending, *self.starting))
         if sorted(self.ring) != list(range(1, self.n + 1)):
             raise InvalidDrawing("the ring must list the vertices 1..n once each")
         fields = (self.strips, self.vertex_pos, self.ending, self.starting)

@@ -1,12 +1,11 @@
 """Cylindrical drawings: two concentric circles of vertices, no edge crossing
 either circle.
 
-Edges between the circles ("lateral") carry a rational winding number: the
-net number of counter-clockwise turns around the center, oriented outer to
-inner.  Circle edges live either in their home face (inside the inner circle
-/ outside the outer circle) or in the lateral face, where they guard the
-vertices on the arc they cut off.  All crossings are combinatorially
-determined:
+Edges between the circles ("lateral") carry a winding: the net
+counter-clockwise turn around the center, oriented outer to inner.  Circle
+edges live either in their home face (inside the inner circle / outside the
+outer circle) or in the lateral face, where they guard the vertices on the
+arc they cut off.  All crossings are combinatorially determined:
 
   (i)   home circle edges on the same circle cross iff linked in the circular
         vertex order,
@@ -14,7 +13,7 @@ determined:
         iff it guards exactly one of its end-vertices; between two circle
         edges on one circle this reduces to interleaving, as under rule (i),
   (iii) lateral edges e, f cross iff delta + omega_f - omega_e lies outside
-        [0, 1], where delta is the counter-clockwise outer-circle fraction
+        [0, 1] turns, where delta is the counter-clockwise outer-circle turn
         from e's end-vertex to f's,
   (iv)  everything else never crosses.
 
@@ -27,12 +26,13 @@ annulus between the circles), and the order of the edges at each vertex.
 rebuilds the sweep from that data.  Reproducing the rule-based crossing set
 is the authoritative validity gate.
 
-Angles and windings are exact Fractions, and so stay every field, equality,
-hash and serialized form.  Every decision runs on one integer grid per
-drawing: the constructor scales all angles and windings by D, the lcm of
-their denominators, so an angle is an int A in [0, D), a winding an int W,
-and x mod 1 becomes x % D.  Fractions are built only for new angles and
-windings; the realized wiring keeps no angle, only the ring of vertices.
+The model is an integer grid of m slots: slot k lies k/m turns
+counter-clockwise of the 0-ray and a winding counts slot steps.  Every
+decision compares lifted slots (a slot plus whole turns), which an increasing
+map of the slots commuting with a whole turn keeps, so the constructor ranks
+the slots in use: m becomes their count and each winding the rank distance
+to its lifted end.  A move writes its drawing on any grid, a multiple of m
+where it needs room between slots, and leaves the ranking to the constructor.
 """
 
 from __future__ import annotations
@@ -40,9 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from drawkit import circular as circ
 from drawkit.circular import CircularWiring
@@ -54,16 +52,16 @@ from drawkit.errors import (
     RealizationMismatch,
     WrongFace,
 )
-from drawkit.rotation import CrossingSet, _norm_crossing, _sorted_pair, edge_numbering
+from drawkit.rotation import (
+    CrossingSet,
+    _norm_crossing,
+    _require_ints,
+    _sorted_pair,
+    edge_numbering,
+)
 from drawkit.wiring import redraw_strips
 
 Edge = tuple[int, int]
-
-
-def frac1(x: Fraction) -> Fraction:
-    """x mod 1 as a Fraction in [0, 1)."""
-    whole = x.numerator // x.denominator
-    return x - whole if whole else x
 
 
 class Face(Enum):
@@ -80,10 +78,7 @@ class ArcDir(Enum):
 class LateralEdge:
     u: int                 # outer end-vertex
     w: int                 # inner end-vertex
-    omega: Fraction        # net counter-clockwise turns, oriented outer->inner
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega", Fraction(self.omega))
+    omega: int             # net counter-clockwise slot steps, oriented outer->inner
 
     @property
     def edge(self) -> Edge:
@@ -104,32 +99,50 @@ class CircleEdge:
 
 @dataclass(frozen=True)
 class CylindricalDrawing:
-    outer: tuple           # ((vertex, angle), ...) angles rational in [0,1)
+    m: int                 # slot count
+    outer: tuple           # ((vertex, slot), ...) slots in 0..m-1
     inner: tuple
     lateral: tuple         # LateralEdge
     circle: tuple          # CircleEdge
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "outer", tuple((v, frac1(Fraction(a))) for v, a in self.outer)
-        )
-        object.__setattr__(
-            self, "inner", tuple((v, frac1(Fraction(a))) for v, a in self.inner)
-        )
-        object.__setattr__(self, "lateral", tuple(self.lateral))
-        object.__setattr__(self, "circle", tuple(self.circle))
+        outer, inner = tuple(map(tuple, self.outer)), tuple(map(tuple, self.inner))
+        lateral, circle = tuple(self.lateral), tuple(self.circle)
+        _require_ints("cylindrical drawing", (self.m,), *outer, *inner,
+                      *((le.u, le.w, le.omega) for le in lateral), *((ce.u, ce.v) for ce in circle))
+        slot = dict(outer + inner)
+        n = len(outer) + len(inner)
+        if len(slot) != n:
+            raise InvalidDrawing("vertex labels must be distinct")
+        if set(slot) != set(range(1, n + 1)):
+            raise InvalidDrawing("vertex labels must be 1..n")
+        if not all(0 <= s < self.m for s in slot.values()):
+            raise InvalidDrawing(f"slots must lie in 0..{self.m - 1}")
+        for ring in (outer, inner):
+            if len({s for _, s in ring}) != len(ring):
+                raise InvalidDrawing("slots on a circle must be distinct")
+        on = {v: "outer" for v, _ in outer} | {v: "inner" for v, _ in inner}
+        # the canonical grid: the distinct slots ranked, each winding lifted
+        # to the rank of its end plus the same whole turns
+        rank = {s: i for i, s in enumerate(sorted(set(slot.values())))}
+        m = len(rank)
+        lifted = []
+        for le in lateral:
+            if on.get(le.u) != "outer" or on.get(le.w) != "inner":
+                raise InvalidDrawing(f"lateral edge {le.u}-{le.w} must run outer to inner")
+            turns, end = divmod(slot[le.u] + le.omega, self.m)
+            if end != slot[le.w]:
+                raise InvalidDrawing(f"winding of {le.edge} inconsistent with the slots")
+            lifted.append(LateralEdge(le.u, le.w, turns * m + rank[end] - rank[slot[le.u]]))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "outer", tuple((v, rank[s]) for v, s in outer))
+        object.__setattr__(self, "inner", tuple((v, rank[s]) for v, s in inner))
+        object.__setattr__(self, "lateral", tuple(lifted))
+        object.__setattr__(self, "circle", circle)
         # lookup maps, kept outside the fields like any derived view
-        object.__setattr__(self, "_angle", dict(self.outer + self.inner))
-        circle = {v: "outer" for v, _ in self.outer} | {v: "inner" for v, _ in self.inner}
-        object.__setattr__(self, "_circle", circle)
-        object.__setattr__(self, "_circle_edge", {ce.edge: ce for ce in self.circle})
-        # the integer grid: angle numerators A in [0, D) per vertex, winding
-        # numerators W per lateral edge
-        D = lcm(*(a.denominator for _, a in self.outer + self.inner),
-                *(le.omega.denominator for le in self.lateral))
-        object.__setattr__(self, "_D", D)
-        object.__setattr__(self, "_A", {v: _on_grid(a, D) for v, a in self._angle.items()})
-        object.__setattr__(self, "_W", {le.edge: _on_grid(le.omega, D) for le in self.lateral})
+        object.__setattr__(self, "_slot", dict(self.outer + self.inner))
+        object.__setattr__(self, "_circle", on)
+        object.__setattr__(self, "_circle_edge", {ce.edge: ce for ce in circle})
         object.__setattr__(self, "_crossing_set", None)  # set by the first crossing_set()
         _validate(self)
 
@@ -138,10 +151,10 @@ class CylindricalDrawing:
     def n(self) -> int:
         return len(self.outer) + len(self.inner)
 
-    def angle_of(self, v: int) -> Fraction:
-        if v not in self._angle:
+    def slot_of(self, v: int) -> int:
+        if v not in self._slot:
             raise InvalidDrawing(f"unknown vertex {v}")
-        return self._angle[v]
+        return self._slot[v]
 
     def circle_of(self, v: int) -> str:
         if v not in self._circle:
@@ -149,9 +162,9 @@ class CylindricalDrawing:
         return self._circle[v]
 
     def ring(self, which: str) -> list:
-        """Vertices of one circle in counter-clockwise angular order."""
+        """Vertices of one circle in counter-clockwise slot order."""
         pairs = self.outer if which == "outer" else self.inner
-        return sorted((v for v, _ in pairs), key=self._A.__getitem__)
+        return sorted((v for v, _ in pairs), key=self._slot.__getitem__)
 
     def circle_edge(self, e: Edge):
         e = _sorted_pair(*e)
@@ -163,56 +176,36 @@ class CylindricalDrawing:
         return sorted([le.edge for le in self.lateral] + [ce.edge for ce in self.circle])
 
 
-def _on_grid(q: Fraction, D: int) -> int:
-    """Numerator of q over D, which its denominator divides."""
-    return q.numerator * (D // q.denominator)
-
-
 def _laterals(cd: CylindricalDrawing) -> list:
-    """(edge, u, w, W, A of u) per lateral edge, in field order."""
-    A, W = cd._A, cd._W
-    return [(le.edge, le.u, le.w, W[le.edge], A[le.u]) for le in cd.lateral]
+    """(edge, u, w, winding, slot of u) per lateral edge, in field order."""
+    return [(le.edge, le.u, le.w, le.omega, cd._slot[le.u]) for le in cd.lateral]
 
 
 def _validate(cd: CylindricalDrawing):
-    angle, circle, A, D = cd._angle, cd._circle, cd._A, cd._D
-    if len(angle) != cd.n:
-        raise InvalidDrawing("vertex labels must be distinct")
-    if set(angle) != set(range(1, cd.n + 1)):
-        raise InvalidDrawing("vertex labels must be 1..n")
-    for ring in (cd.outer, cd.inner):
-        if len({a for _, a in ring}) != len(ring):
-            raise InvalidDrawing("angles on a circle must be distinct")
+    """The checks that need the canonical grid: duplicate and misplaced
+    edges, the pairwise lateral window and mutual guarding."""
+    circle, m = cd._circle, cd.m
     seen = set()
-    for le in cd.lateral:
-        if circle.get(le.u) != "outer" or circle.get(le.w) != "inner":
-            raise InvalidDrawing(f"lateral edge {le.u}-{le.w} must run outer to inner")
-        if (A[le.u] + _on_grid(le.omega, D)) % D != A[le.w]:
-            raise InvalidDrawing(f"winding of {le.edge} inconsistent with the angles")
-        if le.edge in seen:
-            raise InvalidDrawing(f"duplicate edge {le.edge}")
-        seen.add(le.edge)
+    for e in [le.edge for le in cd.lateral] + [ce.edge for ce in cd.circle]:
+        if e in seen:
+            raise InvalidDrawing(f"duplicate edge {e}")
+        seen.add(e)
     for ce in cd.circle:
         same = ce.u in circle and circle.get(ce.u) == circle.get(ce.v)
         if not same or ce.u == ce.v:
             raise InvalidDrawing(f"circle edge {ce.edge} must join one circle")
-        if ce.edge in seen:
-            raise InvalidDrawing(f"duplicate edge {ce.edge}")
-        seen.add(ce.edge)
-    # pairwise lateral window: anything outside [-D, 2D] would cross twice
+    # pairwise lateral window: anything outside [-m, 2m] would cross twice
     for (e, eu, ew, We, Ae), (f, fu, fw, Wf, Af) in combinations(_laterals(cd), 2):
         if eu == fu or ew == fw:
             # incident pairs would be forced to cross, which simplicity forbids
-            if eu == fu and abs(Wf - We) >= D:
+            if eu == fu and abs(Wf - We) >= m:
                 raise InvalidDrawing(f"incident laterals {e}, {f} forced to cross")
-            if ew == fw and (Af - Ae) % D + Wf - We not in (0, D):
+            if ew == fw and (Af - Ae) % m + Wf - We not in (0, m):
                 raise InvalidDrawing(f"incident laterals {e}, {f} forced to cross")
             continue
-        val = (Af - Ae) % D + Wf - We
-        if not -D <= val <= 2 * D:
-            raise InvalidDrawing(
-                f"laterals {e}, {f} would cross twice (window value {Fraction(val, D)})"
-            )
+        val = (Af - Ae) % m + Wf - We
+        if not -m <= val <= 2 * m:
+            raise InvalidDrawing(f"laterals {e}, {f} would cross twice")
     # lateral-face circle edges on one circle must not mutually guard
     lat_circle = [ce for ce in cd.circle if ce.face is Face.LATERAL]
     guarded = {ce.edge: guards(cd, ce.edge) for ce in lat_circle}
@@ -232,43 +225,43 @@ def guards(cd: CylindricalDrawing, e: Edge) -> set:
         raise WrongFace(f"edge {ce.edge} lies in its home face")
     start, length = _arc_raw(cd, ce, ce.arc)
     ring = cd.outer if cd._circle[ce.u] == "outer" else cd.inner
-    return {v for v, _ in ring if (cd._A[v] - start) % cd._D <= length}
+    return {v for v, s in ring if (s - start) % cd.m <= length}
 
 
 def _arc_raw(cd: CylindricalDrawing, ce: CircleEdge, arc: ArcDir):
-    """(start, length) on the grid of the arc from u to v in direction arc."""
-    au, av = cd._A[ce.u], cd._A[ce.v]
+    """(start slot, length in slot steps) of the arc from u to v in
+    direction arc."""
+    su, sv = cd._slot[ce.u], cd._slot[ce.v]
     if arc is ArcDir.CCW:
-        return au, (av - au) % cd._D
-    return av, (au - av) % cd._D
+        return su, (sv - su) % cd.m
+    return sv, (su - sv) % cd.m
 
 
-def home_side_arc(cd: CylindricalDrawing, e: Edge) -> tuple[Fraction, Fraction]:
-    """(start, length) in turns of the arc from u to v in the edge's arc
-    direction: the drawn side of a home edge, the guarded arc of a
-    lateral-face edge."""
+def home_side_arc(cd: CylindricalDrawing, e: Edge) -> tuple[int, int]:
+    """(start slot, length in slot steps) of the arc from u to v in the
+    edge's arc direction: the drawn side of a home edge, the guarded arc of
+    a lateral-face edge."""
     ce = cd.circle_edge(e)
-    start, length = _arc_raw(cd, ce, ce.arc)
-    return Fraction(start, cd._D), Fraction(length, cd._D)
+    return _arc_raw(cd, ce, ce.arc)
 
 
 def _lateral_wedge_raw(cd: CylindricalDrawing, le: LateralEdge):
-    """(start, length) on the grid of the lateral edge's angular support;
-    length may be 0."""
-    a, W = cd._A[le.u], cd._W[le.edge]
+    """(start slot, length in slot steps) of the lateral edge's angular
+    support; length may be 0."""
+    s, W = cd._slot[le.u], le.omega
     if W >= 0:
-        return (a, W)
-    return ((a + W) % cd._D, -W)
+        return (s, W)
+    return ((s + W) % cd.m, -W)
 
 
-def _raw_arcs_cover(a1, a2, D: int) -> bool:
-    """True iff two closed arcs, (start, length) on a grid of D, cover the
-    circle: each starts inside the other."""
+def _raw_arcs_cover(a1, a2, m: int) -> bool:
+    """True iff two closed arcs, (start, length) on a grid of m slots, cover
+    the circle: each starts inside the other."""
     (s1, l1), (s2, l2) = a1, a2
-    if l1 >= D or l2 >= D:
+    if l1 >= m or l2 >= m:
         return True
-    d = (s2 - s1) % D
-    return 0 < d <= l1 and d + l2 >= D
+    d = (s2 - s1) % m
+    return 0 < d <= l1 and d + l2 >= m
 
 
 def crossing_set(cd: CylindricalDrawing) -> CrossingSet:
@@ -280,14 +273,14 @@ def crossing_set(cd: CylindricalDrawing) -> CrossingSet:
 
 
 def _derive_crossing_set(cd: CylindricalDrawing) -> CrossingSet:
-    D = cd._D
+    m = cd.m
     pairs = set()
     # (iii) lateral vs lateral
     for (e, eu, ew, We, Ae), (f, fu, fw, Wf, Af) in combinations(_laterals(cd), 2):
         if eu == fu or ew == fw:
             continue
-        val = (Af - Ae) % D + Wf - We
-        if val < 0 or val > D:
+        val = (Af - Ae) % m + Wf - We
+        if val < 0 or val > m:
             pairs.add(_norm_crossing(e, f))
     # (ii) lateral-face circle edges vs lateral edges
     for ce in cd.circle:
@@ -357,25 +350,26 @@ def is_strongly_cylindrical(cd: CylindricalDrawing) -> bool:
 # ============================================================
 
 def normalize_winding(cd: CylindricalDrawing) -> CylindricalDrawing:
-    """Rotate the outer circle so every lateral winding satisfies |omega| < 1.
+    """Rotate the outer circle so every lateral winding satisfies |omega| < m.
 
     The rotation subtracts t from every winding and adds t to every outer
-    angle; crossings are unchanged.  t = 0 whenever already normalized.
+    slot; crossings are unchanged.  t = 0 whenever already normalized.
     """
     if not cd.lateral:
         return cd
-    A, D, W = cd._A, cd._D, cd._W
-    lo, hi = min(W.values()), max(W.values())
-    if hi - lo >= 2 * D:
-        raise RangeTooWide(f"winding spread {Fraction(hi - lo, D)} >= 2; drawing invalid")
-    if -D < lo and hi < D:
+    m = cd.m
+    lo, hi = min(le.omega for le in cd.lateral), max(le.omega for le in cd.lateral)
+    if hi - lo >= 2 * m:
+        raise RangeTooWide(f"winding spread {hi - lo} >= two turns of {m} slots; drawing invalid")
+    if -m < lo and hi < m:
         return cd
-    t = hi + lo  # the turn is t / 2D
+    t = hi + lo  # the turn, on the doubled grid
     before = crossing_set(cd)
     new = CylindricalDrawing(
-        tuple((v, Fraction((2 * A[v] + t) % (2 * D), 2 * D)) for v, _ in cd.outer),
-        cd.inner,
-        tuple(replace(le, omega=Fraction(2 * W[le.edge] - t, 2 * D)) for le in cd.lateral),
+        2 * m,
+        tuple((v, (2 * s + t) % (2 * m)) for v, s in cd.outer),
+        tuple((v, 2 * s) for v, s in cd.inner),
+        tuple(replace(le, omega=2 * le.omega - t) for le in cd.lateral),
         cd.circle,
     )
     if crossing_set(new).pairs != before.pairs:
@@ -391,14 +385,14 @@ def find_double_spirals(cd: CylindricalDrawing) -> list:
         wedges = sorted(
             ((_lateral_wedge_raw(cd, le), le)
              for le in cd.lateral
-             if cd._W[le.edge] and (cd._W[le.edge] > 0) == positive),
+             if le.omega and (le.omega > 0) == positive),
             key=lambda wl: wl[0][1],
         )
         lengths = [w[1] for w, _ in wedges]
         for i, (we, e) in enumerate(wedges):
             # two arcs shorter than a turn together cover no circle
-            for wf, f in wedges[max(i + 1, bisect_left(lengths, cd._D - we[1])) :]:
-                if e.u != f.u and e.w != f.w and _raw_arcs_cover(we, wf, cd._D):
+            for wf, f in wedges[max(i + 1, bisect_left(lengths, cd.m - we[1])) :]:
+                if e.u != f.u and e.w != f.w and _raw_arcs_cover(we, wf, cd.m):
                     found.append(tuple(sorted((e.edge, f.edge))))
     return sorted(found)
 
@@ -406,10 +400,11 @@ def find_double_spirals(cd: CylindricalDrawing) -> list:
 def _mirror(cd: CylindricalDrawing) -> CylindricalDrawing:
     """Reflect the drawing; windings flip sign, arcs flip direction."""
     flip = {ArcDir.CW: ArcDir.CCW, ArcDir.CCW: ArcDir.CW}
-    A, D = cd._A, cd._D
+    m = cd.m
     return CylindricalDrawing(
-        tuple((v, Fraction(-A[v] % D, D)) for v, _ in cd.outer),
-        tuple((v, Fraction(-A[v] % D, D)) for v, _ in cd.inner),
+        m,
+        tuple((v, -s % m) for v, s in cd.outer),
+        tuple((v, -s % m) for v, s in cd.inner),
         tuple(replace(le, omega=-le.omega) for le in cd.lateral),
         tuple(replace(ce, arc=flip[ce.arc]) for ce in cd.circle),
     )
@@ -419,41 +414,39 @@ def _resolve_cw_spiral(cd: CylindricalDrawing, pair) -> CylindricalDrawing:
     """One removal step: slide the inner end-vertex of the second edge (and
     everything it passes) counter-clockwise out of the first edge's wedge into
     the outer gap following that wedge."""
-    A, D, W = cd._A, cd._D, cd._W
+    S, m = cd._slot, cd.m
     by_edge = {le.edge: le for le in cd.lateral}
     e, f = by_edge[pair[0]], by_edge[pair[1]]
-    theta_a = A[e.u]
-    theta_d = A[f.w]
+    theta_a = S[e.u]
+    theta_d = S[f.w]
     # first outer vertex counter-clockwise after v_a
-    gap_len = min(((A[v] - theta_a) % D for v, _ in cd.outer if v != e.u), default=D)
+    gap_len = min(((s - theta_a) % m for v, s in cd.outer if v != e.u), default=m)
     # inner vertices dragged along: counter-clockwise arc (theta_d, theta_a]
-    span = (theta_a - theta_d) % D
+    span = (theta_a - theta_d) % m
     dragged = sorted(
-        ((A[v] - theta_d) % D, v)
-        for v, _ in cd.inner
-        if v != f.w and 0 < (A[v] - theta_d) % D <= span
+        ((s - theta_d) % m, v)
+        for v, s in cd.inner
+        if v != f.w and 0 < (s - theta_d) % m <= span
     )
     block = [f.w] + [v for _, v in dragged]
     # free room after theta_a, before the next outer vertex or undragged inner vertex
     land = gap_len
     moved = set(block)
-    for v, _ in cd.inner:
+    for v, s in cd.inner:
         if v not in moved:
-            d = (A[v] - theta_a) % D
+            d = (s - theta_a) % m
             if 0 < d < land:
                 land = d
-    # the block lands evenly spaced in the room, on the grid of D * k
+    # the block lands evenly spaced in the room, on the grid of m * k
     k = len(block) + 2
-    Dk = D * k
-    target = {v: (theta_a * k + land * (i + 1)) % Dk for i, v in enumerate(block)}
-    delta = {v: (t - A[v] * k) % Dk for v, t in target.items()}
+    mk = m * k
+    target = {v: (theta_a * k + land * (i + 1)) % mk for i, v in enumerate(block)}
+    delta = {v: (t - S[v] * k) % mk for v, t in target.items()}
     return CylindricalDrawing(
-        cd.outer,
-        tuple((v, Fraction(target[v], Dk)) if v in target else (v, a) for v, a in cd.inner),
-        tuple(
-            replace(le, omega=Fraction(W[le.edge] * k + delta[le.w], Dk)) if le.w in delta else le
-            for le in cd.lateral
-        ),
+        mk,
+        tuple((v, s * k) for v, s in cd.outer),
+        tuple((v, target.get(v, s * k)) for v, s in cd.inner),
+        tuple(replace(le, omega=le.omega * k + delta.get(le.w, 0)) for le in cd.lateral),
         cd.circle,
     )
 
@@ -473,7 +466,8 @@ def remove_double_spirals(cd: CylindricalDrawing) -> CylindricalDrawing:
     def run_cw_phase(d):
         nonlocal moves
         while True:
-            spirals = [p for p in find_double_spirals(d) if d._W[p[0]] < 0]
+            clockwise = {le.edge for le in d.lateral if le.omega < 0}
+            spirals = [p for p in find_double_spirals(d) if p[0] in clockwise]
             if not spirals:
                 return d
             if moves >= budget:
@@ -495,24 +489,19 @@ def remove_double_spirals(cd: CylindricalDrawing) -> CylindricalDrawing:
 # ============================================================
 
 def _split_common_rays(cd: CylindricalDrawing) -> CylindricalDrawing:
-    """Rotate the inner circle slightly if an inner and an outer vertex share
-    a ray; crossings are unaffected."""
-    A, D, W = cd._A, cd._D, cd._W
-    out_angles = {A[v] for v, _ in cd.outer}
-    inn_angles = {A[v] for v, _ in cd.inner}
-    if not out_angles & inn_angles:
+    """Turn the inner circle half a slot counter-clockwise if an inner and an
+    outer vertex share a slot; crossings are unaffected.
+
+    On the doubled grid the outer slots are even and the inner ones odd, so
+    the turn passes no vertex, and normalized windings, |omega| < m, stay
+    under a turn."""
+    if not {s for _, s in cd.outer} & {s for _, s in cd.inner}:
         return cd
-    headroom = D - max(map(abs, W.values()), default=0)
-    if headroom <= 0:
-        raise InvalidDrawing("normalize windings before realization")
-    # the turn t / 4D: half the least of every positive outer-minus-inner
-    # angle, the headroom and a half turn
-    t = min([2 * ((ao - ai) % D) for ao in out_angles for ai in inn_angles if ao != ai]
-            + [2 * headroom, D])
     return CylindricalDrawing(
-        cd.outer,
-        tuple((v, Fraction((4 * A[v] + t) % (4 * D), 4 * D)) for v, _ in cd.inner),
-        tuple(replace(le, omega=Fraction(4 * W[le.edge] + t, 4 * D)) for le in cd.lateral),
+        2 * cd.m,
+        tuple((v, 2 * s) for v, s in cd.outer),
+        tuple((v, 2 * s + 1) for v, s in cd.inner),
+        tuple(replace(le, omega=2 * le.omega + 1) for le in cd.lateral),
         cd.circle,
     )
 
@@ -527,7 +516,7 @@ def _runs(cd: CylindricalDrawing) -> dict:
     nonzero once `_split_common_rays` has run."""
     runs = {}
     for le in cd.lateral:
-        runs[le.edge] = (le.u, le.w, _LATERAL) if cd._W[le.edge] > 0 else (le.w, le.u, _LATERAL)
+        runs[le.edge] = (le.u, le.w, _LATERAL) if le.omega > 0 else (le.w, le.u, _LATERAL)
     for ce in cd.circle:
         first, last = (ce.u, ce.v) if ce.arc is ArcDir.CCW else (ce.v, ce.u)
         runs[ce.edge] = (first, last, _LATERAL_FACE_ARC if ce.face is Face.LATERAL else _HOME_ARC)
@@ -553,21 +542,21 @@ def to_circular_wiring(cd: CylindricalDrawing) -> CircularWiring:
     one per gap that ends at a vertex, and its start order are the wiring's
     strips and base order.
     """
-    if any(abs(W) >= cd._D for W in cd._W.values()):
+    if any(abs(le.omega) >= cd.m for le in cd.lateral):
         raise InvalidDrawing("normalize windings before realization")
     cd2 = _split_common_rays(cd)
     expected = crossing_set(cd)
-    angle = cd2._A
+    slot = cd2._slot
     outer = {v for v, _ in cd2.outer}
     runs = _runs(cd2)
-    ring = sorted(angle, key=angle.get)
+    ring = sorted(slot, key=slot.get)
     starting = {v: [] for v in ring}
     ending = {v: [] for v in ring}
     near = {}
     for e, (first, last, kind) in runs.items():
         starting[first].append(e)
         ending[last].append(e)
-        length = (angle[last] - angle[first]) % cd2._D
+        length = (slot[last] - slot[first]) % cd2.m
         near[e] = (kind, -length if kind == _LATERAL_FACE_ARC else length)
     # edges arriving at v keep the order in which they leave it: the
     # constructor checks that the redraw delivers them so
@@ -581,7 +570,7 @@ def to_circular_wiring(cd: CylindricalDrawing) -> CircularWiring:
             return first not in outer
         return v in outer
 
-    wrapping = [e for e, (first, last, _) in runs.items() if angle[first] > angle[last]]
+    wrapping = [e for e, (first, last, _) in runs.items() if slot[first] > slot[last]]
     _, _, base = redraw_strips(ring, wrapping, starting, below)
     strips, positions, _ = redraw_strips(ring, base, starting, below)
     strip_of = dict(zip(ring, strips))
@@ -607,18 +596,14 @@ def to_circular_wiring(cd: CylindricalDrawing) -> CircularWiring:
 def _assign_directions(cd: CylindricalDrawing) -> CylindricalDrawing:
     """The drawing with a direction around the center chosen for every
     circle edge so that no lateral wedge covers the circle with its arc."""
-    A, D = cd._A, cd._D
+    m = cd.m
     lat_wedges = sorted((_lateral_wedge_raw(cd, le) for le in cd.lateral), key=lambda w: w[1])
     lengths = [w[1] for w in lat_wedges]
 
-    # a reference ray inside the first outer gap, clear of all vertices; on
-    # the grid of 2D
-    all_angles = sorted(A.values())
-    outer_sorted = sorted(A[v] for v, _ in cd.outer)
-    g0 = outer_sorted[0]
-    g1 = outer_sorted[1] if len(outer_sorted) > 1 else g0 + D
-    inside = [g0] + [a for a in all_angles if g0 < a < g1] + [g1]
-    ray = inside[0] + inside[1]
+    # a reference ray half a slot past the first outer vertex (inner, if the
+    # drawing has one circle), on the grid of 2m: every slot holds a vertex,
+    # so it lies in the first gap of that circle, clear of all vertices
+    ray = 2 * min(s for _, s in cd.outer or cd.inner) + 1
 
     new_circle = []
     for ce in cd.circle:
@@ -627,17 +612,17 @@ def _assign_directions(cd: CylindricalDrawing) -> CylindricalDrawing:
             arc = _arc_raw(cd, ce, d)
             # only a wedge at least as long as the arc's complement can cover
             # the circle with it
-            first = bisect_left(lengths, D - arc[1])
-            if not any(_raw_arcs_cover(arc, w, D) for w in lat_wedges[first:]):
+            first = bisect_left(lengths, m - arc[1])
+            if not any(_raw_arcs_cover(arc, w, m) for w in lat_wedges[first:]):
                 allowed.append((d, *arc))
         if not allowed:
             raise BothDirectionsForbidden(ce.edge)
         if len(allowed) == 1:
             choice = allowed[0][0]
         else:
-            choice = next(d for d, s, length in allowed if (ray - 2 * s) % (2 * D) > 2 * length)
+            choice = next(d for d, s, length in allowed if (ray - 2 * s) % (2 * m) > 2 * length)
         new_circle.append(replace(ce, arc=choice))
-    return CylindricalDrawing(cd.outer, cd.inner, cd.lateral, tuple(new_circle))
+    return CylindricalDrawing(m, cd.outer, cd.inner, cd.lateral, tuple(new_circle))
 
 
 def to_strongly_c_monotone(cd: CylindricalDrawing) -> CircularWiring:
@@ -650,7 +635,7 @@ def to_strongly_c_monotone(cd: CylindricalDrawing) -> CircularWiring:
     """
     if not is_strongly_cylindrical(cd):
         raise InvalidDrawing("input must be strongly cylindrical")
-    if any(abs(W) >= cd._D for W in cd._W.values()):
+    if any(abs(le.omega) >= cd.m for le in cd.lateral):
         raise InvalidDrawing("normalize windings first")
     if find_double_spirals(cd):
         raise InvalidDrawing("remove double-spirals first")

@@ -1,7 +1,8 @@
 """Generators for the named drawings and for seeded random test instances.
 
-Point coordinates and angles are exact rationals, so every incidence
-decision is a comparison, never a guess.  The x-monotone generators sweep no
+Point coordinates are exact rationals and cylindrical drawings sit on an
+integer slot grid, so every incidence decision is a comparison, never a
+guess.  The x-monotone generators sweep no
 curves: each reads off its drawing's side data (which side of every vertex
 each edge passes, and the order of the edges at every vertex) and hands it to
 `wiring.to_x_monotone`, which redraws the wiring strip by strip.
@@ -23,7 +24,6 @@ from drawkit.cylinder import (
     Face,
     LateralEdge,
     crossing_set as cyl_crossing_set,
-    frac1,
 )
 from drawkit.errors import DegeneratePointSet, GaveUp, InternalAssertion, InvalidDrawing
 from drawkit.rotation import (
@@ -237,22 +237,24 @@ def hill(n: int) -> CylindricalDrawing:
         raise InvalidDrawing("hill drawing needs n >= 3")
     p = (n + 1) // 2
     q = n - p
-    outer = tuple((i + 1, Fraction(i, p)) for i in range(p))
-    inner = tuple((p + j + 1, Fraction(j, q) + Fraction(1, 2 * p * q)) for j in range(q))
-    angles = dict(outer + inner)
+    # outer vertex i at i/p turns, inner vertex j at j/q + 1/(2pq) turns
+    m = 2 * p * q
+    outer = tuple((i + 1, 2 * q * i) for i in range(p))
+    inner = tuple((p + j + 1, 2 * p * j + 1) for j in range(q))
+    slots = dict(outer + inner)
     lateral = []
     for u in range(1, p + 1):
         for w in range(p + 1, n + 1):
-            d = frac1(angles[w] - angles[u])
-            omega = d if d <= Fraction(1, 2) else d - 1
+            d = (slots[w] - slots[u]) % m
+            omega = d if 2 * d <= m else d - m
             lateral.append(LateralEdge(u, w, omega))
     circle = []
     for ring in (range(1, p + 1), range(p + 1, n + 1)):
         for u, v in combinations(ring, 2):
-            ccw = frac1(angles[v] - angles[u])
-            arc = ArcDir.CCW if ccw <= Fraction(1, 2) else ArcDir.CW
+            ccw = (slots[v] - slots[u]) % m
+            arc = ArcDir.CCW if 2 * ccw <= m else ArcDir.CW
             circle.append(CircleEdge(u, v, Face.HOME, arc))
-    return CylindricalDrawing(outer, inner, tuple(lateral), tuple(circle))
+    return CylindricalDrawing(m, outer, inner, tuple(lateral), tuple(circle))
 
 
 # ============================================================
@@ -267,29 +269,29 @@ def random_cylindrical(n: int, seed: int, strong: bool) -> CylindricalDrawing:
     """Rejection-sample a valid cylindrical drawing of K_n in at most
     CYLINDRICAL_ATTEMPTS attempts, else raise GaveUp.
 
-    Angular positions are random rationals; each lateral winding picks one of
-    its two lifts in (-1, 1), preferring the short one more strongly as
-    attempts accumulate; circle edges are home-only when strong is set, and
-    home edges take their shorter side so that any direction assignment stays
-    drawable.  Deterministic for a fixed seed.
+    Vertices take random slots of a 4096-slot grid; each lateral winding
+    picks one of its two lifts under a turn, preferring the short one more
+    strongly as attempts accumulate; circle edges are home-only when strong
+    is set, and home edges take their shorter side so that any direction
+    assignment stays drawable.  Deterministic for a fixed seed.
     """
     if n < 3:
         raise InvalidDrawing("need n >= 3")
     rng = random.Random(("cylindrical", n, seed).__repr__())
-    denom = 4096
+    m = 4096
     for attempt in range(CYLINDRICAL_ATTEMPTS):
         p = rng.randint(max(1, n // 2 - 1), min(n - 1, n // 2 + 1))
-        nums = dict(zip(range(1, n + 1), rng.sample(range(denom), n)))
-        outer = tuple((v, Fraction(nums[v], denom)) for v in range(1, p + 1))
-        inner = tuple((v, Fraction(nums[v], denom)) for v in range(p + 1, n + 1))
+        nums = dict(zip(range(1, n + 1), rng.sample(range(m), n)))
+        outer = tuple((v, nums[v]) for v in range(1, p + 1))
+        inner = tuple((v, nums[v]) for v in range(p + 1, n + 1))
         pflip = 0.3 * (0.85 ** attempt)
         lateral = []
         for u in range(1, p + 1):
             for w in range(p + 1, n + 1):
-                d = (nums[w] - nums[u]) % denom
-                short, long_ = (d, d - denom) if 2 * d <= denom else (d - denom, d)
+                d = (nums[w] - nums[u]) % m
+                short, long_ = (d, d - m) if 2 * d <= m else (d - m, d)
                 omega = long_ if rng.random() < pflip else short
-                lateral.append(LateralEdge(u, w, Fraction(omega, denom)))
+                lateral.append(LateralEdge(u, w, omega))
         circle = []
         for ring in (range(1, p + 1), range(p + 1, n + 1)):
             for u, v in combinations(ring, 2):
@@ -297,14 +299,14 @@ def random_cylindrical(n: int, seed: int, strong: bool) -> CylindricalDrawing:
                     face = Face.HOME
                 else:
                     face = Face.LATERAL if rng.random() < 0.35 else Face.HOME
-                ccw = (nums[v] - nums[u]) % denom
+                ccw = (nums[v] - nums[u]) % m
                 if face is Face.HOME:
-                    arc = ArcDir.CCW if 2 * ccw <= denom else ArcDir.CW
+                    arc = ArcDir.CCW if 2 * ccw <= m else ArcDir.CW
                 else:
                     arc = rng.choice((ArcDir.CCW, ArcDir.CW))
                 circle.append(CircleEdge(u, v, face, arc))
         try:
-            cd = CylindricalDrawing(outer, inner, tuple(lateral), tuple(circle))
+            cd = CylindricalDrawing(m, outer, inner, tuple(lateral), tuple(circle))
             cyl_crossing_set(cd)  # rejects anything with two crossings on a 4-subset
             return cd
         except InvalidDrawing:

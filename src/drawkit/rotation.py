@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 
 from drawkit import _geom
 from drawkit.errors import (
@@ -57,6 +57,15 @@ def _norm_cycle(seq) -> tuple[int, ...]:
     return seq[k:] + seq[:k]
 
 
+def _require_ints(what: str, *groups) -> None:
+    """Raise InvalidDrawing unless every value of the groups, each a
+    sequence, is an int; a bool, float or Fraction is not, even if equal to
+    one."""
+    if set(map(type, chain(*groups))) - {int}:
+        bad = next(x for x in chain(*groups) if type(x) is not int)
+        raise InvalidDrawing(f"{bad!r} in the {what} is not an integer")
+
+
 @dataclass(frozen=True)
 class RotationSystem:
     """Per-vertex clockwise circular orders of the other vertices (1-based)."""
@@ -65,6 +74,7 @@ class RotationSystem:
     rotations: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _require_ints("rotation system", (self.n,), *self.rotations)
         if self.n < 3:
             raise InvalidDrawing(f"rotation system needs n >= 3, got {self.n}")
         if len(self.rotations) != self.n:
@@ -114,6 +124,8 @@ class CrossingSet:
         norm = set()
         shared = {}  # one tuple per edge, shared by all its pairs
         for (a, b), (c, d) in self.pairs:
+            if not (type(a) is int and type(b) is int and type(c) is int and type(d) is int):
+                _require_ints("crossing set", (a, b, c, d))
             if a > b:
                 a, b = b, a
             if c > d:

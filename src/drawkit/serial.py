@@ -1,24 +1,19 @@
 """JSON serialization for every model, wrapped in a {"kind", "payload"}
 envelope so pipelines can dispatch on file content.
 
-Rationals are encoded as "p/q" strings; vertices are 1-based everywhere.  A
+Every number in a payload is an int, and vertices are 1-based everywhere.  A
 model file therefore holds no JSON float, and `read_file` rejects one.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from drawkit.circular import CircularWiring
 from drawkit.cylinder import ArcDir, CircleEdge, CylindricalDrawing, Face, LateralEdge
 from drawkit.errors import InvalidDrawing
 from drawkit.rotation import CrossingSet, RotationSystem
 from drawkit.wiring import LinearWiring, Side, XBoundedData
-
-
-def _frac(x: Fraction) -> str:
-    return str(Fraction(x))
 
 
 def dump(obj) -> dict:
@@ -76,11 +71,10 @@ def dump(obj) -> dict:
         return {
             "kind": "cylindrical_drawing",
             "payload": {
-                "outer": [{"v": v, "angle": _frac(a)} for v, a in obj.outer],
-                "inner": [{"v": v, "angle": _frac(a)} for v, a in obj.inner],
-                "lateral": [
-                    {"u": le.u, "w": le.w, "omega": _frac(le.omega)} for le in obj.lateral
-                ],
+                "m": obj.m,
+                "outer": [{"v": v, "slot": s} for v, s in obj.outer],
+                "inner": [{"v": v, "slot": s} for v, s in obj.inner],
+                "lateral": [{"u": le.u, "w": le.w, "omega": le.omega} for le in obj.lateral],
                 "circle": [
                     {"u": ce.u, "v": ce.v, "face": ce.face.value, "arc": ce.arc.value}
                     for ce in obj.circle
@@ -148,11 +142,10 @@ def _load_payload(kind, p):
         )
     if kind == "cylindrical_drawing":
         return CylindricalDrawing(
-            tuple((d["v"], Fraction(d["angle"])) for d in p["outer"]),
-            tuple((d["v"], Fraction(d["angle"])) for d in p["inner"]),
-            tuple(
-                LateralEdge(d["u"], d["w"], Fraction(d["omega"])) for d in p["lateral"]
-            ),
+            p["m"],
+            tuple((d["v"], d["slot"]) for d in p["outer"]),
+            tuple((d["v"], d["slot"]) for d in p["inner"]),
+            tuple(LateralEdge(d["u"], d["w"], d["omega"]) for d in p["lateral"]),
             tuple(
                 CircleEdge(d["u"], d["v"], Face(d["face"]), ArcDir(d["arc"]))
                 for d in p["circle"]
@@ -175,7 +168,7 @@ def write_file(path, obj_or_doc):
 
 
 def _no_float(token):
-    raise ValueError(f"{token} is no integer; rationals are \"p/q\" strings")
+    raise ValueError(f"{token} is not an integer")
 
 
 def read_file(path):

@@ -6,10 +6,10 @@ edge once if the two cross.  Both come from one replay of the sweep,
 `_knots`, mapped to the page by an affine or a polar map; a circular
 wiring's ring position k sits at k/n turns around the origin.
 
-Geometry here is display only: a cylindrical drawing's rational angles and
-windings become floats, each point is formatted once at a fixed 6-decimal
-precision (never from a Fraction, which Python 3.12 rounds its own way) and
-nothing is read back from the output.
+Geometry here is display only: a cylindrical drawing's slot k sits at k/m
+turns and a winding of w slot steps turns w/m, as floats; each point is
+formatted once at a fixed 6-decimal precision and nothing is read back from
+the output.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def _render_cylindrical(cd: CylindricalDrawing, spec: RenderSpec) -> str:
     cx = cy = size / 2
     r_in, r_out = size * 0.16, size * 0.32
     band = size * 0.10
-    angles = {v: float(cd.angle_of(v)) for v in range(1, cd.n + 1)}
+    angles = {v: cd.slot_of(v) / cd.m for v in range(1, cd.n + 1)}
     radius = {v: (r_out if cd.circle_of(v) == "outer" else r_in) for v in angles}
 
     def edge_polyline(points):  # (angle in turns, radius) samples -> point text
@@ -258,16 +258,16 @@ def _render_cylindrical(cd: CylindricalDrawing, spec: RenderSpec) -> str:
 
     lines = {}
     for le in cd.lateral:
-        a0 = angles[le.u]
+        a0, turn = angles[le.u], le.omega / cd.m
         pts = []
-        steps = max(12, int(abs(float(le.omega)) * 96) + 2)
+        steps = max(12, int(abs(turn) * 96) + 2)
         for s in range(steps + 1):
             t = s / steps
-            pts.append((a0 + t * float(le.omega), r_out + t * (r_in - r_out)))
+            pts.append((a0 + t * turn, r_out + t * (r_in - r_out)))
         lines[le.edge] = edge_polyline(pts)
     for ce in cd.circle:
         base = radius[ce.u]
-        start, length = map(float, cyl.home_side_arc(cd, ce.edge))
+        start, length = (k / cd.m for k in cyl.home_side_arc(cd, ce.edge))
         # home arcs bulge away from the annulus, lateral-face arcs into it
         sign = 1 if (base == r_out) == (ce.face is Face.HOME) else -1
         amp = band * (0.3 + 0.6 * length)

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 
 from drawkit.errors import (
     IncomparableAtRequiredVertex,
     InconsistentInput,
     InvalidDrawing,
 )
-from drawkit.rotation import CrossingSet, _sorted_pair
+from drawkit.rotation import CrossingSet, _require_ints, _sorted_pair
 
 Edge = tuple[int, int]
 
@@ -68,6 +68,8 @@ class LinearWiring:
         object.__setattr__(
             self, "right_order", tuple(tuple(map(tuple, o)) for o in self.right_order)
         )
+        _require_ints("linear wiring", (self.n,), self.vertex_pos, *self.strips,
+                      *chain(*self.left_order, *self.right_order))
         if self.n < 1:
             raise InvalidDrawing("wiring needs at least one vertex")
         if len(self.strips) != self.n - 1 or len(self.vertex_pos) != self.n:
@@ -208,6 +210,8 @@ class XBoundedData:
         object.__setattr__(
             self, "right_order", tuple(tuple(map(tuple, o)) for o in self.right_order)
         )
+        _require_ints("x-bounded data", (self.n,), [v for _, v in self.side],
+                      *[e for e, _ in self.side], *chain(*self.left_order, *self.right_order))
         edges = set(combinations(range(1, self.n + 1), 2))
         for v in range(1, self.n + 1):
             lefts = {e for e in edges if e[1] == v}

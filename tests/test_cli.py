@@ -475,6 +475,23 @@ def test_angles_payload_exits_1(tmp_path, capsys):
     assert err.startswith("error:") and "malformed 'circular_wiring' payload" in err
 
 
+def test_rational_angle_cylinder_payload_exits_1(tmp_path, capsys):
+    # hill(3) written with "p/q" angles and windings in place of the slots
+    p = serial.dump(gen.hill(3))["payload"]
+    m = p.pop("m")
+    for d in p["outer"] + p["inner"]:
+        d["angle"] = f"{d.pop('slot')}/{m}"
+    for d in p["lateral"]:
+        d["omega"] = f"{d['omega']}/{m}"
+    assert any(d["angle"] == "1/3" for d in p["outer"] + p["inner"])
+    f = tmp_path / "cd.json"
+    f.write_text(json.dumps({"kind": "cylindrical_drawing", "payload": p}))
+    code, out, err = run(["stats", str(f)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "malformed 'cylindrical_drawing' payload" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("form", ["linear", "circular"])
 def test_stats_counts_the_edges_of_an_incomplete_wiring(form, tmp_path, capsys):
     from tests.test_hampath import K4_MINUS_23
@@ -507,6 +524,33 @@ MUTATED_MODELS = {
     "circular_wiring": cyl.to_circular_wiring(gen.hill(5)),
     "cylindrical_drawing": gen.hill(5),
 }
+
+
+# a vertex's place in each kind's payload
+VERTEX_LEAF = {
+    "rotation_system": ("rotations", 0, 0),
+    "crossing_set": ("crossings", 0, 0, 0),
+    "linear_wiring": ("right_order", 0, 0, 0),
+    "x_bounded": ("side", 0, 1),
+    "circular_wiring": ("ring", 0),
+    "cylindrical_drawing": ("outer", 0, "v"),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True], ids=["1.5", "2.0", "True"])
+@pytest.mark.parametrize("kind", sorted(MUTATED_MODELS))
+def test_non_integer_vertex_is_rejected_by_the_model(kind, value):
+    """A dict payload, which `read_file`'s float guard never sees, with one
+    vertex a float or a bool: the model's constructor rejects it."""
+    doc = serial.dump(MUTATED_MODELS[kind])
+    node = doc["payload"]
+    *path, last = VERTEX_LEAF[kind]
+    for key in path:
+        node = node[key]
+    assert type(node[last]) is int
+    node[last] = value
+    with pytest.raises(InvalidDrawing, match="is not an integer"):
+        serial.load(doc)
 
 
 def _leaves(node, at=()):

@@ -1,6 +1,5 @@
 import hashlib
 import random
-from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -36,6 +35,7 @@ def hill6_minus_three_edges() -> CylindricalDrawing:
     h6 = gen.hill(6)
     gone = {(3, 5), (3, 6), (5, 6)}
     return CylindricalDrawing(
+        h6.m,
         h6.outer,
         h6.inner,
         tuple(le for le in h6.lateral if le.edge not in gone),
@@ -54,12 +54,12 @@ def all_pairs_digest(models, engine):
 
 def one_circle(n: int, seed: int) -> CylindricalDrawing:
     """Seeded cylindrical drawing with all vertices on one circle (the outer
-    one for odd seeds): random angles, faces and arc directions, resampled
+    one for odd seeds): random slots, faces and arc directions, resampled
     until valid."""
     rng = random.Random(repr(("one-circle", n, seed)))
     while True:
         nums = rng.sample(range(64), n)
-        ring = tuple((v, Fraction(nums[v - 1], 64)) for v in range(1, n + 1))
+        ring = tuple((v, nums[v - 1]) for v in range(1, n + 1))
         circle = tuple(
             CircleEdge(
                 u,
@@ -71,7 +71,7 @@ def one_circle(n: int, seed: int) -> CylindricalDrawing:
         )
         rings = (ring, ()) if seed % 2 else ((), ring)
         try:
-            cd = CylindricalDrawing(*rings, (), circle)
+            cd = CylindricalDrawing(64, *rings, (), circle)
             cyl.crossing_set(cd)
             return cd
         except InvalidDrawing:
@@ -114,9 +114,12 @@ def test_path_x_monotone_all_pairs_random():
 
 # all_pairs_digest of each engine on fixed seeded instances, computed with
 # the earlier recursion that built an induced sub-model at every node; they
-# pin that reading sides from the input model changed no path
+# pin that reading sides from the input model changed no path.  The strong
+# value was taken again when the direction choice's reference ray became half
+# a slot past the first outer vertex, which changed the wiring of
+# random_cylindrical(5, 1, strong=True) (see REALIZATION_SIDE_DIGESTS)
 XMONO_PATHS_DIGEST = "3ba1c71cdb36814251cc3c458a2db6f58748c2dd01bd39f55ad0ced8054ccce8"
-STRONG_PATHS_DIGEST = "bbe473e3d2690b250b560eb57f6a58e35c96c85b4770a0813752ab0bc4e34d79"
+STRONG_PATHS_DIGEST = "5d8e959265cde30e29a352f941e22a8dadc9d12844e7e303c22217d95d6cc8fe"
 ONE_CIRCLE_PATHS_DIGEST = "35c25f8ff47b7afaba8d27b50693c54ef4ef9ff705a3f2686c11dd9ee4694217"
 CYLINDRICAL_PATHS_DIGEST = "66ec6c34627b639832d6865bf45a928d5c0a131c1bb779eb741300d10aeb86c2"
 
@@ -196,15 +199,12 @@ def test_path_cylindrical_hill9():
 
 
 def test_path_cylindrical_one_circle_delegates():
-    from drawkit.cylinder import ArcDir, CircleEdge, CylindricalDrawing, Face
-    from fractions import Fraction as F
-
-    outer = tuple((i + 1, F(i, 4)) for i in range(4))
+    outer = tuple((i + 1, i) for i in range(4))
     circle = tuple(
-        CircleEdge(u, v, Face.HOME, ArcDir.CCW if cyl.frac1(F(v - u, 4)) <= F(1, 2) else ArcDir.CW)
+        CircleEdge(u, v, Face.HOME, ArcDir.CCW if v - u <= 2 else ArcDir.CW)
         for u, v in combinations(range(1, 5), 2)
     )
-    cd = CylindricalDrawing(outer, (), (), circle)
+    cd = CylindricalDrawing(4, outer, (), (), circle)
     for a, b in combinations(range(1, 5), 2):
         hp.path_cylindrical(cd, a, b)
 

@@ -29,7 +29,7 @@ def test_despiraled_lateral_subdrawing_has_no_covering_pair():
         for e, f in combinations(sorted(wedges), 2):
             if set(e) & set(f):
                 continue
-            assert not _raw_arcs_cover(wedges[e], wedges[f], dd._D)
+            assert not _raw_arcs_cover(wedges[e], wedges[f], dd.m)
 
 
 def test_every_short_path_contraction_for_planar_k4():

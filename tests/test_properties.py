@@ -7,6 +7,7 @@ positions and checked against it on wirings from every producer.
 """
 
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -22,7 +23,13 @@ from drawkit import hampath as hp
 from drawkit import oracle
 from drawkit import serial
 from drawkit import wiring as w
-from drawkit.errors import BothDirectionsForbidden, CutBlocked, DegeneratePointSet, InvalidDrawing
+from drawkit.errors import (
+    BothDirectionsForbidden,
+    CutBlocked,
+    DegeneratePointSet,
+    GaveUp,
+    InvalidDrawing,
+)
 from drawkit.rotation import (
     CrossingSet,
     _sorted_pair,
@@ -287,41 +294,58 @@ def test_two_page_sides_follow_the_pages(n, data):
 
 
 # ============================================================
-# Cylindrical decisions: the integer grid against Fractions
+# Cylindrical decisions: the slot grid against Fractions
 # ============================================================
 #
-# `CylindricalDrawing` decides everything on one integer grid.  The functions
-# below decide the same questions as the rules state them, on the Fraction
-# fields: the constructor's window and guard checks, rules (i)-(iii),
-# double-spirals and the direction choice of `to_strongly_c_monotone`.
+# `CylindricalDrawing` decides everything on its integer slot grid.  The
+# functions below decide the same questions as the rules state them, in
+# turns: slot s read as the angle s/m and a winding w as w/m turns, as
+# Fractions.  They cover the constructor's window and guard checks, rules
+# (i)-(iii), double-spirals and the direction choice of
+# `to_strongly_c_monotone`.
+
+
+def frac1(x):
+    """x mod 1, in [0, 1)."""
+    return x - math.floor(x)
+
+
+def in_turns(m, outer, inner, lateral):
+    """The drawing's fields with every slot and winding as a Fraction of a
+    turn."""
+    return (
+        tuple((v, F(s, m)) for v, s in outer),
+        tuple((v, F(s, m)) for v, s in inner),
+        tuple(replace(le, omega=F(le.omega, m)) for le in lateral),
+    )
 
 
 def ref_guarded(angle, ring, ce):
     au, av = angle[ce.u], angle[ce.v]
-    start, length = (au, cyl.frac1(av - au)) if ce.arc is cyl.ArcDir.CCW else (
-        av, cyl.frac1(au - av))
-    return {v for v, a in ring if cyl.frac1(a - start) <= length}
+    start, length = (au, frac1(av - au)) if ce.arc is cyl.ArcDir.CCW else (av, frac1(au - av))
+    return {v for v, a in ring if frac1(a - start) <= length}
 
 
 def ref_rings(outer, inner):
     return {v: outer for v, _ in outer} | {v: inner for v, _ in inner}
 
 
-def ref_validate(outer, inner, lateral, circle):
+def ref_validate(m, outer, inner, lateral, circle):
     """Message of the first window or guard failure, or None."""
+    outer, inner, lateral = in_turns(m, outer, inner, lateral)
     angle, ring = dict(outer + inner), ref_rings(outer, inner)
     for e, f in combinations(lateral, 2):
         if e.u == f.u or e.w == f.w:
             if e.u == f.u and not abs(f.omega - e.omega) < 1:
                 return f"incident laterals {e.edge}, {f.edge} forced to cross"
             if e.w == f.w:
-                val = cyl.frac1(angle[f.u] - angle[e.u]) + f.omega - e.omega
+                val = frac1(angle[f.u] - angle[e.u]) + f.omega - e.omega
                 if val not in (0, 1):
                     return f"incident laterals {e.edge}, {f.edge} forced to cross"
             continue
-        val = cyl.frac1(angle[f.u] - angle[e.u]) + f.omega - e.omega
+        val = frac1(angle[f.u] - angle[e.u]) + f.omega - e.omega
         if not -1 <= val <= 2:
-            return f"laterals {e.edge}, {f.edge} would cross twice (window value {val})"
+            return f"laterals {e.edge}, {f.edge} would cross twice"
     lat_circle = [ce for ce in circle if ce.face is cyl.Face.LATERAL]
     for e, f in combinations(lat_circle, 2):
         if set(e.edge) & set(f.edge) or ring[e.u] is not ring[f.u]:
@@ -333,19 +357,20 @@ def ref_validate(outer, inner, lateral, circle):
 
 
 def ref_crossings(cd):
-    """Rules (i)-(iii) on Fractions: the crossing pairs."""
-    angle, ring = dict(cd.outer + cd.inner), ref_rings(cd.outer, cd.inner)
+    """Rules (i)-(iii) in turns: the crossing pairs."""
+    outer, inner, lateral = in_turns(cd.m, cd.outer, cd.inner, cd.lateral)
+    angle, ring = dict(outer + inner), ref_rings(outer, inner)
     pairs = set()
-    for e, f in combinations(cd.lateral, 2):
+    for e, f in combinations(lateral, 2):
         if set(e.edge) & set(f.edge):
             continue
-        val = cyl.frac1(angle[f.u] - angle[e.u]) + f.omega - e.omega
+        val = frac1(angle[f.u] - angle[e.u]) + f.omega - e.omega
         if not 0 <= val <= 1:
             pairs.add(tuple(sorted((e.edge, f.edge))))
     lat_circle = [ce for ce in cd.circle if ce.face is cyl.Face.LATERAL]
     guarded = {ce.edge: ref_guarded(angle, ring[ce.u], ce) for ce in lat_circle}
     for ce in lat_circle:
-        for le in cd.lateral:
+        for le in lateral:
             if not set(ce.edge) & set(le.edge) and len(guarded[ce.edge] & set(le.edge)) == 1:
                 pairs.add(tuple(sorted((ce.edge, le.edge))))
     home = [ce for ce in cd.circle if ce.face is cyl.Face.HOME]
@@ -368,12 +393,12 @@ def ref_crossings(cd):
 
 def ref_wedge(angle, le):
     a = angle[le.u]
-    return (a, le.omega) if le.omega >= 0 else (cyl.frac1(a + le.omega), -le.omega)
+    return (a, le.omega) if le.omega >= 0 else (frac1(a + le.omega), -le.omega)
 
 
 def ref_contains(arc, angle):
     start, length = arc
-    return cyl.frac1(angle - start) <= length
+    return frac1(angle - start) <= length
 
 
 def ref_cover(w1, w2):
@@ -386,9 +411,10 @@ def ref_cover(w1, w2):
 
 
 def ref_double_spirals(cd):
-    angle = dict(cd.outer + cd.inner)
+    outer, inner, lateral = in_turns(cd.m, cd.outer, cd.inner, cd.lateral)
+    angle = dict(outer + inner)
     found = []
-    for e, f in combinations(cd.lateral, 2):
+    for e, f in combinations(lateral, 2):
         if set(e.edge) & set(f.edge) or e.omega == 0 or f.omega == 0:
             continue
         if (e.omega > 0) == (f.omega > 0) and ref_cover(ref_wedge(angle, e), ref_wedge(angle, f)):
@@ -398,19 +424,18 @@ def ref_double_spirals(cd):
 
 def ref_directions(cd):
     """The arc direction chosen for every circle edge, or None if some edge
-    has both directions forbidden."""
-    angle = dict(cd.outer + cd.inner)
-    wedges = [ref_wedge(angle, le) for le in cd.lateral]
-    outer_sorted = sorted(a for _, a in cd.outer)
-    g0 = outer_sorted[0]
-    g1 = outer_sorted[1] if len(outer_sorted) > 1 else g0 + 1
-    inside = [g0] + [a for a in sorted(angle.values()) if g0 < a < g1] + [g1]
-    ray = (inside[0] + inside[1]) / 2
+    has both directions forbidden.  An edge with both directions free takes
+    the one whose arc misses a reference ray half way from the first outer
+    vertex (inner, on one circle) to the next vertex counter-clockwise."""
+    outer, inner, lateral = in_turns(cd.m, cd.outer, cd.inner, cd.lateral)
+    angle = dict(outer + inner)
+    wedges = [ref_wedge(angle, le) for le in lateral]
+    g0 = min(a for _, a in outer or inner)
+    ray = g0 + min(frac1(a - g0) or 1 for a in angle.values()) / 2
     chosen = []
     for ce in cd.circle:
         au, av = angle[ce.u], angle[ce.v]
-        options = {cyl.ArcDir.CCW: (au, cyl.frac1(av - au)),
-                   cyl.ArcDir.CW: (av, cyl.frac1(au - av))}
+        options = {cyl.ArcDir.CCW: (au, frac1(av - au)), cyl.ArcDir.CW: (av, frac1(au - av))}
         allowed = [d for d, arc in options.items() if not any(ref_cover(arc, w) for w in wedges)]
         if not allowed:
             return None
@@ -429,14 +454,15 @@ def outcome(fn, *args):
 
 
 def assert_decides_as_fractions(cd):
-    assert ref_validate(cd.outer, cd.inner, cd.lateral, cd.circle) is None
+    assert ref_validate(cd.m, cd.outer, cd.inner, cd.lateral, cd.circle) is None
     assert outcome(lambda: cyl._derive_crossing_set(cd).pairs) == outcome(ref_crossings, cd)
+    outer, inner, _ = in_turns(cd.m, cd.outer, cd.inner, ())
     for ce in cd.circle:
         if ce.face is cyl.Face.LATERAL:
-            ring = cd.outer if cd.circle_of(ce.u) == "outer" else cd.inner
-            assert cyl.guards(cd, ce.edge) == ref_guarded(dict(cd.outer + cd.inner), ring, ce)
+            ring = outer if cd.circle_of(ce.u) == "outer" else inner
+            assert cyl.guards(cd, ce.edge) == ref_guarded(dict(outer + inner), ring, ce)
     assert cyl.find_double_spirals(cd) == ref_double_spirals(cd)
-    if cd.outer and all(abs(le.omega) < 1 for le in cd.lateral):
+    if all(abs(le.omega) < cd.m for le in cd.lateral):
         try:
             got = tuple(ce.arc for ce in cyl._assign_directions(cd).circle)
         except BothDirectionsForbidden:
@@ -447,15 +473,16 @@ def assert_decides_as_fractions(cd):
 def on_a_shared_ray(cd):
     """cd with its inner circle turned, and the windings with it, so that
     the inner end of a lateral edge of middle winding sits on the ray of its
-    outer end; None if some winding then leaves (-1, 1)."""
+    outer end; None if some winding then reaches a turn."""
     if not cd.lateral:
         return None
     mid = sorted(le.omega for le in cd.lateral)[len(cd.lateral) // 2]
-    if any(abs(le.omega - mid) >= 1 for le in cd.lateral):
+    if any(abs(le.omega - mid) >= cd.m for le in cd.lateral):
         return None
     return cyl.CylindricalDrawing(
+        cd.m,
         cd.outer,
-        tuple((v, cyl.frac1(a - mid)) for v, a in cd.inner),
+        tuple((v, (s - mid) % cd.m) for v, s in cd.inner),
         tuple(replace(le, omega=le.omega - mid) for le in cd.lateral),
         cd.circle,
     )
@@ -475,8 +502,6 @@ def test_integer_grid_decides_as_fractions_on_generated_drawings(n, seed, strong
         assert_decides_as_fractions(d)
 
 
-# pairwise coprime angle denominators: D is their product, up to 15 digits
-COPRIME_DENOMINATORS = (2, 3, 5, 7, 11, 13, 97, 101, 103, 107, 109, 113)
 CIRCLE_EDGE_KINDS = [None] + [(face, arc) for face in cyl.Face for arc in cyl.ArcDir]
 
 
@@ -484,28 +509,23 @@ CIRCLE_EDGE_KINDS = [None] + [(face, arc) for face in cyl.Face for arc in cyl.Ar
 def hand_built_fields(draw):
     """Fields of a would-be cylindrical drawing with 1-4 vertices per circle:
     windings of any lift from -2 to +1 turns, circle edges of both faces and
-    directions.  Either the angles have pairwise coprime denominators and an
-    inner vertex may share the ray of an outer one, or all angles sit on one
-    small grid."""
+    directions.  Either the slots are spread over a grid of up to 10^15 and
+    an inner vertex may share the slot of an outer one, or they all sit on
+    one small grid."""
     p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    if draw(st.booleans()):
-        dens = draw(st.permutations(COPRIME_DENOMINATORS))[: p + q]
-        angles = [F(draw(st.integers(1, d - 1)), d) for d in dens]
-        if draw(st.booleans()):
-            angles[p] = angles[0]
-    else:
-        grid = draw(st.integers(max(p, q), 9))
-        nums = draw(st.lists(st.integers(0, grid - 1), min_size=p, max_size=p, unique=True))
-        nums += draw(st.lists(st.integers(0, grid - 1), min_size=q, max_size=q, unique=True))
-        angles = [F(k, grid) for k in nums]
-    outer = tuple((v, angles[v - 1]) for v in range(1, p + 1))
-    inner = tuple((v, angles[v - 1]) for v in range(p + 1, p + q + 1))
+    m = draw(st.integers(max(p, q), 10**15 if draw(st.booleans()) else 9))
+    slots = draw(st.lists(st.integers(0, m - 1), min_size=p, max_size=p, unique=True))
+    slots += draw(st.lists(st.integers(0, m - 1), min_size=q, max_size=q, unique=True))
+    if m > 9 and slots[0] not in slots[p:] and draw(st.booleans()):
+        slots[p] = slots[0]
+    outer = tuple((v, slots[v - 1]) for v in range(1, p + 1))
+    inner = tuple((v, slots[v - 1]) for v in range(p + 1, p + q + 1))
     lateral = []
     for u in range(1, p + 1):
         for w in range(p + 1, p + q + 1):
             lift = draw(st.sampled_from((None, -2, -1, -1, 0, 0, 1)))
             if lift is not None:
-                omega = cyl.frac1(angles[w - 1] - angles[u - 1]) + lift
+                omega = (slots[w - 1] - slots[u - 1]) % m + lift * m
                 lateral.append(cyl.LateralEdge(u, w, omega))
     circle = []
     for ring in (range(1, p + 1), range(p + 1, p + q + 1)):
@@ -513,27 +533,28 @@ def hand_built_fields(draw):
             kind = draw(st.sampled_from(CIRCLE_EDGE_KINDS))
             if kind is not None:
                 circle.append(cyl.CircleEdge(u, v, *kind))
-    return outer, inner, tuple(lateral), tuple(circle)
+    return m, outer, inner, tuple(lateral), tuple(circle)
 
 
 def window_pair(inner3, omega3, inner4, omega4):
-    """Fields of two non-incident laterals 1-3 and 2-4, outer vertices at 0
-    and 1/2."""
+    """Fields of two non-incident laterals 1-3 and 2-4 on a grid of 8
+    slots, outer vertices at slots 0 and 4."""
     return (
-        ((1, F(0)), (2, F(1, 2))),
+        8,
+        ((1, 0), (2, 4)),
         ((3, inner3), (4, inner4)),
         (cyl.LateralEdge(1, 3, omega3), cyl.LateralEdge(2, 4, omega4)),
         (),
     )
 
 
-# window values one grid step (1/8) past each bound and one step inside it:
-# -9/8, -7/8, 17/8 and 15/8
+# window values one slot past each bound and one slot inside it, in slot
+# steps: -9, -7, 17 and 15
 WINDOW_EDGES = [
-    window_pair(F(1, 8), F(9, 8), F(0), F(-1, 2)),
-    window_pair(F(1, 8), F(9, 8), F(1, 4), F(-1, 4)),
-    window_pair(F(7, 8), F(-9, 8), F(0), F(1, 2)),
-    window_pair(F(7, 8), F(-9, 8), F(3, 4), F(1, 4)),
+    window_pair(1, 9, 0, -4),
+    window_pair(1, 9, 2, -2),
+    window_pair(7, -9, 0, 4),
+    window_pair(7, -9, 6, 2),
 ]
 
 
@@ -552,8 +573,49 @@ def test_integer_grid_decides_as_fractions_on_hand_built_drawings(fields):
     assert ref_validate(*fields) is None
     for d in (cd, cyl._mirror(cd)):
         assert_decides_as_fractions(d)
-    if all(abs(le.omega) < 1 for le in cd.lateral):
+    if all(abs(le.omega) < cd.m for le in cd.lateral):
         assert_decides_as_fractions(cyl._split_common_rays(cd))
+
+
+def respaced(cd, gaps):
+    """cd's fields on a grid with gaps[k] slots between its slots k and k+1
+    (the last gap closing the turn): the same drawing, every winding lifted
+    with its ends."""
+    at = [sum(gaps[:k]) for k in range(cd.m)]
+    m = sum(gaps)
+
+    def lift(x):  # a lifted slot: whole turns plus a slot
+        turns, s = divmod(x, cd.m)
+        return turns * m + at[s]
+
+    return (
+        m,
+        tuple((v, at[s]) for v, s in cd.outer),
+        tuple((v, at[s]) for v, s in cd.inner),
+        tuple(replace(le, omega=lift(cd._slot[le.u] + le.omega) - at[cd._slot[le.u]])
+              for le in cd.lateral),
+        cd.circle,
+    )
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(3, 12), seed=st.integers(0, 10**6),
+       source=st.sampled_from(("hill", "strong", "nonstrong")), data=st.data())
+def test_the_slot_grid_is_canonical(n, seed, source, data):
+    """Any increasing re-spacing of a drawing's slots, windings lifted to
+    match, constructs the drawing itself: the ranking is canonical and
+    idempotent, and the crossing set is that of the drawing."""
+    if source == "hill":
+        cd = gen.hill(n)
+    else:
+        try:
+            cd = gen.random_cylindrical(n, seed, source == "strong")
+        except GaveUp:
+            assume(False)
+    gaps = data.draw(st.lists(st.integers(1, 10**6), min_size=cd.m, max_size=cd.m))
+    spaced = cyl.CylindricalDrawing(*respaced(cd, gaps))
+    assert spaced == cd
+    assert cyl.crossing_set(spaced) == cyl.crossing_set(cd)
 
 
 # ============================================================

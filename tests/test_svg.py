@@ -54,13 +54,18 @@ def models(family):
 # output bytes of all four renderers.  The wiring digests were taken when one
 # replay of the sweep first drew each edge as one polyline; the small-strip
 # x-monotone digest is older and held across that rewrite, as did the
-# cylindrical and crossing-set ones
+# crossing-set one.  The cylindrical digest was taken again when drawings
+# moved onto a slot grid: it is the earlier renders' with each angle set to
+# its rank over the slot count, each winding to its rank distance over it.
+# The strongly c-monotone one was taken again when the direction choice's
+# reference ray became half a slot past the first outer vertex (see
+# tests/test_cylinder.py)
 RENDER_DIGESTS = {
     "x-monotone": "3073852bd26b6388b8478c076b34b5c332f6f9545cf8e4addad6bd3762a7493c",
     "x-monotone-small-strips": "a1ce1b8a92f4a21eda4c4d15e61a72167d3ea3c116f010c3ea6ddb6067cb6cd4",
     "c-monotone": "47ac8d6e9a671c138eee7591bf048f06958572c028d51dfeebb038bb0c9f4d99",
-    "strongly-c-monotone": "e2637ef0ed4074a37d45c2d289a5cbb73c4fe5da2bd96e51d59ac0a87ce7f9fa",
-    "cylindrical": "668a3f82bfb2e4266f1df3cf4b0b56464611d91eaad287f06074377d2cf3da7d",
+    "strongly-c-monotone": "d243a1b0b80ed6192b2593d4021d401c87e2902e023eb98e483fe7e37cd20dba",
+    "cylindrical": "d6997b3ee7bb1dab3bc769664f79140385bad9d621b615f6df8f3ffd8190a5ef",
     "crossing-set": "853629392d88625fea2f1e6f9e5090a706bb78d3d5a1249e6d32101dbc2b2880",
 }
 
