@@ -454,12 +454,15 @@ def _resolve_cw_spiral(cd: CylindricalDrawing, pair) -> CylindricalDrawing:
 def remove_double_spirals(cd: CylindricalDrawing) -> CylindricalDrawing:
     """Relocate inner vertices until no double-spiral remains.
 
-    Clockwise spirals are removed first, then counter-clockwise ones via the
+    A drawing without double-spirals is returned as it is.  Otherwise
+    clockwise spirals are removed first, then counter-clockwise ones via the
     mirrored drawing; each move keeps the circular vertex orders, hence the
     crossing set (checked).  Every move removes at least one spiral and adds
     none, so the number of moves is bounded by the initial spiral count.
     """
     budget = len(find_double_spirals(cd))
+    if not budget:
+        return cd
     before = crossing_set(cd)
     moves = 0
 

@@ -317,6 +317,8 @@ def random_cylindrical(n: int, seed: int, strong: bool) -> CylindricalDrawing:
 def random_point_set(n: int, seed: int) -> PointSet:
     """Random rational points, x-sorted, in general position; GaveUp after
     POINT_SET_ATTEMPTS degenerate draws."""
+    if n < 1:
+        raise InvalidDrawing("need n >= 1")
     rng = random.Random(("points", n, seed).__repr__())
     for _ in range(POINT_SET_ATTEMPTS):
         ys = rng.sample(range(-8 * n * n, 8 * n * n + 1), n)

@@ -261,29 +261,17 @@ def predicted_crossings(xb: XBoundedData) -> CrossingSet:
     return CrossingSet(xb.n, frozenset(pairs))
 
 
-def _bubble_swaps(cur: list, target_rank: dict) -> list:
-    """Adjacent transpositions sorting `cur` by target rank, bottom-up passes."""
-    swaps = []
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(cur) - 1):
-            if target_rank[cur[k]] > target_rank[cur[k + 1]]:
-                cur[k], cur[k + 1] = cur[k + 1], cur[k]
-                swaps.append(k)
-                changed = True
-    return swaps
-
-
 def redraw_strips(ring, base, starting, below):
     """The strip redraw shared by the linear and circular models.
 
     Sweeps the vertices of `ring` in order, starting from the strand order
-    `base`.  Before each vertex v, bottom-up bubble passes stably partition
-    the strands into those below v, those ending at v and those above v
-    (`below(e, v)` tells the passers apart); the ending block then makes way
-    for `starting[v]`, bottom-to-top.  Every swap is an inversion of the
-    partition, so no pair swaps twice within one strip.
+    `base`.  Before each vertex v the strip stably partitions the strands
+    into those below v, those ending at v and those above v (`below(e, v)`
+    tells the passers apart): taking the strands bottom-up, each one sinks
+    one level at a time past the strands already placed in a higher part.
+    So a strip's swaps are exactly the inversions of its partition, and no
+    pair swaps twice within it.  The ending block then makes way for
+    `starting[v]`, bottom-to-top.
 
     Returns (strips, positions, final_order): strips[i] lists the swap
     positions before ring[i], positions[i] is the number of strands below
@@ -294,16 +282,20 @@ def redraw_strips(ring, base, starting, below):
     positions = []
     cur = list(base)
     for v in ring:
-        lo, ending, hi = [], [], []
-        for e in cur:
+        lo, ending, hi, swaps = [], [], [], []
+        for k, e in enumerate(cur):
             if v in e:
                 ending.append(e)
+                passed = len(hi)
             elif below(e, v):
                 lo.append(e)
+                passed = len(ending) + len(hi)
             else:
                 hi.append(e)
-        target_rank = {e: k for k, e in enumerate(lo + ending + hi)}
-        strips.append(tuple(_bubble_swaps(cur, target_rank)))
+                passed = 0
+            # e enters at level k, on top of the k strands placed so far
+            swaps.extend(range(k - 1, k - 1 - passed, -1))
+        strips.append(tuple(swaps))
         positions.append(len(lo))
         cur = lo + list(starting[v]) + hi
     return strips, positions, cur

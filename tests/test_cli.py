@@ -318,6 +318,8 @@ BAD_CROSSING_SET_N = {
         ("size-50", 64),
         ("size-0", 64),
         ("missing-file", 1),
+        ("points-negative", 1),
+        ("points-negative-wiring", 1),
         ("not-json", 1),
         ("missing-key", 1),
         ("unwritable-out", 1),
@@ -346,6 +348,8 @@ def test_bad_input_exits_without_traceback(case, code, tmp_path, capsys):
             "size-50": ["render", model, "--size", "50"],
             "size-0": ["render", model, "--size", "0"],
             "missing-file": ["stats", str(tmp_path / "absent.json")],
+            "points-negative": ["gen", "points", "-1"],
+            "points-negative-wiring": ["gen", "points", "-1", "--as", "wiring"],
             "not-json": ["stats", str(tmp_path / "bad.json")],
             "missing-key": ["path", str(tmp_path / "nokey.json"), "1", "3"],
             "unwritable-out": ["gen", "convex", "5", "--out", str(tmp_path / "absent" / "c.json")],

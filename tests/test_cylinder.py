@@ -291,9 +291,20 @@ def test_remove_double_spirals_handles_both_directions():
     assert cyl.crossing_set(after).pairs == before.pairs
 
 
-def test_remove_double_spirals_identity_on_hill():
-    h = gen.hill(8)
-    assert cyl.remove_double_spirals(h) == h
+def test_remove_double_spirals_identity_on_hill(monkeypatch):
+    """A drawing without double-spirals comes back as it is: no drawing is
+    built and no crossing set derived.  hill(8) and the random one have
+    none."""
+    built, derived = [], []
+    init, derive = CylindricalDrawing.__post_init__, cyl._derive_crossing_set
+    monkeypatch.setattr(CylindricalDrawing, "__post_init__", lambda cd: built.append(1) or init(cd))
+    monkeypatch.setattr(cyl, "_derive_crossing_set", lambda cd: derived.append(1) or derive(cd))
+    for cd in (gen.hill(8), gen.random_cylindrical(8, 0, strong=True)):
+        assert cyl.find_double_spirals(cd) == []
+        built.clear()
+        derived.clear()
+        assert cyl.remove_double_spirals(cd) is cd
+        assert built == [] and derived == []
 
 
 def test_to_circular_wiring_preserves_crossings():
@@ -548,11 +559,15 @@ REALIZATION_SIDE_DIGESTS = {
 
 # sha256 of the JSON (sorted keys) of the list of serial.dump() of every
 # realization of the chain, computed with the strip redraw: strips included;
-# the strong value was taken again with the ray above
+# the strong value was taken again with the ray above.  All three were taken
+# again when each strip's swaps came to be emitted from its inversions: they
+# are the earlier outputs' with every strip replaced by that emission between
+# the same start and end orders, and REALIZATION_SWAP_SETS_DIGEST below pins
+# the pairs each strip swaps
 REALIZATION_SERIAL_DIGESTS = {
-    "nonstrong": "7b6c73a5a5a27968854600e67cfa25b313be264d62c1de694afcee61644d84c7",
-    "strong": "b4fa2700ae3dc6158fe53858f6c38f6d93e8a5b74cdf992374e48dcc3235d65b",
-    "hill": "f770797a783e53e807dc9ceca14f6a7a31c60dcc6a9bc975248628c7a4651242",
+    "nonstrong": "c953e4feb6aea528585e4ad0e9c52a07882b08c9550adf7c836369e41ef2f9c1",
+    "strong": "f54061fb8381ee456185d7e436c94b0cf9f69fa6dbf48e052f58b7ded997bd84",
+    "hill": "dc0097fc327d350b26d8b939a859e8d2f48dc4b78d56b702ea25e010c218b75d",
 }
 
 
@@ -565,6 +580,49 @@ def test_realization_sides_are_pinned(chain):
 def test_realization_outputs_are_pinned(chain):
     docs = [serial.dump(cw) for cw in realizations(chain)]
     assert digest(docs) == REALIZATION_SERIAL_DIGESTS[chain]
+
+
+def strip_swap_sets(doc):
+    """Per strip of a serialized wiring, in sweep order, the sorted edge
+    pairs its swaps exchange, replayed from the start order.  Between fixed
+    start and end orders every way of swapping adjacent strands that swaps no
+    pair twice exchanges the same pairs, the inversions, so this is what a
+    strip fixes, whatever the order of its swaps."""
+    p = doc["payload"]
+    if doc["kind"] == "linear_wiring":
+        ring, order = range(1, p["n"] + 1), []
+        strips, ending, starting = [[]] + p["strips"], p["left_order"], p["right_order"]
+    else:
+        ring, order = p["ring"], list(p["base_order"])
+        strips, ending, starting = p["strips"], p["ending"], p["starting"]
+    out = []
+    for v in ring:
+        pairs = []
+        for k in strips[v - 1]:
+            pairs.append(sorted(order[k : k + 2]))
+            order[k], order[k + 1] = order[k + 1], order[k]
+        out.append(sorted(pairs))
+        pos = p["vertex_pos"][v - 1]
+        order[pos : pos + len(ending[v - 1])] = starting[v - 1]
+    return out
+
+
+# sha256 of the JSON of strip_swap_sets() of every realization of the three
+# chains and every x-monotone render model (tests/test_svg.py), taken with
+# the bubble-pass strip redraw; it held when each strip's swaps came to be
+# emitted from its inversions, so it maps the earlier strips to the new ones
+# pair by pair, and REALIZATION_SERIAL_DIGESTS and the wiring render digests
+# changed only in the order of the swaps within a strip
+REALIZATION_SWAP_SETS_DIGEST = "2ba5023262259f3444cc567f13c32e2ae829e13894b35f2a0f66eb233a7f1a69"
+
+
+def test_realization_swap_sets_are_pinned():
+    from tests.test_svg import models
+
+    docs = {chain: [strip_swap_sets(serial.dump(cw)) for cw in realizations(chain)]
+            for chain in sorted(REALIZATION_SERIAL_DIGESTS)}
+    docs["x-monotone"] = [strip_swap_sets(serial.dump(lw)) for lw in models("x-monotone")]
+    assert digest(docs) == REALIZATION_SWAP_SETS_DIGEST
 
 
 def test_direction_assignment_keeps_the_rule_based_crossing_set(monkeypatch):

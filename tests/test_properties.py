@@ -293,6 +293,48 @@ def test_two_page_sides_follow_the_pages(n, data):
     assert w.to_x_monotone(w.extract_xbounded(lw)) == lw
 
 
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 8), data=st.data())
+def test_each_strip_swaps_exactly_its_inversions(n, data):
+    """`redraw_strips` on arbitrary strand orders, rings and `below` answers:
+    replaying each strip from its start order gives below + ending + above,
+    its length is the partition's inversion count, and it swaps every
+    inverted pair once and no other pair."""
+    edges = data.draw(st.permutations(list(combinations(range(1, n + 1), 2))))
+    ring = data.draw(st.permutations(range(1, n + 1)))
+    k = data.draw(st.integers(0, len(edges)))
+    base, starting = edges[:k], {v: [] for v in ring}
+    for e in edges[k:]:
+        starting[e[data.draw(st.integers(0, 1))]].append(e)
+    answers = {}
+
+    def below(e, v):
+        if (e, v) not in answers:
+            answers[e, v] = data.draw(st.booleans())
+        return answers[e, v]
+
+    strips, positions, final = w.redraw_strips(ring, base, starting, below)
+    assert len(strips) == len(positions) == n
+    cur = list(base)
+    for v, strip, pos in zip(ring, strips, positions):
+        part = {e: 1 if v in e else 0 if below(e, v) else 2 for e in cur}
+        partition = sorted(cur, key=part.get)
+        inverted = {frozenset((e, f)) for i, e in enumerate(cur) for f in cur[i + 1 :]
+                    if part[e] > part[f]}
+        order, swapped = list(cur), []
+        for level in strip:
+            assert 0 <= level < len(order) - 1
+            swapped.append(frozenset(order[level : level + 2]))
+            order[level], order[level + 1] = order[level + 1], order[level]
+        assert order == partition
+        assert len(strip) == len(inverted)
+        assert len(set(swapped)) == len(swapped) and set(swapped) == inverted
+        ending = sum(part[e] == 1 for e in cur)
+        assert pos == sum(part[e] == 0 for e in cur)
+        cur = partition[:pos] + starting[v] + partition[pos + ending :]
+    assert final == cur
+
+
 # ============================================================
 # Cylindrical decisions: the slot grid against Fractions
 # ============================================================

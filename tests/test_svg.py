@@ -59,12 +59,16 @@ def models(family):
 # its rank over the slot count, each winding to its rank distance over it.
 # The strongly c-monotone one was taken again when the direction choice's
 # reference ray became half a slot past the first outer vertex (see
-# tests/test_cylinder.py)
+# tests/test_cylinder.py).  The x-monotone, c-monotone and strongly
+# c-monotone ones were taken again when each strip's swaps came to be
+# emitted from its inversions: they are the earlier models' with every strip
+# replaced by that emission between the same start and end orders
+# (REALIZATION_SWAP_SETS_DIGEST pins the pairs each strip swaps)
 RENDER_DIGESTS = {
-    "x-monotone": "3073852bd26b6388b8478c076b34b5c332f6f9545cf8e4addad6bd3762a7493c",
+    "x-monotone": "a3ee641ecc32fafadf77fcde24858547c7529804bebb0c41931c90b8c983ae99",
     "x-monotone-small-strips": "a1ce1b8a92f4a21eda4c4d15e61a72167d3ea3c116f010c3ea6ddb6067cb6cd4",
-    "c-monotone": "47ac8d6e9a671c138eee7591bf048f06958572c028d51dfeebb038bb0c9f4d99",
-    "strongly-c-monotone": "d243a1b0b80ed6192b2593d4021d401c87e2902e023eb98e483fe7e37cd20dba",
+    "c-monotone": "c075503cd1ba439e1753f191383e342248160594743c93e341d5545e05a66634",
+    "strongly-c-monotone": "877fd583e0b89d2d499a7cd63488fcce27636c0f6308d721b312b056b3bb877c",
     "cylindrical": "d6997b3ee7bb1dab3bc769664f79140385bad9d621b615f6df8f3ffd8190a5ef",
     "crossing-set": "853629392d88625fea2f1e6f9e5090a706bb78d3d5a1249e6d32101dbc2b2880",
 }
