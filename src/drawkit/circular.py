@@ -59,11 +59,11 @@ class CircularWiring:
         object.__setattr__(self, "starting", tuple(tuple(map(tuple, o)) for o in self.starting))
         _require_ints("circular wiring", (self.n,), self.ring, self.vertex_pos, *self.strips,
                       *self.base_order, *chain(*self.ending, *self.starting))
-        if sorted(self.ring) != list(range(1, self.n + 1)):
-            raise InvalidDrawing("the ring must list the vertices 1..n once each")
         fields = (self.strips, self.vertex_pos, self.ending, self.starting)
         if any(len(f) != self.n for f in fields):
             raise InvalidDrawing("field lengths do not match n")
+        if len(self.ring) != self.n or sorted(self.ring) != list(range(1, self.n + 1)):
+            raise InvalidDrawing("the ring must list the vertices 1..n once each")
         # the validating sweep's results, kept outside the fields so that
         # equality, hashing and serialization see only the wiring itself
         columns, crossings, first = sweep(self.n, self.base_order, self.ring, *fields)
@@ -71,7 +71,7 @@ class CircularWiring:
         supports = {}
         for e, v in first.items():
             supports[e] = (pos[v], (pos[e[0] + e[1] - v] - pos[v]) % self.n)
-        object.__setattr__(self, "_crossing_set", CrossingSet(self.n, frozenset(crossings)))
+        object.__setattr__(self, "_crossing_set", CrossingSet(self.n, crossings))
         object.__setattr__(self, "_supports", supports)
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "_strong", None)  # set by the first is_strongly_c_monotone()

@@ -149,8 +149,7 @@ def _cmd_path(args) -> int:
             raise InvalidDrawing("engine cylindrical needs a cylindrical drawing")
         path = hp.path_cylindrical(model, a, b)
     elif engine == "twisted":
-        # at most one pair per 4-subset: C(n, 4) nested pairs are the twisted set
-        if len(cs) != comb(cs.n, 4) or not all(p < r < s < q for (p, q), (r, s) in cs.pairs):
+        if cs != gen.twisted(cs.n):
             raise InvalidDrawing("engine twisted needs the twisted crossing set")
         path = hp.path_twisted(cs.n, a, b)
     elif engine == "oracle":
@@ -215,7 +214,7 @@ def _cmd_convert(args) -> int:
     else:
         raise _UsageError(f"unknown target {to!r}")
     after = _crossings_of(result)
-    if after.pairs != before.pairs:
+    if after != before:
         raise InvalidDrawing("conversion changed the crossing set")
     _emit(serial.dump(result), args.out)
     print("crossing set preserved: yes")

@@ -54,7 +54,6 @@ from drawkit.errors import (
 )
 from drawkit.rotation import (
     CrossingSet,
-    _norm_crossing,
     _require_ints,
     _sorted_pair,
     edge_numbering,
@@ -274,14 +273,14 @@ def crossing_set(cd: CylindricalDrawing) -> CrossingSet:
 
 def _derive_crossing_set(cd: CylindricalDrawing) -> CrossingSet:
     m = cd.m
-    pairs = set()
+    pairs = []
     # (iii) lateral vs lateral
     for (e, eu, ew, We, Ae), (f, fu, fw, Wf, Af) in combinations(_laterals(cd), 2):
         if eu == fu or ew == fw:
             continue
         val = (Af - Ae) % m + Wf - We
         if val < 0 or val > m:
-            pairs.add(_norm_crossing(e, f))
+            pairs.append((e, f))
     # (ii) lateral-face circle edges vs lateral edges
     for ce in cd.circle:
         if ce.face is not Face.LATERAL:
@@ -289,7 +288,7 @@ def _derive_crossing_set(cd: CylindricalDrawing) -> CrossingSet:
         g = guards(cd, ce.edge)
         for le in cd.lateral:
             if not set(ce.edge) & set(le.edge) and len(g & set(le.edge)) == 1:
-                pairs.add(_norm_crossing(ce.edge, le.edge))
+                pairs.append((ce.edge, le.edge))
     # (i), and (ii) between circle edges: circle edges of one face on a
     # common circle cross iff their ends interleave, with ends ranked around
     # the circle a < c < b < d
@@ -306,8 +305,8 @@ def _derive_crossing_set(cd: CylindricalDrawing) -> CrossingSet:
                     if c >= b:
                         break
                     if a < c and b < d:
-                        pairs.add(_norm_crossing(e, f))
-    return CrossingSet(cd.n, frozenset(pairs))
+                        pairs.append((e, f))
+    return CrossingSet(cd.n, pairs)
 
 
 def rim_edges(cd: CylindricalDrawing) -> dict:
@@ -372,7 +371,7 @@ def normalize_winding(cd: CylindricalDrawing) -> CylindricalDrawing:
         tuple(replace(le, omega=2 * le.omega - t) for le in cd.lateral),
         cd.circle,
     )
-    if crossing_set(new).pairs != before.pairs:
+    if crossing_set(new) != before:
         raise InvalidDrawing("normalization changed the crossing set; input invalid")
     return new
 
@@ -482,7 +481,7 @@ def remove_double_spirals(cd: CylindricalDrawing) -> CylindricalDrawing:
     cd = _mirror(run_cw_phase(_mirror(cd)))
     if find_double_spirals(cd):
         raise NonTermination(budget)
-    if crossing_set(cd).pairs != before.pairs:
+    if crossing_set(cd) != before:
         raise InvalidDrawing("double-spiral removal changed the crossing set; input invalid")
     return cd
 
@@ -513,15 +512,15 @@ def _split_common_rays(cd: CylindricalDrawing) -> CylindricalDrawing:
 _LATERAL, _LATERAL_FACE_ARC, _HOME_ARC = range(3)
 
 
-def _runs(cd: CylindricalDrawing) -> dict:
-    """Per edge, (first vertex, last vertex, kind): the edge runs
-    counter-clockwise from its first vertex to its last.  Windings are
-    nonzero once `_split_common_rays` has run."""
+def _runs(cd: CylindricalDrawing, arcs) -> dict:
+    """Per edge, (first vertex, last vertex, kind): the edge runs counter-
+    clockwise from its first vertex to its last, circle edge i in direction
+    arcs[i].  Windings are nonzero once `_split_common_rays` has run."""
     runs = {}
     for le in cd.lateral:
         runs[le.edge] = (le.u, le.w, _LATERAL) if le.omega > 0 else (le.w, le.u, _LATERAL)
-    for ce in cd.circle:
-        first, last = (ce.u, ce.v) if ce.arc is ArcDir.CCW else (ce.v, ce.u)
+    for ce, arc in zip(cd.circle, arcs):
+        first, last = (ce.u, ce.v) if arc is ArcDir.CCW else (ce.v, ce.u)
         runs[ce.edge] = (first, last, _LATERAL_FACE_ARC if ce.face is Face.LATERAL else _HOME_ARC)
     return runs
 
@@ -545,13 +544,20 @@ def to_circular_wiring(cd: CylindricalDrawing) -> CircularWiring:
     one per gap that ends at a vertex, and its start order are the wiring's
     strips and base order.
     """
+    return _realize(cd, [ce.arc for ce in cd.circle])
+
+
+def _realize(cd: CylindricalDrawing, arcs) -> CircularWiring:
+    """`to_circular_wiring` with circle edge i drawn in direction arcs[i],
+    which must keep the crossing set: cd's own arcs do, and so does any choice
+    when all circle edges are home edges, as rule (i) ignores directions."""
     if any(abs(le.omega) >= cd.m for le in cd.lateral):
         raise InvalidDrawing("normalize windings before realization")
     cd2 = _split_common_rays(cd)
     expected = crossing_set(cd)
     slot = cd2._slot
     outer = {v for v, _ in cd2.outer}
-    runs = _runs(cd2)
+    runs = _runs(cd2, arcs)
     ring = sorted(slot, key=slot.get)
     starting = {v: [] for v in ring}
     ending = {v: [] for v in ring}
@@ -591,14 +597,14 @@ def to_circular_wiring(cd: CylindricalDrawing) -> CircularWiring:
         )
     except InvalidDrawing as exc:
         raise RealizationMismatch(f"redraw does not form a wiring: {exc}") from exc
-    if circ.crossing_set(cw).pairs != expected.pairs:
+    if circ.crossing_set(cw) != expected:
         raise RealizationMismatch("realized crossings differ from the rule-based set")
     return cw
 
 
-def _assign_directions(cd: CylindricalDrawing) -> CylindricalDrawing:
-    """The drawing with a direction around the center chosen for every
-    circle edge so that no lateral wedge covers the circle with its arc."""
+def _assign_directions(cd: CylindricalDrawing) -> tuple:
+    """A direction around the center per circle edge, in field order, chosen
+    so that no lateral wedge covers the circle with the edge's arc."""
     m = cd.m
     lat_wedges = sorted((_lateral_wedge_raw(cd, le) for le in cd.lateral), key=lambda w: w[1])
     lengths = [w[1] for w in lat_wedges]
@@ -608,7 +614,7 @@ def _assign_directions(cd: CylindricalDrawing) -> CylindricalDrawing:
     # so it lies in the first gap of that circle, clear of all vertices
     ray = 2 * min(s for _, s in cd.outer or cd.inner) + 1
 
-    new_circle = []
+    arcs = []
     for ce in cd.circle:
         allowed = []
         for d in (ArcDir.CCW, ArcDir.CW):
@@ -624,8 +630,8 @@ def _assign_directions(cd: CylindricalDrawing) -> CylindricalDrawing:
             choice = allowed[0][0]
         else:
             choice = next(d for d, s, length in allowed if (ray - 2 * s) % (2 * m) > 2 * length)
-        new_circle.append(replace(ce, arc=choice))
-    return CylindricalDrawing(m, cd.outer, cd.inner, cd.lateral, tuple(new_circle))
+        arcs.append(choice)
+    return tuple(arcs)
 
 
 def to_strongly_c_monotone(cd: CylindricalDrawing) -> CircularWiring:
@@ -642,12 +648,7 @@ def to_strongly_c_monotone(cd: CylindricalDrawing) -> CircularWiring:
         raise InvalidDrawing("normalize windings first")
     if find_double_spirals(cd):
         raise InvalidDrawing("remove double-spirals first")
-    assigned = _assign_directions(cd)
-    # every circle edge is a home edge, and rule (i) ignores arc directions:
-    # the input's crossing set is the assigned drawing's, and the
-    # realization is compared with it
-    object.__setattr__(assigned, "_crossing_set", crossing_set(cd))
-    cw = to_circular_wiring(assigned)
+    cw = _realize(cd, _assign_directions(cd))
     if not circ.is_strongly_c_monotone(cw):
         raise RealizationMismatch("conversion is not strongly c-monotone")
     return cw

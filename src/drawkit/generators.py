@@ -29,7 +29,6 @@ from drawkit.errors import DegeneratePointSet, GaveUp, InternalAssertion, Invali
 from drawkit.rotation import (
     CrossingSet,
     RotationSystem,
-    _norm_crossing,
     _sorted_pair,
     crossings_from_rotation,
     edge_numbering,
@@ -89,14 +88,14 @@ def from_points(ps: PointSet):
         others = [(u, pts[u]) for u in sorted(pts) if u != v]
         rotations.append(tuple(_geom.clockwise_order(pts[v], others)))
     rs = RotationSystem(n, tuple(rotations))
-    pairs = set()
+    pairs = []
     for e, f in combinations(combinations(range(1, n + 1), 2), 2):
         if set(e) & set(f):
             continue
         if _geom.segments_cross(pts[e[0]], pts[e[1]], pts[f[0]], pts[f[1]]):
-            pairs.add(_norm_crossing(e, f))
-    cs = CrossingSet(n, frozenset(pairs))
-    if crossings_from_rotation(rs).pairs != cs.pairs:
+            pairs.append((e, f))
+    cs = CrossingSet(n, pairs)
+    if crossings_from_rotation(rs) != cs:
         raise InternalAssertion("rotation-derived crossings disagree with the segments")
     return rs, cs
 
@@ -145,7 +144,7 @@ def convex(n: int):
     cs = CrossingSet(n, linked_rule_pairs(n))
     ps = PointSet(tuple((Fraction(i), Fraction(i * i)) for i in range(1, n + 1)))
     lw = wiring_from_points(ps)
-    if wiring_crossing_set(lw).pairs != cs.pairs:
+    if wiring_crossing_set(lw) != cs:
         raise InternalAssertion("parabola wiring does not realize the linked rule")
     return cs, lw
 
@@ -167,7 +166,7 @@ def twisted_rotation(n: int) -> RotationSystem:
     for i in range(1, n + 1):
         rotations.append(tuple(range(i + 1, n + 1)) + tuple(range(i - 1, 0, -1)))
     rs = RotationSystem(n, tuple(rotations))
-    if crossings_from_rotation(rs).pairs != nested_rule_pairs(n):
+    if crossings_from_rotation(rs) != twisted(n):
         raise InternalAssertion("twisted rotation pattern broke")
     return rs
 
@@ -184,14 +183,14 @@ def two_page(n: int, page_of_edge: dict):
         pages[_sorted_pair(*e)] = page
     if set(pages) != set(combinations(range(1, n + 1), 2)):
         raise InvalidDrawing(f"pages must be given for exactly the edges of K_{n}")
-    pairs = set()
+    pairs = []
     for e, f in combinations(combinations(range(1, n + 1), 2), 2):
         if set(e) & set(f) or pages[e] != pages[f]:
             continue
-        (a, b), (c, d) = sorted((e, f))
+        (a, b), (c, d) = e, f
         if a < c < b < d:
-            pairs.add(_norm_crossing(e, f))
-    cs = CrossingSet(n, frozenset(pairs))
+            pairs.append((e, f))
+    cs = CrossingSet(n, pairs)
     # page 0 runs above the spine, page 1 below; near a vertex the page-1
     # edges come first, the longer ones lower, then the page-0 edges, the
     # shorter ones lower
@@ -208,7 +207,7 @@ def two_page(n: int, page_of_edge: dict):
     left_order = [sorted((e for e in pages if e[1] == v), key=level) for v in range(1, n + 1)]
     right_order = [sorted((e for e in pages if e[0] == v), key=level) for v in range(1, n + 1)]
     lw = to_x_monotone(XBoundedData(n, side, left_order, right_order))
-    if wiring_crossing_set(lw).pairs != cs.pairs:
+    if wiring_crossing_set(lw) != cs:
         raise InternalAssertion("page arcs do not realize the 2-page rule")
     return cs, lw
 

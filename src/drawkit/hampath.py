@@ -397,9 +397,9 @@ def duplicate_apex(cs: CrossingSet, rotation_of_vn) -> CrossingSet:
     perm[n] = n
     base = relabel_crossing_set(cs, perm)
     edges, eid = edge_numbering(n)
-    pairs = set(base.pairs)
+    pairs = list(base.pairs)
     for i in range(1, n):
         spoke = base.masks[eid[i][n]]
-        pairs.update(((i, n + 1), (j, n)) for j in range(i + 1, n))
-        pairs.update(((i, n + 1), f) for k, f in enumerate(edges) if spoke >> k & 1)
-    return CrossingSet(n + 1, frozenset(pairs))
+        pairs += (((i, n + 1), (j, n)) for j in range(i + 1, n))
+        pairs += (((i, n + 1), f) for k, f in enumerate(edges) if spoke >> k & 1)
+    return CrossingSet(n + 1, pairs)

@@ -2,7 +2,7 @@
 conjecture verification over enumerated drawing classes.
 
 One backtracking kernel, `_search`, serves every query.  It runs on the
-crossing set's own view: the edge numbering and, per edge, the bitmask of the
+crossing set's own field: per edge of the edge numbering, the bitmask of the
 edges it crosses (`CrossingSet.masks`).  It walks a bitmask of the unvisited
 vertices lowest bit first, so the first crossing-free path it finds is the
 lexicographically least.  It cuts dead ends (see `_search`) and so keeps
@@ -24,7 +24,7 @@ from drawkit.rotation import CrossingSet, edge_numbering, enumerate_realizable, 
 
 
 def _check_cap(cs: CrossingSet):
-    """The oracle's size cap, checked before any mask is built."""
+    """The oracle's size cap, checked before any search table is built."""
     cap = size_cap(14)
     if cs.n > cap:
         raise TooLarge(cs.n, cap)

@@ -11,9 +11,10 @@ interior point for the planar class), closed under relabeling and mirroring.
 A crossing set is read off it by four orientation bits per 4-subset, one per
 member's rotation on the other three.
 
-A crossing set stores its pairs.  Which edges each edge crosses is its own
-derived view, `CrossingSet.masks` over the edge numbering `edge_numbering(n)`,
-built on first use; every consumer reads that view, not the pairs.
+A crossing set stores, per edge of the edge numbering `edge_numbering(n)`,
+the int mask of the edges it crosses: `CrossingSet.masks`, written by the
+one validating pass of its constructor and read by every consumer.  Its
+pairs are a view, built on first use for serialization and canonical forms.
 
 Two crossing sets describe the same drawing class exactly when they agree up
 to a relabeling of vertices, so equality of canonical forms (lexicographic
@@ -98,11 +99,16 @@ def _norm_crossing(e: Edge, f: Edge) -> Pair:
     return (e, f) if e < f else (f, e)
 
 
+MAX_VERTICES = 1024  # the largest n of an edge numbering; its tables then take about 67 MB
+
+
 @lru_cache(maxsize=16)
 def edge_numbering(n: int):
     """`(edges, eid)`: the edges of K_n in `combinations` order, and
     `eid[u][v]` the index of edge {u, v} in either order.  Row 0 and the
     diagonal read 0, so pass only edges of K_n."""
+    if n > MAX_VERTICES:
+        raise InvalidDrawing(f"n = {n} is above the limit of {MAX_VERTICES} vertices")
     edges = tuple(combinations(range(1, n + 1), 2))
     eid = [[0] * (n + 1) for _ in range(n + 1)]
     for i, (u, v) in enumerate(edges):
@@ -110,60 +116,59 @@ def edge_numbering(n: int):
     return edges, tuple(map(tuple, eid))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CrossingSet:
-    """Set of unordered pairs of independent edges that cross."""
+    """Set of unordered pairs of independent edges that cross, given in any
+    order and orientation, repeats allowed, and checked in one pass that
+    writes `masks`: `masks[i]` is the int mask of the edges that edge i of
+    `edge_numbering(n)` crosses, so edge i is uncrossed iff `masks[i] == 0`."""
 
     n: int
-    pairs: frozenset
+    masks: tuple[int, ...]
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int, pairs):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise InvalidDrawing(f"crossing set needs an integer n >= 1, got {n!r}")
-        norm = set()
-        shared = {}  # one tuple per edge, shared by all its pairs
-        for (a, b), (c, d) in self.pairs:
+        eid = edge_numbering(n)[1]
+        masks = [0] * (n * (n - 1) // 2)
+        for (a, b), (c, d) in pairs:
             if not (type(a) is int and type(b) is int and type(c) is int and type(d) is int):
                 _require_ints("crossing set", (a, b, c, d))
-            if a > b:
-                a, b = b, a
-            if c > d:
-                c, d = d, c
+            if a == b or c == d:
+                raise InvalidDrawing(f"a loop is not an edge: {(a, b)}, {(c, d)}")
             if a == c or a == d or b == c or b == d:
                 raise InvalidDrawing(f"incident edges cannot cross: {(a, b)}, {(c, d)}")
-            if a < 1 or c < 1 or b > n or d > n:
+            if not (0 < a <= n and 0 < b <= n and 0 < c <= n and 0 < d <= n):
                 v = next(v for v in (a, b, c, d) if not 1 <= v <= n)
                 raise InvalidDrawing(f"vertex {v} out of range 1..{n}")
-            if a > c:
-                a, b, c, d = c, d, a, b
-            # a is the quad's smallest vertex, so it leads the first edge of
-            # each of the quad's other two pairings
-            if ((a, c), _sorted_pair(b, d)) in norm or ((a, d), _sorted_pair(b, c)) in norm:
+            # a pair written earlier on the quad's other two pairings
+            if masks[eid[a][c]] >> eid[b][d] & 1 or masks[eid[a][d]] >> eid[b][c] & 1:
                 raise InvalidDrawing(f"two crossings on the same 4-subset {sorted((a, b, c, d))}")
-            e, f = (a, b), (c, d)
-            norm.add((shared.setdefault(e, e), shared.setdefault(f, f)))
-        object.__setattr__(self, "pairs", frozenset(norm))
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """`masks[i]`: int mask of the edges that edge i of `edge_numbering(n)`
-        crosses, so edge i is uncrossed iff `masks[i] == 0`.  Built on first
-        use and kept on the instance, outside the fields."""
-        eid = edge_numbering(self.n)[1]
-        masks = [0] * (self.n * (self.n - 1) // 2)
-        for (a, b), (c, d) in self.pairs:
             i, j = eid[a][b], eid[c][d]
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-        return tuple(masks)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "masks", tuple(masks))
+
+    @cached_property
+    def pairs(self) -> frozenset:
+        """The crossings as sorted pairs of sorted edges.  Built on first use
+        and kept on the instance, outside the fields."""
+        edges = edge_numbering(self.n)[0]
+        out = []
+        for i, mask in enumerate(self.masks):
+            mask >>= i  # the partners above edge i; bit 0, edge i itself, is never set
+            while mask:
+                out.append((edges[i], edges[i + (mask & -mask).bit_length() - 1]))
+                mask &= mask - 1
+        return frozenset(out)
 
     def encode(self) -> tuple[Pair, ...]:
         """Fixed encoding: pairs sorted, each pair sorted, edges sorted."""
         return tuple(sorted(self.pairs))
 
     def __len__(self):
-        return len(self.pairs)
+        return sum(mask.bit_count() for mask in self.masks) // 2
 
     def __contains__(self, pair):
         e, f = pair
@@ -173,14 +178,8 @@ class CrossingSet:
 def relabel_crossing_set(cs: CrossingSet, perm) -> CrossingSet:
     """Apply a vertex relabeling; `perm` maps old label -> new label (dict or
     sequence indexed by old-1)."""
-    if not isinstance(perm, dict):
-        perm = {i + 1: p for i, p in enumerate(perm)}
-    out = set()
-    for e, f in cs.pairs:
-        e2 = _sorted_pair(perm[e[0]], perm[e[1]])
-        f2 = _sorted_pair(perm[f[0]], perm[f[1]])
-        out.add(_norm_crossing(e2, f2))
-    return CrossingSet(cs.n, frozenset(out))
+    p = perm if isinstance(perm, dict) else {i + 1: v for i, v in enumerate(perm)}
+    return CrossingSet(cs.n, [((p[a], p[b]), (p[c], p[d])) for (a, b), (c, d) in cs.pairs])
 
 
 # ============================================================
@@ -312,7 +311,7 @@ def _pairs_from_rotations(n: int, rotations):
 
 def crossings_from_rotation(rs: RotationSystem) -> CrossingSet:
     """Union over all 4-subsets of the table's crossing pair, if any."""
-    return CrossingSet(rs.n, frozenset(_pairs_from_rotations(rs.n, rs.rotations)))
+    return CrossingSet(rs.n, _pairs_from_rotations(rs.n, rs.rotations))
 
 
 # ============================================================
@@ -391,7 +390,7 @@ def canonical_crossing_form(cs: CrossingSet) -> CrossingSet:
     cap = size_cap(9)
     if cs.n > cap:
         raise TooLarge(cs.n, cap)
-    return CrossingSet(cs.n, frozenset(_canonical_encoding(cs.n, cs.pairs)))
+    return CrossingSet(cs.n, _canonical_encoding(cs.n, cs.pairs))
 
 
 # ============================================================
@@ -578,7 +577,7 @@ def enumerate_realizable(n: int, jobs: int = 1, with_witness: bool = False):
         classes = _enumerate_classes(n)
 
     for form, rots in classes.items():
-        cs = CrossingSet(n, frozenset(form))
+        cs = CrossingSet(n, form)
         if with_witness:
             yield cs, RotationSystem(n, rots)
         else:

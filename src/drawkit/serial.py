@@ -108,38 +108,20 @@ def load(doc: dict):
 
 
 def _load_payload(kind, p):
+    # the constructors turn JSON lists into tuples; only dict keys and enum
+    # values are converted here
     if kind == "rotation_system":
-        return RotationSystem(p["n"], tuple(tuple(r) for r in p["rotations"]))
+        return RotationSystem(p["n"], p["rotations"])
     if kind == "crossing_set":
-        return CrossingSet(
-            p["n"], frozenset((tuple(e), tuple(f)) for e, f in p["crossings"])
-        )
+        return CrossingSet(p["n"], p["crossings"])
     if kind == "linear_wiring":
-        return LinearWiring(
-            p["n"],
-            tuple(tuple(s) for s in p["strips"]),
-            tuple(p["vertex_pos"]),
-            tuple(tuple(tuple(e) for e in o) for o in p["left_order"]),
-            tuple(tuple(tuple(e) for e in o) for o in p["right_order"]),
-        )
+        return LinearWiring(p["n"], p["strips"], p["vertex_pos"], p["left_order"], p["right_order"])
     if kind == "x_bounded":
         side = {(tuple(e), v): Side(s) for e, v, s in p["side"]}
-        return XBoundedData(
-            p["n"],
-            side,
-            tuple(tuple(tuple(e) for e in o) for o in p["left_order"]),
-            tuple(tuple(tuple(e) for e in o) for o in p["right_order"]),
-        )
+        return XBoundedData(p["n"], side, p["left_order"], p["right_order"])
     if kind == "circular_wiring":
-        return CircularWiring(
-            p["n"],
-            tuple(p["ring"]),
-            tuple(tuple(e) for e in p["base_order"]),
-            tuple(tuple(s) for s in p["strips"]),
-            tuple(p["vertex_pos"]),
-            tuple(tuple(tuple(e) for e in o) for o in p["ending"]),
-            tuple(tuple(tuple(e) for e in o) for o in p["starting"]),
-        )
+        return CircularWiring(p["n"], p["ring"], p["base_order"], p["strips"], p["vertex_pos"],
+                              p["ending"], p["starting"])
     if kind == "cylindrical_drawing":
         return CylindricalDrawing(
             p["m"],

@@ -88,7 +88,7 @@ class LinearWiring:
             self.right_order,
         )
         object.__setattr__(self, "_columns", columns)
-        object.__setattr__(self, "_crossing_set", CrossingSet(self.n, frozenset(crossings)))
+        object.__setattr__(self, "_crossing_set", CrossingSet(self.n, crossings))
 
     def edges(self) -> list:
         return [e for block in self.right_order for e in block]
@@ -212,16 +212,21 @@ class XBoundedData:
         )
         _require_ints("x-bounded data", (self.n,), [v for _, v in self.side],
                       *[e for e, _ in self.side], *chain(*self.left_order, *self.right_order))
-        edges = set(combinations(range(1, self.n + 1), 2))
-        for v in range(1, self.n + 1):
-            lefts = {e for e in edges if e[1] == v}
-            rights = {e for e in edges if e[0] == v}
-            if set(self.left_order[v - 1]) != lefts or len(self.left_order[v - 1]) != len(lefts):
+        n = self.n
+        # every length first, so that no check below grows with a huge n
+        if len(self.left_order) != n or len(self.right_order) != n:
+            raise InvalidDrawing("field lengths do not match n")
+        if {sum(map(len, self.left_order)), sum(map(len, self.right_order))} != {n * (n - 1) // 2}:
+            raise InvalidDrawing(f"the orders must list the {n * (n - 1) // 2} edges of K_{n}")
+        if len(self.side) != n * (n - 1) * (n - 2) // 6:
+            raise InvalidDrawing("side map must cover exactly the interior-vertex domain")
+        for v in range(1, n + 1):
+            if sorted(self.left_order[v - 1]) != [(u, v) for u in range(1, v)]:
                 raise InvalidDrawing(f"left_order of v{v} must list the edges ending there")
-            if set(self.right_order[v - 1]) != rights or len(self.right_order[v - 1]) != len(rights):
+            if sorted(self.right_order[v - 1]) != [(v, u) for u in range(v + 1, n + 1)]:
                 raise InvalidDrawing(f"right_order of v{v} must list the edges starting there")
-        domain = {(e, v) for e in edges for v in range(e[0] + 1, e[1])}
-        if set(self.side) != domain:
+        edges = combinations(range(1, n + 1), 2)
+        if set(self.side) != {(e, v) for e in edges for v in range(e[0] + 1, e[1])}:
             raise InvalidDrawing("side map must cover exactly the interior-vertex domain")
         for val in self.side.values():
             if not isinstance(val, Side):
@@ -238,7 +243,7 @@ def predicted_crossings(xb: XBoundedData) -> CrossingSet:
     there is the side of the vertex on which the passing edge runs.
     """
     side = xb.side
-    pairs = set()
+    pairs = []
     for e, f in combinations(combinations(range(1, xb.n + 1), 2), 2):
         (a, b), (c, d) = e, f  # a <= c
         if b < c or a == c or b == c or b == d:
@@ -257,8 +262,8 @@ def predicted_crossings(xb: XBoundedData) -> CrossingSet:
                 f"edges {e}, {f} incomparable at a shared checkpoint"
             )
         if crossed:
-            pairs.add((e, f))
-    return CrossingSet(xb.n, frozenset(pairs))
+            pairs.append((e, f))
+    return CrossingSet(xb.n, pairs)
 
 
 def redraw_strips(ring, base, starting, below):
@@ -324,7 +329,7 @@ def to_x_monotone(xb: XBoundedData) -> LinearWiring:
         lw = LinearWiring(n, tuple(strips[1:]), tuple(vertex_pos), xb.left_order, xb.right_order)
     except InvalidDrawing as exc:
         raise InconsistentInput(f"side data is not realizable: {exc}") from exc
-    if crossing_set(lw).pairs != predicted.pairs:
+    if crossing_set(lw) != predicted:
         raise InconsistentInput("redraw does not reproduce the predicted crossing set")
     return lw
 

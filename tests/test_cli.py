@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
@@ -301,12 +303,19 @@ BAD_HIGHLIGHTS = {
     for kind in RENDERABLE
     for h in ("1,9", "0,1", "2,2", "1,3,3")
 }
-# crossing-set payloads whose n is not an integer >= 1, through `verify --in`
-# and `stats`
-BAD_CROSSING_SET_N = {
-    f"cs-n-{n}-{command}": (command, n)
-    for command, values in (("verify", (-3, 0, 5.0, "5", True)), ("stats", (5.0, True)))
-    for n in values
+# crossing-set payloads whose n is not an integer >= 1, or with a loop in
+# either edge of a pair, through `verify --in` and `stats`
+BAD_CROSSING_SETS = {
+    **{
+        f"cs-n-{n}-{command}": (command, {"n": n, "crossings": []})
+        for command, values in (("verify", (-3, 0, 5.0, "5", True)), ("stats", (5.0, True)))
+        for n in values
+    },
+    **{
+        f"cs-loop-{at}-{command}": (command, {"n": 4, "crossings": [pair]})
+        for command in ("verify", "stats")
+        for at, pair in (("first", [[1, 1], [2, 3]]), ("second", [[1, 2], [3, 3]]))
+    },
 }
 
 
@@ -323,7 +332,7 @@ BAD_CROSSING_SET_N = {
         ("not-json", 1),
         ("missing-key", 1),
         ("unwritable-out", 1),
-        *[(case, 1) for case in BAD_CROSSING_SET_N],
+        *[(case, 1) for case in BAD_CROSSING_SETS],
     ],
 )
 def test_bad_input_exits_without_traceback(case, code, tmp_path, capsys):
@@ -333,9 +342,9 @@ def test_bad_input_exits_without_traceback(case, code, tmp_path, capsys):
     (tmp_path / "nokey.json").write_text(
         '{"kind": "linear_wiring", "payload": {"n": 3}}', encoding="utf-8"
     )
-    if case in BAD_CROSSING_SET_N:
-        command, n = BAD_CROSSING_SET_N[case]
-        doc = {"kind": "crossing_set", "payload": {"n": n, "crossings": []}}
+    if case in BAD_CROSSING_SETS:
+        command, payload = BAD_CROSSING_SETS[case]
+        doc = {"kind": "crossing_set", "payload": payload}
         (tmp_path / "cs.json").write_text(json.dumps(doc), encoding="utf-8")
         argv = [command, *(["--in"] if command == "verify" else []), str(tmp_path / "cs.json")]
     elif case in BAD_HIGHLIGHTS:
@@ -358,6 +367,43 @@ def test_bad_input_exits_without_traceback(case, code, tmp_path, capsys):
     assert got == code
     assert out == ""
     assert err.startswith("usage error:" if code == 64 else "error:")
+
+
+# files of some 200 bytes whose n asks for unbounded memory unless each
+# field's length is compared with n first
+HUGE_N = {
+    "circular-n-1e9": ("stats", "circular_wiring", {
+        "n": 10**9, "ring": [1], "base_order": [], "strips": [[]], "vertex_pos": [0],
+        "ending": [[]], "starting": [[]],
+    }),
+    "x-bounded-n-1e5": ("stats", "x_bounded", {
+        "n": 10**5, "side": [], "left_order": [[]], "right_order": [[]],
+    }),
+    "crossing-set-n-1e6": ("render", "crossing_set", {"n": 10**6, "crossings": []}),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_N)
+def test_huge_n_file_exits_without_traceback(case, tmp_path):
+    command, kind, payload = HUGE_N[case]
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({"kind": kind, "payload": payload}), encoding="utf-8")
+    # the child caps its own address space at 1 GiB, so a regression fails
+    # with a MemoryError instead of exhausting the host
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from drawkit.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code, command, str(f)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize(

@@ -626,24 +626,22 @@ def test_realization_swap_sets_are_pinned():
 
 
 def test_direction_assignment_keeps_the_rule_based_crossing_set(monkeypatch):
-    """`to_strongly_c_monotone` hands the input's crossing set on to the
-    direction-assigned drawing; rule (i) ignores arc directions, so deriving
-    it again gives the same set."""
-    assigned = []
-    realize = cyl.to_circular_wiring
-
-    def capturing(cd):
-        assigned.append(cd)
-        return realize(cd)
-
-    monkeypatch.setattr(cyl, "to_circular_wiring", capturing)
+    """`to_strongly_c_monotone` realizes its input with the assigned
+    directions and builds no drawing for them (these inputs share no ray, so
+    the realization splits none); the realization's crossing set is the
+    input's, since rule (i) ignores arc directions."""
+    built = []
+    init = CylindricalDrawing.__post_init__
+    monkeypatch.setattr(CylindricalDrawing, "__post_init__", lambda cd: built.append(1) or init(cd))
     for n in range(5, 11):
         for seed in (0, 1):
             cd = cyl.normalize_winding(gen.random_cylindrical(n, seed, strong=True))
             cd = cyl.remove_double_spirals(cd)
-            cyl.to_strongly_c_monotone(cd)
-            assert assigned[-1] is not cd
-            assert cyl._derive_crossing_set(assigned[-1]) == cyl.crossing_set(cd)
+            assert not {s for _, s in cd.outer} & {s for _, s in cd.inner}
+            built.clear()
+            cw = cyl.to_strongly_c_monotone(cd)
+            assert built == []
+            assert circ.crossing_set(cw) == cyl.crossing_set(cd)
 
 
 def test_crossing_set_is_derived_once(monkeypatch):

@@ -8,6 +8,7 @@ positions and checked against it on wirings from every producer.
 
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -506,7 +507,7 @@ def assert_decides_as_fractions(cd):
     assert cyl.find_double_spirals(cd) == ref_double_spirals(cd)
     if all(abs(le.omega) < cd.m for le in cd.lateral):
         try:
-            got = tuple(ce.arc for ce in cyl._assign_directions(cd).circle)
+            got = cyl._assign_directions(cd)
         except BothDirectionsForbidden:
             got = None
         assert got == ref_directions(cd)
@@ -719,16 +720,50 @@ def test_oracle_agrees_with_permutations(source, n, seed, data):
 
 
 @st.composite
-def arbitrary_crossing_sets(draw):
-    """Crossing sets at n = 4..8 with none or one of the three pairings of
-    each 4-subset, drawn at random: drawable or not."""
+def arbitrary_pair_lists(draw):
+    """n = 4..8 and sorted pairs of sorted edges with none or one of the
+    three pairings of each 4-subset, drawn at random: drawable or not."""
     n = draw(st.integers(4, 8))
-    pairs = set()
+    pairs = []
     for a, b, c, d in combinations(range(1, n + 1), 4):
         k = draw(st.integers(0, 3))
         if k:
-            pairs.add((((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))[k - 1])
-    return CrossingSet(n, frozenset(pairs))
+            pairs.append((((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))[k - 1])
+    return n, pairs
+
+
+def arbitrary_crossing_sets():
+    return arbitrary_pair_lists().map(lambda drawn: CrossingSet(*drawn))
+
+
+def flips(pair):
+    """The eight ways to write one crossing pair."""
+    (a, b), (c, d) = pair
+    return [(e, f) for x, y in (((a, b), (c, d)), ((c, d), (a, b)))
+            for e in (x, x[::-1]) for f in (y, y[::-1])]
+
+
+@PROPERTY_SETTINGS
+@given(drawn=arbitrary_pair_lists(), seed=st.integers(0, 10**6))
+def test_crossing_set_reads_pairs_in_any_order_and_orientation(drawn, seed):
+    n, pairs = drawn
+    rnd = random.Random(seed)
+    written = [rnd.choice(flips(p)) for p in pairs]
+    written += rnd.choices(written, k=rnd.randint(0, 5)) if written else []
+    rnd.shuffle(written)
+    cs = CrossingSet(n, written)
+    assert cs == CrossingSet(n, pairs)
+    want = frozenset(
+        tuple(sorted((tuple(sorted(e)), tuple(sorted(f))))) for e, f in written
+    )
+    assert cs.pairs == want and len(cs) == len(want)
+    edges = list(combinations(range(1, n + 1), 2))
+    for e, f in combinations(edges, 2):
+        assert (rnd.choice(flips((e, f))) in cs) == ((e, f) in want)
+    assert cs.masks == tuple(
+        sum(1 << j for j, f in enumerate(edges) if (min(e, f), max(e, f)) in want)
+        for e in edges
+    )
 
 
 @PROPERTY_SETTINGS

@@ -311,12 +311,19 @@ MALFORMED_CROSSINGS = {
         f"n {n!r}": (n, [], f"crossing set needs an integer n >= 1, got {n!r}")
         for n in (-3, 0, 5.0, "5", True)
     },
+    "loop first": (4, [((1, 1), (2, 3))], "a loop is not an edge: (1, 1), (2, 3)"),
+    "loop second": (4, [((1, 2), (3, 3))], "a loop is not an edge: (1, 2), (3, 3)"),
     "incident pair": (4, [((1, 2), (2, 3))], "incident edges cannot cross: (1, 2), (2, 3)"),
     "vertex 0": (4, [((0, 2), (3, 4))], "vertex 0 out of range 1..4"),
     "vertex n + 1": (4, [((1, 5), (2, 3))], "vertex 5 out of range 1..4"),
     "two pairings of one quad": (
         4,
         [((1, 3), (2, 4)), ((1, 2), (3, 4))],
+        "two crossings on the same 4-subset [1, 2, 3, 4]",
+    ),
+    "two other pairings of one quad": (
+        4,
+        [((1, 4), (2, 3)), ((1, 2), (3, 4))],
         "two crossings on the same 4-subset [1, 2, 3, 4]",
     ),
 }
@@ -335,7 +342,7 @@ ACCEPTED_CROSSINGS = {
 @pytest.mark.parametrize("n, pairs, message", MALFORMED_CROSSINGS.values(), ids=MALFORMED_CROSSINGS)
 def test_malformed_crossing_set_rejected(n, pairs, message):
     with pytest.raises(InvalidDrawing, match=re.escape(message)):
-        CrossingSet(n, frozenset(pairs))
+        CrossingSet(n, pairs)
 
 
 @pytest.mark.parametrize("n, pairs, want", ACCEPTED_CROSSINGS.values(), ids=ACCEPTED_CROSSINGS)
