@@ -149,7 +149,7 @@ def _cmd_path(args) -> int:
             raise InvalidDrawing("engine cylindrical needs a cylindrical drawing")
         path = hp.path_cylindrical(model, a, b)
     elif engine == "twisted":
-        if cs != gen.twisted(cs.n):
+        if len(cs) != comb(cs.n, 4) or cs != gen.twisted(cs.n):
             raise InvalidDrawing("engine twisted needs the twisted crossing set")
         path = hp.path_twisted(cs.n, a, b)
     elif engine == "oracle":

@@ -171,8 +171,11 @@ class CrossingSet:
         return sum(mask.bit_count() for mask in self.masks) // 2
 
     def __contains__(self, pair):
-        e, f = pair
-        return _norm_crossing(_sorted_pair(*e), _sorted_pair(*f)) in self.pairs
+        (a, b), (c, d) = pair
+        if a == b or c == d or not all(type(v) is int and 0 < v <= self.n for v in (a, b, c, d)):
+            return False
+        eid = edge_numbering(self.n)[1]
+        return bool(self.masks[eid[a][b]] >> eid[c][d] & 1)
 
 
 def relabel_crossing_set(cs: CrossingSet, perm) -> CrossingSet:

@@ -370,22 +370,25 @@ def test_bad_input_exits_without_traceback(case, code, tmp_path, capsys):
 
 
 # files of some 200 bytes whose n asks for unbounded memory unless each
-# field's length is compared with n first
+# field's length, or the count of crossings, is compared with n first
 HUGE_N = {
-    "circular-n-1e9": ("stats", "circular_wiring", {
+    "circular-n-1e9": (["stats"], "circular_wiring", {
         "n": 10**9, "ring": [1], "base_order": [], "strips": [[]], "vertex_pos": [0],
         "ending": [[]], "starting": [[]],
     }),
-    "x-bounded-n-1e5": ("stats", "x_bounded", {
+    "x-bounded-n-1e5": (["stats"], "x_bounded", {
         "n": 10**5, "side": [], "left_order": [[]], "right_order": [[]],
     }),
-    "crossing-set-n-1e6": ("render", "crossing_set", {"n": 10**6, "crossings": []}),
+    "crossing-set-n-1e6": (["render"], "crossing_set", {"n": 10**6, "crossings": []}),
+    "twisted-n-1024": (
+        ["path", "1", "2", "--engine", "twisted"], "crossing_set", {"n": 1024, "crossings": []},
+    ),
 }
 
 
 @pytest.mark.parametrize("case", HUGE_N)
 def test_huge_n_file_exits_without_traceback(case, tmp_path):
-    command, kind, payload = HUGE_N[case]
+    argv, kind, payload = HUGE_N[case]
     f = tmp_path / "huge.json"
     f.write_text(json.dumps({"kind": kind, "payload": payload}), encoding="utf-8")
     # the child caps its own address space at 1 GiB, so a regression fails
@@ -399,7 +402,7 @@ def test_huge_n_file_exits_without_traceback(case, tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
-        [sys.executable, "-c", code, command, str(f)],
+        [sys.executable, "-c", code, argv[0], str(f), *argv[1:]],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 1, out.stderr
