@@ -27,6 +27,7 @@ from drawkit.cylinder import (
 )
 from drawkit.errors import DegeneratePointSet, GaveUp, InternalAssertion, InvalidDrawing
 from drawkit.rotation import (
+    MAX_VERTICES,
     CrossingSet,
     RotationSystem,
     _sorted_pair,
@@ -139,8 +140,8 @@ def wiring_from_points(ps: PointSet) -> LinearWiring:
 def convex(n: int):
     """Crossing set (all linked pairs) and a realizing wiring from points on
     a parabola."""
-    if n < 3:
-        raise InvalidDrawing("convex drawing needs n >= 3")
+    if not 3 <= n <= MAX_VERTICES:
+        raise InvalidDrawing(f"convex drawing needs 3 <= n <= {MAX_VERTICES}, got {n}")
     cs = CrossingSet(n, linked_rule_pairs(n))
     ps = PointSet(tuple((Fraction(i), Fraction(i * i)) for i in range(1, n + 1)))
     lw = wiring_from_points(ps)
@@ -151,8 +152,8 @@ def convex(n: int):
 
 def twisted(n: int) -> CrossingSet:
     """Crossing set of the twisted drawing: all nested pairs."""
-    if n < 3:
-        raise InvalidDrawing("twisted drawing needs n >= 3")
+    if not 3 <= n <= MAX_VERTICES:
+        raise InvalidDrawing(f"twisted drawing needs 3 <= n <= {MAX_VERTICES}, got {n}")
     return CrossingSet(n, nested_rule_pairs(n))
 
 
@@ -232,8 +233,8 @@ def hill(n: int) -> CylindricalDrawing:
     """Geodesic two-circle drawing: half the vertices equally spaced on each
     circle, lateral edges winding the short way (ties counter-clockwise), all
     circle edges in their home face on their shorter side."""
-    if n < 3:
-        raise InvalidDrawing("hill drawing needs n >= 3")
+    if not 3 <= n <= MAX_VERTICES:
+        raise InvalidDrawing(f"hill drawing needs 3 <= n <= {MAX_VERTICES}, got {n}")
     p = (n + 1) // 2
     q = n - p
     # outer vertex i at i/p turns, inner vertex j at j/q + 1/(2pq) turns

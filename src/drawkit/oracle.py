@@ -10,14 +10,13 @@ that answer.  The constructive engines in `hampath` never run this search;
 they validate their own output.
 
 `verify_all_pairs` searches only the end pairs that no path found so far
-reaches by end rotations; every other pair has a checked path, so its answer
-is exact.
+reaches by end rotations, a closure kept in vertex bitmasks; every other pair
+has a checked path, so its answer is exact.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 from drawkit.errors import InvalidDrawing, TooLarge
 from drawkit.rotation import CrossingSet, edge_numbering, enumerate_realizable, size_cap
@@ -124,33 +123,40 @@ def verify_all_pairs(cs: CrossingSet) -> bool:
     edge {p_k, p_{k+1}}, which it meets at p_k), then p_0 … p_k, p_{n-1},
     p_{n-2}, …, p_{k+1} is a crossing-free Hamiltonian path from p_0 to
     p_{k+1}.  Both ends of each path that covers a new pair are rotated in
-    turn.  Only an uncovered pair is searched, so False comes only from an
-    exhausted search.
+    turn, bar an end with every partner covered; each path carries its edge
+    mask, changed by one edge per rotation.  Only an uncovered pair is
+    searched, so False comes only from an exhausted search.
     """
     _check_cap(cs)
     n = cs.n
     eid = edge_numbering(n)[1]
     masks = cs.masks
-    pairs = list(combinations(range(1, n + 1), 2))
-    covered = set()
-    for a, b in pairs:
-        if (a, b) in covered:
-            continue
-        path = _search(cs, a, b)
-        if path is None:
-            return False
-        covered.add((a, b))
-        stack = [path]
-        while stack and len(covered) < len(pairs):
-            p = stack.pop()
-            used = sum(1 << eid[u][v] for u, v in zip(p, p[1:]))
-            for q in (p, p[::-1]):
-                head, row = q[0], eid[q[-1]]
-                for k in range(n - 2):
-                    pair = (head, q[k + 1]) if head < q[k + 1] else (q[k + 1], head)
-                    if pair not in covered and not masks[row[q[k]]] & used:
-                        covered.add(pair)
-                        stack.append(q[:k + 1] + q[:k:-1])
+    everyone = (1 << n + 1) - 2  # bits 1..n
+    cov = [1 << v for v in range(n + 1)]  # v and the partners covered for v
+    left = n * (n - 1) // 2
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            if cov[a] >> b & 1:
+                continue
+            path = _search(cs, a, b)
+            if path is None:
+                return False
+            cov[a] |= 1 << b
+            cov[b] |= 1 << a
+            left -= 1
+            stack = [(path, sum(1 << eid[u][v] for u, v in zip(path, path[1:])))]
+            while stack and left:
+                p, used = stack.pop()
+                for q in (p, p[::-1]):
+                    head, row = q[0], eid[q[-1]]
+                    if cov[head] == everyone:
+                        continue
+                    for k, v in enumerate(q[1:-1]):  # q[k] is the vertex before v
+                        if not cov[head] >> v & 1 and not masks[i := row[q[k]]] & used:
+                            cov[head] |= 1 << v
+                            cov[v] |= 1 << head
+                            left -= 1
+                            stack.append((q[:k + 1] + q[:k:-1], used ^ 1 << eid[q[k]][v] | 1 << i))
     return True
 
 

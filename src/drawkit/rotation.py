@@ -131,6 +131,7 @@ class CrossingSet:
             raise InvalidDrawing(f"crossing set needs an integer n >= 1, got {n!r}")
         eid = edge_numbering(n)[1]
         masks = [0] * (n * (n - 1) // 2)
+        conflicts = []
         for (a, b), (c, d) in pairs:
             if not (type(a) is int and type(b) is int and type(c) is int and type(d) is int):
                 _require_ints("crossing set", (a, b, c, d))
@@ -143,10 +144,12 @@ class CrossingSet:
                 raise InvalidDrawing(f"vertex {v} out of range 1..{n}")
             # a pair written earlier on the quad's other two pairings
             if masks[eid[a][c]] >> eid[b][d] & 1 or masks[eid[a][d]] >> eid[b][c] & 1:
-                raise InvalidDrawing(f"two crossings on the same 4-subset {sorted((a, b, c, d))}")
+                conflicts.append(sorted((a, b, c, d)))
             i, j = eid[a][b], eid[c][d]
             masks[i] |= 1 << j
             masks[j] |= 1 << i
+        if conflicts:  # every such 4-subset is met, so the least is named in any input order
+            raise InvalidDrawing(f"two crossings on the same 4-subset {min(conflicts)}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "masks", tuple(masks))
 

@@ -386,13 +386,9 @@ HUGE_N = {
 }
 
 
-@pytest.mark.parametrize("case", HUGE_N)
-def test_huge_n_file_exits_without_traceback(case, tmp_path):
-    argv, kind, payload = HUGE_N[case]
-    f = tmp_path / "huge.json"
-    f.write_text(json.dumps({"kind": kind, "payload": payload}), encoding="utf-8")
-    # the child caps its own address space at 1 GiB, so a regression fails
-    # with a MemoryError instead of exhausting the host
+def assert_capped_run_fails_cleanly(argv):
+    """Run the CLI in a child that caps its own address space at 1 GiB, so a
+    regression fails with a MemoryError instead of exhausting the host."""
     code = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -402,11 +398,25 @@ def test_huge_n_file_exits_without_traceback(case, tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
-        [sys.executable, "-c", code, argv[0], str(f), *argv[1:]],
+        [sys.executable, "-c", code, *argv],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 1, out.stderr
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("case", HUGE_N)
+def test_huge_n_file_exits_without_traceback(case, tmp_path):
+    argv, kind, payload = HUGE_N[case]
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({"kind": kind, "payload": payload}), encoding="utf-8")
+    assert_capped_run_fails_cleanly([argv[0], str(f), *argv[1:]])
+
+
+# each would build some C(n, 4) crossing pairs or n^2 / 4 lateral edges
+@pytest.mark.parametrize("kind", ["twisted", "convex", "hill"])
+def test_named_drawing_above_the_vertex_limit_exits_without_traceback(kind):
+    assert_capped_run_fails_cleanly(["gen", kind, "3000"])
 
 
 @pytest.mark.parametrize(

@@ -103,6 +103,49 @@ def test_search_effort(query, cs, bound, monkeypatch):
     assert CountingMasks.reads <= bound
 
 
+# the end pairs verify_all_pairs searches, in order, and its masks reads
+ALL_PAIRS_WORK = {
+    "convex-9": ([(1, 2)], 197),
+    "convex-10": ([(1, 2)], 355),
+    "convex-11": ([(1, 2)], 666),
+    "convex-12": ([(1, 2)], 1301),
+    "twisted-9": ([(1, 2)], 113),
+    "twisted-10": ([(1, 2)], 178),
+    "twisted-11": ([(1, 2)], 257),
+    "twisted-12": ([(1, 2)], 346),
+    "twisted-13": ([(1, 2)], 459),
+    "hill-10": ([(1, 2)], 82),
+    "hill-11": ([(1, 2)], 103),
+    "hill-12": ([(1, 2)], 147),
+    "hill-13": ([(1, 2)], 176),
+    "absent-3-4": ([(1, 2), (1, 3), (2, 5), (3, 4)], 109),
+}
+
+
+def named_crossing_set(name):
+    if name == "absent-3-4":
+        return CrossingSet(ABSENT_3_4.n, ABSENT_3_4.pairs)
+    kind, n = name.rsplit("-", 1)
+    n = int(n)
+    return {
+        "convex": lambda: gen.convex(n)[0],
+        "twisted": lambda: gen.twisted(n),
+        "hill": lambda: cyl.crossing_set(gen.hill(n)),
+    }[kind]()
+
+
+@pytest.mark.parametrize("name", ALL_PAIRS_WORK)
+def test_verify_all_pairs_work_is_pinned(name, monkeypatch):
+    cs = named_crossing_set(name)
+    cs.__dict__["masks"] = CountingMasks(cs.masks)
+    monkeypatch.setattr(CountingMasks, "reads", 0)
+    searched = []
+    search = oracle._search
+    monkeypatch.setattr(oracle, "_search", lambda *args: searched.append(args[1:]) or search(*args))
+    assert oracle.verify_all_pairs(cs) == (name != "absent-3-4")
+    assert (searched, CountingMasks.reads) == ALL_PAIRS_WORK[name]
+
+
 def test_size_cap():
     with pytest.raises(TooLarge):
         oracle.find_cf_ham_path(CrossingSet(15, frozenset()), 1, 2)

@@ -35,12 +35,13 @@ from drawkit.rotation import (
     CrossingSet,
     _sorted_pair,
     crossings_from_rotation,
+    edge_numbering,
     relabel_crossing_set,
 )
 from drawkit.wiring import Side
 from tests.test_circular import covering_k4
 from tests.test_cylinder import assert_realization_follows_the_drawing
-from tests.test_oracle import ABSENT_3_4
+from tests.test_oracle import ABSENT_3_4, CountingMasks
 from tests.test_wiring import wiring_to_rotation
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
@@ -772,6 +773,56 @@ def test_crossing_set_reads_pairs_in_any_order_and_orientation(drawn, seed):
 def test_verify_all_pairs_agrees_with_permutations(cs):
     want = all(ref_path(cs, a, b) is not None for a, b in combinations(range(1, cs.n + 1), 2))
     assert oracle.verify_all_pairs(cs) == want
+
+
+def set_closure_verify_all_pairs(cs):
+    """`oracle.verify_all_pairs` with its rotation closure over a set of
+    covered tuple pairs, each path's edge mask summed from scratch: the
+    reference for the end pairs the bitmask closure searches."""
+    n = cs.n
+    eid = edge_numbering(n)[1]
+    masks = cs.masks
+    pairs = list(combinations(range(1, n + 1), 2))
+    covered = set()
+    for a, b in pairs:
+        if (a, b) in covered:
+            continue
+        path = oracle._search(cs, a, b)
+        if path is None:
+            return False
+        covered.add((a, b))
+        stack = [path]
+        while stack and len(covered) < len(pairs):
+            p = stack.pop()
+            used = sum(1 << eid[u][v] for u, v in zip(p, p[1:]))
+            for q in (p, p[::-1]):
+                head, row = q[0], eid[q[-1]]
+                for k in range(n - 2):
+                    pair = (head, q[k + 1]) if head < q[k + 1] else (q[k + 1], head)
+                    if pair not in covered and not masks[row[q[k]]] & used:
+                        covered.add(pair)
+                        stack.append(q[:k + 1] + q[:k:-1])
+    return True
+
+
+@PROPERTY_SETTINGS
+@given(cs=arbitrary_crossing_sets())
+@example(cs=ABSENT_3_4)
+def test_verify_all_pairs_searches_as_the_set_closure(cs):
+    # the same answer, end pairs searched in the same order and masks reads
+    real_search = oracle._search
+    runs = []
+    for closure in (set_closure_verify_all_pairs, oracle.verify_all_pairs):
+        counted = CrossingSet(cs.n, cs.pairs)
+        counted.__dict__["masks"] = CountingMasks(cs.masks)
+        CountingMasks.reads = 0
+        searched = []
+        oracle._search = lambda *args: searched.append(args[1:]) or real_search(*args)
+        try:
+            runs.append((closure(counted), searched, CountingMasks.reads))
+        finally:
+            oracle._search = real_search
+    assert runs[0] == runs[1]
 
 
 # a hand-frozen crossing set (valid per the type, not drawable) with no

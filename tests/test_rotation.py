@@ -328,6 +328,20 @@ MALFORMED_CROSSINGS = {
     ),
 }
 
+# two 4-subsets with two crossings each: the later one in the list comes
+# first in the order of the vertices
+TWO_CONFLICTS = [((2, 4), (3, 5)), ((2, 3), (4, 5)), ((1, 3), (2, 4)), ((1, 2), (3, 4))]
+
+
+@pytest.mark.parametrize("pairs", [TWO_CONFLICTS, TWO_CONFLICTS[::-1]], ids=["given", "reversed"])
+def test_conflict_names_the_least_4_subset_in_any_order(pairs):
+    with pytest.raises(InvalidDrawing, match=re.escape("the same 4-subset [1, 2, 3, 4]")):
+        CrossingSet(5, pairs)
+    # a malformed pair is named even after a conflict
+    with pytest.raises(InvalidDrawing, match="vertex 6 out of range"):
+        CrossingSet(5, pairs + [((1, 6), (2, 3))])
+
+
 ACCEPTED_CROSSINGS = {
     "unsorted edges": (4, [((3, 1), (4, 2))], {((1, 3), (2, 4))}),
     "one pair in both orders": (4, [((1, 3), (2, 4)), ((4, 2), (3, 1))], {((1, 3), (2, 4))}),
